@@ -92,22 +92,6 @@ let fsync_policy_arg =
                    interval:<ms>, or never (fsync only at shutdown). Only \
                    meaningful with $(b,--wal-dir).")
 
-let net_engine_conv =
-  let parse s =
-    Result.map_error (fun m -> `Msg m) (C4_net.Server.engine_of_string s)
-  in
-  let print ppf e =
-    Format.pp_print_string ppf (C4_net.Server.engine_to_string e)
-  in
-  Arg.conv (parse, print)
-
-let net_engine_arg =
-  Arg.(value & opt net_engine_conv C4_net.Server.Evloop
-         & info [ "net-engine" ] ~docv:"ENGINE"
-             ~doc:"Serving engine: $(b,evloop) (poll-based event-loop \
-                   domains, default) or $(b,threads) (reader + writer \
-                   thread per connection).")
-
 let wal_config ~wal_dir ~fsync_policy ~n_partitions =
   Option.map
     (fun dir ->

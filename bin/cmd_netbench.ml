@@ -12,7 +12,7 @@ module Span = C4_obs.Span
 let now_ns () = Unix.gettimeofday () *. 1e9
 
 let bench_record ~n_workers ~n_partitions ~compaction ~write_frac ~theta ~rate
-    ~n_ops ~delete_frac ~conns ~wal ~fsync_policy ~engine report =
+    ~n_ops ~delete_frac ~conns ~wal ~fsync_policy report =
   let open C4_net.Loadgen in
   let hist name h = (name, Json.Obj (C4_obs.Benchlog.percentiles_of h)) in
   C4_obs.Benchlog.record ~kind:"netbench"
@@ -29,7 +29,6 @@ let bench_record ~n_workers ~n_partitions ~compaction ~write_frac ~theta ~rate
         ("conns", Json.Int conns);
         ("wal", Json.Bool wal);
         ("fsync_policy", Json.Str (C4_wal.Wal.fsync_policy_to_string fsync_policy));
-        ("engine", Json.Str (C4_net.Server.engine_to_string engine));
       ]
     ~results:
       [
@@ -51,9 +50,9 @@ let bench_record ~n_workers ~n_partitions ~compaction ~write_frac ~theta ~rate
    requests on every one of them?  The server runs as a separate child
    process (its fd table, thread count and domain pool must not share
    this process's limits), and the client side is a single-threaded
-   poll(2) multiplexer over raw sockets — the same primitive the evloop
-   engine uses — so one driver process sustains tens of thousands of
-   connections without a thread per connection. *)
+   poll(2) multiplexer over raw sockets — the same primitive the
+   server's event loops use — so one driver process sustains tens of
+   thousands of connections without a thread per connection. *)
 
 module Wire = C4_net.Wire
 module Poll = C4_net.Poll
@@ -69,8 +68,8 @@ type cs_conn = {
   mutable cs_state : cs_state;
 }
 
-(* Outcome of one engine × conns cell. [dnf] carries the honest reason a
-   cell could not run to completion (fd rlimit, timeout) — recorded in
+(* Outcome of one conn-scale run. [dnf] carries the honest reason a
+   run could not finish (fd rlimit, timeout) — recorded in
    the trajectory rather than silently skipped. *)
 type cs_result = {
   r_completed : int;
@@ -286,7 +285,7 @@ let cs_drive ~port ~conns ~ops ~timeout_s =
     r_dnf = !dnf;
   }
 
-let cs_record ~n_workers ~n_partitions ~engine ~conns ~ops r =
+let cs_record ~n_workers ~n_partitions ~wal_dir ~fsync_policy ~conns ~ops r =
   let throughput =
     if r.r_duration_s > 0.0 then float_of_int r.r_completed /. r.r_duration_s
     else 0.0
@@ -297,10 +296,10 @@ let cs_record ~n_workers ~n_partitions ~engine ~conns ~ops r =
         ("mode", Json.Str "conn-scale");
         ("workers", Json.Int n_workers);
         ("partitions", Json.Int n_partitions);
-        ("engine", Json.Str (C4_net.Server.engine_to_string engine));
         ("conns", Json.Int conns);
         ("ops_per_conn", Json.Int ops);
-        ("wal", Json.Bool false);
+        ("wal", Json.Bool (wal_dir <> None));
+        ("fsync_policy", Json.Str (C4_wal.Wal.fsync_policy_to_string fsync_policy));
       ]
     ~results:
       ([
@@ -316,16 +315,23 @@ let cs_record ~n_workers ~n_partitions ~engine ~conns ~ops r =
         | None -> []
         | Some reason -> [ ("dnf_reason", Json.Str reason) ])
 
-let cs_spawn_server ~n_workers ~n_partitions ~engine =
+let cs_spawn_server ~n_workers ~n_partitions ~wal_dir ~fsync_policy =
   let child =
     C4_resilience.Proc.spawn ~prog:Sys.executable_name
       ~args:
-        [
-          "serve"; "-p"; "0";
-          "--workers"; string_of_int n_workers;
-          "--partitions"; string_of_int n_partitions;
-          "--net-engine"; C4_net.Server.engine_to_string engine;
-        ]
+        ([
+           "serve"; "-p"; "0";
+           "--workers"; string_of_int n_workers;
+           "--partitions"; string_of_int n_partitions;
+         ]
+        @
+        match wal_dir with
+        | None -> []
+        | Some dir ->
+          [
+            "--wal-dir"; dir;
+            "--fsync-policy"; C4_wal.Wal.fsync_policy_to_string fsync_policy;
+          ])
   in
   let rec find_port tries =
     if tries = 0 then None
@@ -355,10 +361,16 @@ let cs_stop_server child =
     C4_resilience.Proc.kill child;
     ignore (C4_resilience.Proc.wait child))
 
-let conn_scale_run n_workers n_partitions engine conns ops timeout_s bench_json =
-  Printf.printf "conn-scale: %d connections x %d ops, %s engine\n%!" conns ops
-    (C4_net.Server.engine_to_string engine);
-  let child, port = cs_spawn_server ~n_workers ~n_partitions ~engine in
+let conn_scale_run n_workers n_partitions wal_dir fsync_policy conns ops
+    timeout_s bench_json =
+  Printf.printf "conn-scale: %d connections x %d ops%s\n%!" conns ops
+    (match wal_dir with
+    | None -> ""
+    | Some _ ->
+      ", wal " ^ C4_wal.Wal.fsync_policy_to_string fsync_policy);
+  let child, port =
+    cs_spawn_server ~n_workers ~n_partitions ~wal_dir ~fsync_policy
+  in
   let r = cs_drive ~port ~conns ~ops ~timeout_s in
   cs_stop_server child;
   (match r.r_dnf with
@@ -373,7 +385,7 @@ let conn_scale_run n_workers n_partitions engine conns ops timeout_s bench_json 
   | None -> ()
   | Some path ->
     C4_obs.Benchlog.append ~path
-      (cs_record ~n_workers ~n_partitions ~engine ~conns ~ops r);
+      (cs_record ~n_workers ~n_partitions ~wal_dir ~fsync_policy ~conns ~ops r);
     Printf.printf "appended run to %s\n" path);
   (* A DNF is an honest recorded outcome (the row says why), not a test
      failure; anything else must be a perfect run. *)
@@ -383,7 +395,7 @@ let conn_scale_run n_workers n_partitions engine conns ops timeout_s bench_json 
   end
 
 let netbench_run n_workers n_partitions compaction write_frac theta rate n_ops
-    warmup delete_frac conns wal_dir fsync_policy bench_json trace_out engine =
+    warmup delete_frac conns wal_dir fsync_policy bench_json trace_out =
   let tracing = trace_out <> None in
   let client_spans = if tracing then Some (Span.create ~process:"client" ()) else None in
   let server_spans = if tracing then Some (Span.create ~process:"server" ()) else None in
@@ -408,7 +420,7 @@ let netbench_run n_workers n_partitions compaction write_frac theta rate n_ops
   in
   let srv =
     C4_net.Server.start
-      { C4_net.Server.default_config with spans = server_spans; engine }
+      { C4_net.Server.default_config with spans = server_spans }
       ~runtime
   in
   let client =
@@ -460,7 +472,7 @@ let netbench_run n_workers n_partitions compaction write_frac theta rate n_ops
     C4_obs.Benchlog.append ~path
       (bench_record ~n_workers ~n_partitions ~compaction ~write_frac ~theta
          ~rate ~n_ops ~delete_frac ~conns ~wal:(wal_dir <> None) ~fsync_policy
-         ~engine report);
+         report);
     Printf.printf "appended run to %s\n" path);
   (match (trace_out, client_spans, server_spans) with
   | Some path, Some cbuf, Some sbuf ->
@@ -515,7 +527,8 @@ let cmd =
                  process and hold $(b,--conns) concurrent connections \
                  against it from one poll-multiplexed driver, pipelining \
                  $(b,--ops-per-conn) requests on each. Ignores the \
-                 open-loop workload flags.")
+                 open-loop workload flags; $(b,--wal-dir) and \
+                 $(b,--fsync-policy) go to the server child.")
   in
   let ops_per_conn =
     Arg.(value & opt int 8 & info [ "ops-per-conn" ] ~docv:"N"
@@ -527,15 +540,15 @@ let cmd =
                  $(docv) is recorded as DNF rather than hanging the run.")
   in
   let run workers partitions no_compaction write_frac theta rate n_ops warmup
-      delete_frac conns wal_dir fsync_policy bench_json trace_out engine
-      conn_scale ops_per_conn conn_timeout =
+      delete_frac conns wal_dir fsync_policy bench_json trace_out conn_scale
+      ops_per_conn conn_timeout =
     if conn_scale then
-      conn_scale_run workers partitions engine conns ops_per_conn conn_timeout
-        bench_json
+      conn_scale_run workers partitions wal_dir fsync_policy conns ops_per_conn
+        conn_timeout bench_json
     else
       netbench_run workers partitions (not no_compaction) write_frac theta rate
         n_ops warmup delete_frac conns wal_dir fsync_policy bench_json
-        trace_out engine
+        trace_out
   in
   Cmd.v
     (Cmd.info "netbench"
@@ -550,4 +563,4 @@ let cmd =
       $ write_frac_arg ~default:30.0 ~doc:"Write percentage of the Zipf mix." ()
       $ theta_arg ~default:0.99 () $ rate $ n_ops $ warmup $ delete_frac
       $ conns $ wal_dir_arg $ fsync_policy_arg $ bench_json $ trace_out
-      $ net_engine_arg $ conn_scale $ ops_per_conn $ conn_timeout)
+      $ conn_scale $ ops_per_conn $ conn_timeout)

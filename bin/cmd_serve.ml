@@ -53,7 +53,7 @@ let load_cluster_map path =
   | Error e -> failwith (Printf.sprintf "bad cluster map %s: %s" path e)
 
 let serve_run port telemetry_port n_workers n_partitions compaction wal_dir
-    fsync_policy duration cluster_map node_id repl_ack net_engine =
+    fsync_policy duration cluster_map node_id repl_ack =
   let t0 = Unix.gettimeofday () in
   let cluster =
     match cluster_map with
@@ -126,7 +126,6 @@ let serve_run port telemetry_port n_workers n_partitions compaction wal_dir
       {
         C4_net.Server.default_config with
         port;
-        engine = net_engine;
         cluster = Option.map C4_clusterd.Member.hooks member;
       }
       ~runtime
@@ -152,9 +151,8 @@ let serve_run port telemetry_port n_workers n_partitions compaction wal_dir
         None)
   in
   Printf.printf
-    "c4 server listening on 127.0.0.1:%d (%d workers, %d partitions, %s engine%s%s%s)\n%!"
+    "c4 server listening on 127.0.0.1:%d (%d workers, %d partitions%s%s%s)\n%!"
     (C4_net.Server.port srv) n_workers n_partitions
-    (C4_net.Server.engine_to_string net_engine)
     (if compaction then ", compaction on" else "")
     (if wal_dir <> None then ", wal on" else "")
     (if Option.is_some member then ", cluster on" else "");
@@ -229,9 +227,9 @@ let cmd =
                  asynchronously).")
   in
   let run port telemetry_port workers partitions no_compaction wal_dir
-      fsync_policy duration cluster_map node_id repl_ack net_engine =
+      fsync_policy duration cluster_map node_id repl_ack =
     serve_run port telemetry_port workers partitions (not no_compaction)
-      wal_dir fsync_policy duration cluster_map node_id repl_ack net_engine
+      wal_dir fsync_policy duration cluster_map node_id repl_ack
   in
   Cmd.v
     (Cmd.info "serve"
@@ -242,4 +240,4 @@ let cmd =
     Term.(
       const run $ port $ telemetry_port $ workers_arg $ partitions_arg
       $ no_compaction_arg $ wal_dir_arg $ fsync_policy_arg $ duration
-      $ cluster_map $ node_id $ repl_ack $ net_engine_arg)
+      $ cluster_map $ node_id $ repl_ack)

@@ -9,6 +9,7 @@ let all_rules =
     "no-obj-magic";
     "poly-compare-mutable";
     "no-stdout-print";
+    "no-toplevel-lazy";
   ]
 
 let is_ident_char c =
@@ -284,6 +285,20 @@ let no_stdout_print path stripped =
         ^ " in library code writes to stdout; take an out_channel or a Format formatter instead")
       path stripped
 
+(* A [lazy] value in a library is shared by every domain that reaches
+   it, and OCaml 5 raises [CamlinternalLazy.Undefined] in a domain that
+   forces it while another domain is already forcing it — a worker that
+   dies of that looks like a deadlock. Build shared values eagerly. *)
+let no_toplevel_lazy path stripped =
+  if not (has_component [ "lib" ] path) then []
+  else
+    token_rule ~rule:"no-toplevel-lazy" ~needles:[ "lazy"; "Lazy.force" ]
+      ~message:(fun needle ->
+        needle
+        ^ " in library code: two domains forcing one lazy value race \
+           (CamlinternalLazy.Undefined); build the value eagerly")
+      path stripped
+
 (* Heuristic: find record types declared [mutable] in this file, then
    variables annotated [(x : t)] with such a type, then flag structural
    [=] / [<>] / [compare] applied to those variables. Physical equality
@@ -523,6 +538,7 @@ let lint_source ~path src =
     @ no_obj_magic path stripped
     @ poly_compare_mutable path stripped
     @ no_stdout_print path stripped
+    @ no_toplevel_lazy path stripped
   in
   List.filter (fun v -> not (List.mem v.rule allow)) vs
 

@@ -17,7 +17,11 @@
       pattern).
     - [no-stdout-print]: no [Printf.printf] / [Format.printf] /
       [print_endline]-family calls in [lib/] implementation files —
-      libraries must take an [out_channel] or formatter. *)
+      libraries must take an [out_channel] or formatter.
+    - [no-toplevel-lazy]: no [lazy] / [Lazy.force] in [lib/] — a value
+      shared across domains must be built eagerly, because a domain
+      that forces a lazy value while another is forcing it raises
+      [CamlinternalLazy.Undefined]. *)
 
 type violation = { file : string; line : int; rule : string; message : string }
 

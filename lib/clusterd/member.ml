@@ -56,10 +56,10 @@ type t = {
   runtime : Runtime.t;
   repl_log : Wal.t;
   lock : Mutex.t;
-  cond : Condition.t;  (* progress signal for blocking read fences *)
   mutable map : Shardmap.t;
   mutable map_bytes : bytes;  (* encoded [map]; re-encoded once per install *)
   senders : (int, sender) Hashtbl.t;
+  mutable retired : sender list;  (* stopped by [install], joined by [close] *)
   mutable inbound : inbound list;
   mutable listener : Unix.file_descr option;
   mutable listener_thread : Thread.t option;
@@ -104,9 +104,9 @@ let drained_locked t ~partition ~rseq =
   | None -> true
   | Some head -> head.o_rseq > rseq
 
-(* Pop every quorum-satisfied queue head, collect newly-satisfied async
-   waiters, and wake blocking fences. Returns callbacks to run with the
-   lock released. *)
+(* Pop every quorum-satisfied queue head and collect the newly-satisfied
+   waiters (durability callbacks and read fences). Returns callbacks to
+   run with the lock released. *)
 let advance_locked t =
   let progressed = ref false in
   Array.iter
@@ -128,7 +128,6 @@ let advance_locked t =
         t.waiters
     in
     t.waiters <- keep;
-    Condition.broadcast t.cond;
     List.rev_map (fun (_, _, cb) -> cb) fire
   end
   else []
@@ -186,10 +185,10 @@ let on_append t ~partition record =
         end
       end)
 
-(* Durability-ack gate installed on the runtime WAL (quorum mode): the
-   callback for runtime record (partition, seqno) may only run once
-   every streamed record it covers is quorum-acked. Never blocks — it
-   registers and the replication ack readers fire it. *)
+(* Run [cb] once every streamed record of [partition] up to runtime
+   seqno [seqno] is quorum-acked. Never blocks — it registers and the
+   replication ack readers fire it. Installed on the runtime WAL as the
+   durability-ack gate (quorum mode), and behind {!read_fence}. *)
 let gate t ~partition ~seqno cb =
   let run_now =
     Sync.with_lock t.lock (fun () ->
@@ -201,22 +200,22 @@ let gate t ~partition ~seqno cb =
   in
   if run_now then cb ()
 
-(* GET fence (quorum mode): block until the key's partition has no
+(* GET fence (quorum mode): run [k] once the key's partition has no
    locally-applied-but-unacked suffix, so a read can never observe a
-   value that a failover then forgets. Runs on the serving layer's
-   completion side — the connection writer thread under the threads
-   engine, a completion-executor thread under the event engine — never
-   on an event-loop domain, which must not block. *)
-let read_fence t ~key =
-  if t.cfg.ack = Quorum then begin
+   value that a failover then forgets. Called by the thread that
+   completed the read (a runtime worker); never blocks — a read behind
+   an unacked suffix registers on [waiters] like a durability callback
+   and is answered by the ack reader that drains the suffix. *)
+let read_fence t ~key k =
+  if t.cfg.ack = Leader then k ()
+  else begin
     let partition = Runtime.partition_of_key t.runtime key in
-    Sync.with_lock t.lock (fun () ->
-        match Queue.fold (fun acc e -> max acc e.o_rseq) 0 t.outstanding.(partition) with
-        | 0 -> ()
-        | target ->
-          while not (t.closing || drained_locked t ~partition ~rseq:target) do
-            Condition.wait t.cond t.lock
-          done)
+    match
+      Sync.with_lock t.lock (fun () ->
+          Queue.fold (fun acc e -> max acc e.o_rseq) 0 t.outstanding.(partition))
+    with
+    | 0 -> k ()
+    | target -> gate t ~partition ~seqno:target k
   end
 
 (* ---------------- sender (this node as leader) ---------------- *)
@@ -357,14 +356,15 @@ let start_sender t node =
   sn.sn_threads <- [ Thread.create (sender_loop t sn) () ];
   sn
 
-let stop_sender sn =
+(* Tell a sender to stop; never blocks. Its threads exit on their own
+   and are joined by [close]. *)
+let signal_stop sn =
   Sync.with_lock sn.sn_lock (fun () ->
       sn.sn_stop <- true;
       (match sn.sn_fd with
       | Some fd -> shutdown_fd fd
       | None -> ());
-      Condition.broadcast sn.sn_cond);
-  List.iter Thread.join sn.sn_threads
+      Condition.broadcast sn.sn_cond)
 
 (* Replicas of shards this node leads — who it must stream to. *)
 let desired_replicas_locked t =
@@ -469,7 +469,8 @@ let current_map t = Sync.with_lock t.lock (fun () -> t.map)
 (* Install [m] if strictly newer. Fences stale replication senders
    (connections whose hello carried an older epoch are cut — a deposed
    leader cannot keep feeding us) and reconciles outbound senders with
-   the new replica sets. *)
+   the new replica sets. Never blocks: it serves CLUSTER_INFO on a net
+   loop domain, so senders no longer wanted are only told to stop. *)
 let install t m =
   let to_stop, stale =
     Sync.with_lock t.lock (fun () ->
@@ -487,6 +488,7 @@ let install t m =
             (fun node sn -> if not (List.mem node desired) then to_stop := sn :: !to_stop)
             t.senders;
           List.iter (fun sn -> Hashtbl.remove t.senders sn.sn_node) !to_stop;
+          t.retired <- !to_stop @ t.retired;
           (* Start missing senders while still holding the lock, so a
              racing install cannot double-start one; the spawned thread
              blocks on [t.lock] until we release, which is fine. *)
@@ -499,7 +501,7 @@ let install t m =
         end)
   in
   List.iter (fun i -> shutdown_fd i.in_fd) stale;
-  List.iter stop_sender to_stop
+  List.iter signal_stop to_stop
 
 (* ---------------- Net.Server hooks ---------------- *)
 
@@ -519,7 +521,7 @@ let info t payload =
 let hooks t =
   {
     C4_net.Server.cl_check = (fun ~key ~write -> check t ~key ~write);
-    cl_read_fence = (fun ~key -> read_fence t ~key);
+    cl_read_fence = (fun ~key k -> read_fence t ~key k);
     cl_info = (fun payload -> info t payload);
   }
 
@@ -584,10 +586,10 @@ let create ?registry ~runtime cfg =
       runtime;
       repl_log;
       lock = Mutex.create ();
-      cond = Condition.create ();
       map = cfg.initial_map;
       map_bytes = Shardmap.encode cfg.initial_map;
       senders = Hashtbl.create 8;
+      retired = [];
       inbound = [];
       listener = None;
       listener_thread = None;
@@ -635,7 +637,6 @@ let close t =
         if t.closing then None
         else begin
           t.closing <- true;
-          Condition.broadcast t.cond;
           let w = t.waiters in
           t.waiters <- [];
           Some w
@@ -668,12 +669,14 @@ let close t =
     let inbound, senders =
       Sync.with_lock t.lock (fun () ->
           let i = t.inbound in
-          let s = Hashtbl.fold (fun _ sn acc -> sn :: acc) t.senders [] in
+          let s = Hashtbl.fold (fun _ sn acc -> sn :: acc) t.senders t.retired in
           Hashtbl.reset t.senders;
+          t.retired <- [];
           (i, s))
     in
     List.iter (fun i -> shutdown_fd i.in_fd) inbound;
-    List.iter stop_sender senders;
+    List.iter signal_stop senders;
+    List.iter (fun sn -> List.iter Thread.join sn.sn_threads) senders;
     List.iter Thread.join
       (Sync.with_lock t.lock (fun () ->
            let th = t.inbound_threads in

@@ -31,12 +31,14 @@
     token dedup), own repl-log append second (in-order apply makes the
     assigned seqno equal the received sseq), ack third.
 
-    Reads: {!hooks}'s [cl_read_fence] blocks a GET response (quorum
+    Reads: {!hooks}'s [cl_read_fence] holds a GET response (quorum
     mode) until the key's partition has no applied-but-unacked suffix,
     so no client can observe a value that a subsequent failover
-    forgets. The serving layer calls it from a thread that may block
-    (connection writer or completion executor, per
-    {!C4_net.Server.cluster}), never from an event-loop domain.
+    forgets. It never blocks: the response's continuation waits on the
+    same list as the held durability callbacks, and the replication-ack
+    reader that drains the suffix runs it. Serving CLUSTER_INFO
+    ([cl_info]) never blocks either — senders a new map no longer
+    needs are told to stop and joined at {!close}.
 
     Metrics (in [registry]): [cluster.epoch] (gauge),
     [cluster.repl_records_out], [cluster.repl_records_in],
@@ -104,7 +106,7 @@ type stats = {
 
 val stats : t -> stats
 
-(** Detach the WAL hooks, release every held durability callback (the
-    runtime is about to drain), stop all replication I/O and close the
-    repl-log. Idempotent. Call before [C4_net.Server.stop]. *)
+(** Detach the WAL hooks, release every held durability callback and
+    read fence (the runtime is about to drain), stop all replication
+    I/O and close the repl-log. Idempotent. Call before [C4_net.Server.stop]. *)
 val close : t -> unit

@@ -1,58 +1,74 @@
-module Channel = C4_runtime.Channel
 module Sync = C4_runtime.Sync
 
-(* The event-loop engine: a fixed pool of loop domains multiplexing all
-   connections with poll(2) plus a self-pipe wakeup, replacing the
-   threads engine's two-OS-threads-per-connection model. Each loop owns
-   a disjoint set of connections (round-robin assignment at accept
-   time): connection membership, the decoder and the [eof] flag are
-   touched only by the owning loop domain, so they need no lock; the
-   output buffer, response boundaries and the pending count are shared
-   with the completion executor and guarded by the per-connection
-   mutex.
+(* A fixed pool of loop domains multiplexing all connections with
+   poll(2) plus a self-pipe wakeup. Each loop owns a disjoint set of
+   connections (round-robin assignment at accept time): connection
+   membership, the decoder and the [eof]/[drained] flags are touched
+   only by the owning loop domain, so they need no lock; the reorder
+   slots, the output buffer and the pending count are shared with the
+   completing threads and guarded by the per-connection mutex.
 
    Division of labour per request: the loop does the nonblocking batched
    read into its per-loop scratch buffer, feeds the connection's
-   incremental [Wire.Decoder], and calls [cb.handle] — the server's
-   nonblocking runtime submission — inline, preserving the threads
-   engine's reader-side semantics (recv span, admission annotations).
-   The returned thunk *blocks* (promise await, cluster read fence), so
-   it is handed to a completion executor: a small pool of threads with
-   per-connection affinity (conn id mod pool size), which keeps one
-   connection's thunks executing serially in arrival order — the
-   pipelining guarantee — while different connections' thunks overlap.
-   A finished response is encoded, appended to the connection's output
-   buffer with its end offset recorded as a boundary, and the owning
-   loop woken through its self-pipe; the loop drains the buffer with
-   one coalesced write per wakeup (a writev of the pipelined responses,
-   flattened), firing [on_response_written] for each boundary the flush
-   crosses — in wire order, which is what lets tracing close respond
-   spans exactly when bytes hit the socket. *)
+   incremental [Wire.Decoder], numbers the request in arrival order and
+   calls [cb.handle] — the server's nonblocking runtime submission —
+   inline. The thread that completes the request calls [respond], which
+   parks the response in the slot for its arrival number and wakes the
+   loop; nothing else runs there, so a completion costs a lock, two
+   stores and at most one pipe write. The loop stages the contiguous
+   ready prefix of slots into the output buffer (encoding each response
+   there, recording its end offset as a boundary) and drains the buffer
+   with one coalesced write per wakeup, firing each response's
+   [on_written] hook as the flush crosses its boundary — in wire order,
+   which is what lets tracing close respond spans exactly when bytes hit
+   the socket. *)
 
-type conn = {
+type callbacks = {
+  handle : Wire.request -> slot -> unit;
+  on_bytes_in : int -> unit;
+  on_bytes_out : int -> unit;
+  on_protocol_error : string -> unit;
+  on_closed : unit -> unit;
+}
+
+and conn = {
   id : int;
   fd : Unix.file_descr;
-  cb : Conn.callbacks;
+  cb : callbacks;
   decoder : Wire.Decoder.decoder;
   c_loop : loop;
   lock : Mutex.t;  (* guards every mutable field below except [eof]/[drained] *)
+  (* Reorder slots, a ring indexed by arrival number: the response to
+     request [seq] parks at [seq land (length - 1)] until every earlier
+     one has been staged. [no_response] marks a slot still waiting. *)
+  mutable ready : Wire.response array;
+  mutable hooks : (unit -> unit) array;  (* on_written of each parked response *)
+  mutable next_seq : int;  (* arrival number of the next request *)
+  mutable head_seq : int;  (* oldest arrival not yet staged *)
   mutable obuf : Bytes.t;  (* encoded responses, [o_start, o_end) valid *)
   mutable o_start : int;
   mutable o_end : int;
-  (* (queued_total offset at end of frame, response): crossed by the
-     flush cursor in order, each firing on_response_written. *)
-  bounds : (int * Wire.response) Queue.t;
+  (* (queued_total offset at end of frame, on_written): crossed by the
+     flush cursor in order. *)
+  bounds : (int * (unit -> unit)) Queue.t;
   mutable queued_total : int;
   mutable flushed_total : int;
-  mutable pending : int;  (* submitted, response not yet retired *)
+  mutable pending : int;  (* accepted, response not yet retired *)
+  (* Completions that claimed the loop's wakeup and have not yet written
+     the self-pipe: the connection, and so the pool and its pipe, must
+     outlive them. *)
+  mutable wakers : int;
   mutable eof : bool;  (* loop-only: no further frames will be decoded *)
-  mutable dead : bool;  (* peer unwritable (gone or dropped as slow) *)
+  mutable dead : bool;  (* peer unwritable (gone, dropped as slow, or aborted) *)
   mutable drained : bool;  (* loop-only: receive side already shut down *)
 }
+
+and slot = { s_conn : conn; s_seq : int; mutable s_done : bool (* under lock *) }
 
 and loop = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
+  wake_pending : bool Atomic.t;  (* a wakeup is already on its way *)
   l_lock : Mutex.t;  (* guards [incoming] *)
   incoming : conn Queue.t;
   conns : (int, conn) Hashtbl.t;  (* loop-domain only *)
@@ -65,13 +81,11 @@ and loop = {
   mutable domain : unit Domain.t option;
 }
 
-and t = {
+type t = {
   wire : Wire.t;
   max_pending : int;
   on_slow_drop : unit -> unit;
   loops : loop array;
-  comps : (conn * (unit -> Wire.response)) Channel.t array;
-  mutable comp_threads : Thread.t list;
   mutable next_loop : int;  (* under p_lock *)
   mutable next_id : int;  (* under p_lock *)
   p_lock : Mutex.t;
@@ -82,13 +96,27 @@ and t = {
   q_cond : Condition.t;
 }
 
+let no_response =
+  { Wire.resp_id = -1; status = Wire.Err; timing_ns = 0; resp_value = Bytes.empty }
+
+let no_hook () = ()
 let wake_byte = Bytes.make 1 'w'
 
-(* Nonblocking self-pipe write; a full pipe already guarantees a wakeup
-   is pending, and EBADF just means the pool already shut down. *)
-let wake l =
-  try ignore (Unix.write l.wake_w wake_byte 0 1)
-  with Unix.Unix_error _ -> ()
+(* Coalesced wakeup: only the caller that sets [wake_pending] writes the
+   self-pipe. The loop clears the flag at the top of each iteration,
+   before it looks at any shared state, so whatever a caller published
+   before finding the flag already set is seen by that iteration or the
+   next one — which the flag's setter has already woken. The pipe is
+   nonblocking (a full pipe already guarantees a wakeup is pending), and
+   EBADF just means the pool already shut down. *)
+let claim_wake l =
+  (not (Atomic.get l.wake_pending))
+  && Atomic.compare_and_set l.wake_pending false true
+
+let write_wake l =
+  try ignore (Unix.write l.wake_w wake_byte 0 1) with Unix.Unix_error _ -> ()
+
+let wake l = if claim_wake l then write_wake l
 
 let drain_wake l =
   let continue = ref true in
@@ -102,9 +130,22 @@ let drain_wake l =
     | exception Unix.Unix_error (_, _, _) -> continue := false
   done
 
-(* --- output buffer (under c.lock) --- *)
+(* --- reorder slots and output buffer (under c.lock) --- *)
 
-let append_out c frame resp =
+(* Double the ring, keeping every outstanding arrival at its index
+   under the new mask. *)
+let grow c =
+  let cap = Array.length c.ready in
+  let ready = Array.make (2 * cap) no_response in
+  let hooks = Array.make (2 * cap) no_hook in
+  for seq = c.head_seq to c.next_seq - 1 do
+    ready.(seq land ((2 * cap) - 1)) <- c.ready.(seq land (cap - 1));
+    hooks.(seq land ((2 * cap) - 1)) <- c.hooks.(seq land (cap - 1))
+  done;
+  c.ready <- ready;
+  c.hooks <- hooks
+
+let append_out c frame on_written =
   let flen = Bytes.length frame in
   let len = c.o_end - c.o_start in
   let cap = Bytes.length c.obuf in
@@ -121,43 +162,73 @@ let append_out c frame resp =
   Bytes.blit frame 0 c.obuf c.o_end flen;
   c.o_end <- c.o_end + flen;
   c.queued_total <- c.queued_total + flen;
-  Queue.add (c.queued_total, resp) c.bounds
+  Queue.add (c.queued_total, on_written) c.bounds
 
-(* Fire on_response_written for every boundary the flush cursor has
-   crossed, in wire order. *)
+(* Encode the contiguous ready prefix of slots into the output buffer;
+   [true] if it staged anything. *)
+let stage wire c =
+  let first = c.head_seq in
+  let continue = ref (not c.dead) in
+  while !continue && c.head_seq < c.next_seq do
+    let i = c.head_seq land (Array.length c.ready - 1) in
+    let resp = c.ready.(i) in
+    if resp == no_response then continue := false
+    else begin
+      append_out c (Wire.encode_response wire resp) c.hooks.(i);
+      c.ready.(i) <- no_response;
+      c.hooks.(i) <- no_hook;
+      c.head_seq <- c.head_seq + 1
+    end
+  done;
+  c.head_seq > first
+
+(* Fire on_written for every boundary the flush cursor has crossed, in
+   wire order. *)
 let retire_flushed c =
   let continue = ref true in
   while !continue && not (Queue.is_empty c.bounds) do
-    let off, resp = Queue.peek c.bounds in
+    let off, on_written = Queue.peek c.bounds in
     if off <= c.flushed_total then begin
       ignore (Queue.pop c.bounds);
       c.pending <- c.pending - 1;
-      c.cb.on_response_written resp
+      on_written ()
     end
     else continue := false
   done
 
 (* Peer unwritable: abandon buffered output, but retire every owed
-   response through its hook — like the threads engine, a response's
-   lifecycle ends (and its respond span closes) whether or not the ack
-   could be delivered. *)
+   response that is already here — staged or parked — through its hook:
+   a response's lifecycle ends (and its respond span closes) whether or
+   not the ack could be delivered. Responses still being computed
+   retire when they arrive (see [respond]). *)
 let mark_dead c =
   if not c.dead then begin
     c.dead <- true;
     while not (Queue.is_empty c.bounds) do
-      let _, resp = Queue.pop c.bounds in
+      let _, on_written = Queue.pop c.bounds in
       c.pending <- c.pending - 1;
-      c.cb.on_response_written resp
+      on_written ()
     done;
+    for seq = c.head_seq to c.next_seq - 1 do
+      let i = seq land (Array.length c.ready - 1) in
+      if c.ready.(i) != no_response then begin
+        let on_written = c.hooks.(i) in
+        c.ready.(i) <- no_response;
+        c.hooks.(i) <- no_hook;
+        c.pending <- c.pending - 1;
+        on_written ()
+      end
+    done;
+    c.head_seq <- c.next_seq;
     c.o_start <- 0;
     c.o_end <- 0
   end
 
-(* One coalesced write per wakeup: everything buffered goes out in a
-   single write(2); a partial write leaves the tail for the next
-   POLLOUT. Nonblocking, so holding c.lock across it cannot stall the
-   completion threads for long. *)
-let rec flush_locked c =
+(* One coalesced write: everything buffered goes out in a single
+   write(2); a partial write leaves the tail for the next POLLOUT.
+   Nonblocking, so holding c.lock across it cannot stall a completing
+   thread for long. Loop domain only. *)
+let rec write_out c =
   if (not c.dead) && c.o_start < c.o_end then
     match Unix.write c.fd c.obuf c.o_start (c.o_end - c.o_start) with
     | n ->
@@ -170,36 +241,57 @@ let rec flush_locked c =
         c.o_end <- 0
       end
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush_locked c
-    | exception Unix.Unix_error (_, _, _) -> mark_dead c
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_out c
+    | exception Unix.Unix_error (_, _, _) ->
+      mark_dead c;
+      c.eof <- true
 
-(* --- completion executor --- *)
+(* --- completion side (any thread) --- *)
 
-let comp_loop pool ch () =
-  let rec go () =
-    match Channel.pop ch with
-    | None -> ()
-    | Some (c, thunk) ->
-      (match thunk () with
-      | resp ->
-        let frame = Wire.encode_response pool.wire resp in
-        Sync.with_lock c.lock (fun () ->
-            if c.dead then begin
-              c.pending <- c.pending - 1;
-              c.cb.on_response_written resp
-            end
-            else append_out c frame resp);
-        wake c.c_loop
-      | exception _ ->
-        (* A raising thunk is connection-fatal in the threads engine
-           too; retire the slot so the drain can still complete. *)
-        Sync.with_lock c.lock (fun () ->
+type parked = Retired | Parked | Parked_waking
+
+let respond s ~on_written resp =
+  let c = s.s_conn in
+  match
+    Sync.with_lock c.lock (fun () ->
+        if s.s_done then Retired
+        else begin
+          s.s_done <- true;
+          if c.dead then begin
             c.pending <- c.pending - 1;
-            mark_dead c);
-        wake c.c_loop);
-      go ()
-  in
-  go ()
+            Retired
+          end
+          else begin
+            let i = s.s_seq land (Array.length c.ready - 1) in
+            c.ready.(i) <- resp;
+            c.hooks.(i) <- on_written;
+            if claim_wake c.c_loop then begin
+              c.wakers <- c.wakers + 1;
+              Parked_waking
+            end
+            else Parked
+          end
+        end)
+  with
+  | Retired -> on_written ()
+  | Parked -> ()
+  | Parked_waking ->
+    write_wake c.c_loop;
+    Sync.with_lock c.lock (fun () -> c.wakers <- c.wakers - 1)
+
+let abort s =
+  let c = s.s_conn in
+  Sync.with_lock c.lock (fun () ->
+      if not s.s_done then begin
+        s.s_done <- true;
+        c.pending <- c.pending - 1;
+        mark_dead c;
+        c.cb.on_protocol_error "handler raised";
+        (* The loop's poll sees the socket hang up and closes the
+           connection. Under the lock: once [pending] is released the
+           loop may close the fd, and the number could be reused. *)
+        try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+      end)
 
 (* --- read path (loop domain) --- *)
 
@@ -209,6 +301,20 @@ let slow_drop pool c =
   Sync.with_lock c.lock (fun () -> mark_dead c);
   c.eof <- true;
   try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+
+(* Number the next arrival and count it pending; -1 at the bound. *)
+let reserve pool c =
+  Sync.with_lock c.lock (fun () ->
+      if c.pending >= pool.max_pending then -1
+      else begin
+        let seq = c.next_seq in
+        (* A dead connection stages nothing: keep its ring empty. *)
+        if c.dead then c.head_seq <- seq + 1
+        else if seq - c.head_seq = Array.length c.ready then grow c;
+        c.next_seq <- seq + 1;
+        c.pending <- c.pending + 1;
+        seq
+      end)
 
 let process_frames pool c =
   let rec go () =
@@ -224,25 +330,14 @@ let process_frames pool c =
           c.cb.on_protocol_error msg;
           c.eof <- true
         | Ok req ->
-          let over =
-            Sync.with_lock c.lock (fun () ->
-                if c.pending >= pool.max_pending then true
-                else begin
-                  c.pending <- c.pending + 1;
-                  false
-                end)
-          in
-          if over then slow_drop pool c
+          let seq = reserve pool c in
+          if seq < 0 then slow_drop pool c
           else begin
-            match c.cb.handle req with
-            | thunk ->
-              Channel.push
-                pool.comps.(c.id mod Array.length pool.comps)
-                (c, thunk);
-              go ()
+            let s = { s_conn = c; s_seq = seq; s_done = false } in
+            match c.cb.handle req s with
+            | () -> go ()
             | exception _ ->
-              Sync.with_lock c.lock (fun () -> c.pending <- c.pending - 1);
-              c.cb.on_protocol_error "request handler raised";
+              abort s;
               c.eof <- true
           end)
   in
@@ -276,8 +371,6 @@ let read_conn pool l c =
 
 (* --- loop domain --- *)
 
-let closable c = c.eof && c.pending = 0 && (c.dead || c.o_start = c.o_end)
-
 let close_conn pool l c =
   Hashtbl.remove l.conns c.id;
   (try Unix.close c.fd with Unix.Unix_error _ -> ());
@@ -295,15 +388,16 @@ let ensure_capacity l n =
     l.porder <- Array.make cap None
   end
 
+let take_incoming l =
+  Sync.with_lock l.l_lock (fun () ->
+      let xs = List.rev (Queue.fold (fun acc c -> c :: acc) [] l.incoming) in
+      Queue.clear l.incoming;
+      xs)
+
 let loop_iter pool l =
-  (* Splice newly accepted connections in. *)
-  let fresh =
-    Sync.with_lock l.l_lock (fun () ->
-        let xs = List.rev (Queue.fold (fun acc c -> c :: acc) [] l.incoming) in
-        Queue.clear l.incoming;
-        xs)
-  in
-  List.iter (fun c -> Hashtbl.replace l.conns c.id c) fresh;
+  (* Clear the wake flag before reading any shared state (see [wake]). *)
+  Atomic.set l.wake_pending false;
+  List.iter (fun c -> Hashtbl.replace l.conns c.id c) (take_incoming l);
   (* Graceful drain: half-close every receive side once; buffered bytes
      still read out (and decode, and get answered) before EOF shows. *)
   if Atomic.get pool.draining then
@@ -315,8 +409,9 @@ let loop_iter pool l =
           with Unix.Unix_error _ -> ()
         end)
       l.conns;
-  (* Interest set: self-pipe + every conn (read unless EOF, write while
-     output is buffered). *)
+  (* Send what completed since the last pass, then build the interest
+     set: self-pipe + every conn (read unless EOF, write while output is
+     still buffered). *)
   let n = 1 + Hashtbl.length l.conns in
   ensure_capacity l n;
   l.pfds.(0) <- l.wake_r;
@@ -325,13 +420,14 @@ let loop_iter pool l =
   let i = ref 1 in
   Hashtbl.iter
     (fun _ c ->
-      let ev = ref 0 in
-      if not c.eof then ev := !ev lor Poll.pollin;
-      Sync.with_lock c.lock (fun () ->
-          if (not c.dead) && c.o_start < c.o_end then
-            ev := !ev lor Poll.pollout);
+      let out =
+        Sync.with_lock c.lock (fun () ->
+            if stage pool.wire c then write_out c;
+            (not c.dead) && c.o_start < c.o_end)
+      in
+      let ev = if c.eof then 0 else Poll.pollin in
       l.pfds.(!i) <- c.fd;
-      l.pevents.(!i) <- !ev;
+      l.pevents.(!i) <- (if out then ev lor Poll.pollout else ev);
       l.porder.(!i) <- Some c;
       incr i)
     l.conns;
@@ -347,20 +443,21 @@ let loop_iter pool l =
       let re = l.prevents.(j) in
       if (Poll.readable re || Poll.errored re) && not c.eof then
         read_conn pool l c;
-      if Poll.writable re || Poll.errored re then
-        Sync.with_lock c.lock (fun () -> flush_locked c);
       l.porder.(j) <- None
   done;
-  (* Opportunistic flush for conns whose output arrived between the
-     interest-set snapshot and now (the wakeup that interrupted poll):
-     saves one poll round-trip on the common small-response path. *)
-  Hashtbl.iter
-    (fun _ c -> Sync.with_lock c.lock (fun () -> flush_locked c))
-    l.conns;
+  (* Flush everything that completed during the poll or was answered
+     inline by the reads above — this also serves POLLOUT — and retire
+     the connections that are done. *)
   let finished =
     Hashtbl.fold
       (fun _ c acc ->
-        if Sync.with_lock c.lock (fun () -> closable c) then c :: acc else acc)
+        let done_ =
+          Sync.with_lock c.lock (fun () ->
+              ignore (stage pool.wire c);
+              write_out c;
+              c.eof && c.pending = 0 && c.wakers = 0)
+        in
+        if done_ then c :: acc else acc)
       l.conns []
   in
   List.iter (fun c -> close_conn pool l c) finished
@@ -375,25 +472,18 @@ let loop_run pool l () =
     in
     if not should_exit then go ()
   in
-  (try go ()
-   with _ ->
-     (* A loop domain must never die silently rich with connections:
-        close them all so Server.stop's quiesce wait cannot hang. *)
-     let fresh =
-       Sync.with_lock l.l_lock (fun () ->
-           let xs = List.rev (Queue.fold (fun acc c -> c :: acc) [] l.incoming) in
-           Queue.clear l.incoming;
-           xs)
-     in
-     List.iter (fun c -> Hashtbl.replace l.conns c.id c) fresh;
-     let all = Hashtbl.fold (fun _ c acc -> c :: acc) l.conns [] in
-     List.iter (fun c -> close_conn pool l c) all)
+  try go ()
+  with _ ->
+    (* A loop domain must never die silently rich with connections:
+       close them all so Server.stop's quiesce wait cannot hang. *)
+    List.iter (fun c -> Hashtbl.replace l.conns c.id c) (take_incoming l);
+    let all = Hashtbl.fold (fun _ c acc -> c :: acc) l.conns [] in
+    List.iter (fun c -> close_conn pool l c) all
 
 (* --- pool lifecycle --- *)
 
-let create ~wire ~loops ~completions ~max_pending ~on_slow_drop () =
+let create ~wire ~loops ~max_pending ~on_slow_drop () =
   if loops < 1 then invalid_arg "Evloop.create: loops";
-  if completions < 1 then invalid_arg "Evloop.create: completions";
   if max_pending < 1 then invalid_arg "Evloop.create: max_pending";
   let mk_loop _ =
     let r, w = Unix.pipe () in
@@ -402,6 +492,7 @@ let create ~wire ~loops ~completions ~max_pending ~on_slow_drop () =
     {
       wake_r = r;
       wake_w = w;
+      wake_pending = Atomic.make false;
       l_lock = Mutex.create ();
       incoming = Queue.create ();
       conns = Hashtbl.create 64;
@@ -420,8 +511,6 @@ let create ~wire ~loops ~completions ~max_pending ~on_slow_drop () =
       max_pending;
       on_slow_drop;
       loops = Array.init loops mk_loop;
-      comps = Array.init completions (fun _ -> Channel.create ());
-      comp_threads = [];
       next_loop = 0;
       next_id = 0;
       p_lock = Mutex.create ();
@@ -435,17 +524,12 @@ let create ~wire ~loops ~completions ~max_pending ~on_slow_drop () =
   Array.iter
     (fun l -> l.domain <- Some (Domain.spawn (fun () -> loop_run pool l ())))
     pool.loops;
-  pool.comp_threads <-
-    Array.to_list
-      (Array.map (fun ch -> Thread.create (comp_loop pool ch) ()) pool.comps);
   pool
-
-let n_loops pool = Array.length pool.loops
 
 let add pool ~fd cb =
   if Atomic.get pool.stopping then begin
     (try Unix.close fd with Unix.Unix_error _ -> ());
-    cb.Conn.on_closed ()
+    cb.on_closed ()
   end
   else begin
     Unix.set_nonblock fd;
@@ -465,6 +549,10 @@ let add pool ~fd cb =
         decoder = Wire.Decoder.create pool.wire;
         c_loop = l;
         lock = Mutex.create ();
+        ready = Array.make 16 no_response;
+        hooks = Array.make 16 no_hook;
+        next_seq = 0;
+        head_seq = 0;
         obuf = Bytes.create 4096;
         o_start = 0;
         o_end = 0;
@@ -472,6 +560,7 @@ let add pool ~fd cb =
         queued_total = 0;
         flushed_total = 0;
         pending = 0;
+        wakers = 0;
         eof = false;
         dead = false;
         drained = false;
@@ -501,9 +590,6 @@ let stop pool =
           l.domain <- None
         | None -> ())
       pool.loops;
-    Array.iter Channel.close pool.comps;
-    List.iter Thread.join pool.comp_threads;
-    pool.comp_threads <- [];
     Array.iter
       (fun l ->
         (try Unix.close l.wake_r with Unix.Unix_error _ -> ());

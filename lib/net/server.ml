@@ -1,5 +1,4 @@
 module Runtime = C4_runtime.Server
-module Promise = C4_runtime.Promise
 module Sync = C4_runtime.Sync
 module Registry = C4_obs.Registry
 module Span = C4_obs.Span
@@ -10,22 +9,9 @@ module Span = C4_obs.Span
    and injects its member state here. *)
 type cluster = {
   cl_check : key:int -> write:bool -> (unit, bytes) result;
-  cl_read_fence : key:int -> unit;
+  cl_read_fence : key:int -> (unit -> unit) -> unit;
   cl_info : bytes -> (bytes, string) result;
 }
-
-(* Which serving engine fronts the runtime: the event-loop pool (a few
-   loop domains multiplexing every connection with poll(2)) or the
-   legacy two-threads-per-connection model, kept for comparison
-   benchmarks and as a fallback. *)
-type engine = Evloop | Threads
-
-let engine_to_string = function Evloop -> "evloop" | Threads -> "threads"
-
-let engine_of_string = function
-  | "evloop" -> Ok Evloop
-  | "threads" -> Ok Threads
-  | s -> Error (Printf.sprintf "unknown net engine %S (evloop|threads)" s)
 
 type config = {
   host : string;
@@ -34,7 +20,6 @@ type config = {
   max_frame : int;
   spans : Span.t option;
   cluster : cluster option;
-  engine : engine;
   loops : int;
   max_pending : int;
 }
@@ -47,7 +32,6 @@ let default_config =
     max_frame = 1 lsl 20;
     spans = None;
     cluster = None;
-    engine = Evloop;
     loops = 2;
     max_pending = 1024;
   }
@@ -72,17 +56,13 @@ type metrics = {
 type t = {
   cfg : config;
   runtime : Runtime.t;
-  wire : Wire.t;
   listen_fd : Unix.file_descr;
   bound_port : int;
   reg : Registry.t;
   m : metrics;
-  conns : (int, Conn.t) Hashtbl.t;  (* threads engine: conn id -> conn *)
-  conns_lock : Mutex.t;
-  mutable next_conn : int;
-  mutable active : int;
+  ev : Evloop.t;
   mutable acceptor : Thread.t option;
-  mutable ev : Evloop.t option;  (* event engine: owns the conns itself *)
+  active : int Atomic.t;  (* open connections *)
   inflight : int Atomic.t;
   stopping : bool Atomic.t;
   stop_lock : Mutex.t;
@@ -123,14 +103,6 @@ let note_routed t key =
   let owner = Runtime.owner_of_key t.runtime key in
   Registry.incr t.m.routed_c.(owner)
 
-let err_response id msg =
-  {
-    Wire.resp_id = id;
-    status = Wire.Err;
-    timing_ns = 0;
-    resp_value = Bytes.of_string msg;
-  }
-
 let op_name = function
   | Wire.Get -> "GET"
   | Wire.Set -> "SET"
@@ -151,14 +123,22 @@ let status_name = function
                     client's in-band context; admission decisions the
                     policy core emits on the submitting thread land
                     here as annotations via [Span.with_current]
-     server.apply   submission to promise fulfilment (queueing +
-                    store apply, compaction windows included)
-     server.respond response serialisation + socket write, closed by
-                    the connection writer's [on_response_written]
+     server.apply   submission to completion (queueing + store apply,
+                    compaction windows, WAL and cluster fences included)
+     server.respond response parked, encoded and written, closed by the
+                    connection's [on_written] hook
 
    Each parents on the previous, so the client's dispatch span and
-   these three form one chain walkable from either end. *)
-type req_trace = { tr_buf : Span.t; tr_recv : Span.span }
+   these three form one chain walkable from either end.
+
+   The completion may run on another domain before the submission has
+   even returned on the loop, so the apply span is handed over through
+   [tr_phase]: the submitter closes recv, opens apply and publishes it;
+   a completion that finds no apply span yet leaves its continuation
+   for the submitter to run. *)
+type phase = Submitting | Applying of Span.span | Early of (Span.span -> unit)
+
+type req_trace = { tr_buf : Span.t; tr_recv : Span.span; tr_phase : phase Atomic.t }
 
 let start_trace t (req : Wire.request) ~ts =
   match (t.cfg.spans, req.Wire.trace) with
@@ -170,243 +150,160 @@ let start_trace t (req : Wire.request) ~ts =
     Span.annotate buf recv ~key:"op" ~value:(op_name req.Wire.op);
     Span.annotate buf recv ~key:"key" ~value:(string_of_int req.Wire.key);
     Span.annotate buf recv ~key:"req_id" ~value:(string_of_int req.Wire.id);
-    Some { tr_buf = buf; tr_recv = recv }
+    Some { tr_buf = buf; tr_recv = recv; tr_phase = Atomic.make Submitting }
   | _ -> None
 
-(* Run the runtime submission with the recv span current on this (conn
-   reader) thread, so the policy core's on_decision hook can annotate
-   it; the recv span closes when the submission returns, Stopped
-   included. *)
+let submitted tr =
+  let now = now_ns () in
+  Span.finish tr.tr_buf tr.tr_recv ~ts:now;
+  let apply =
+    Span.start ~parent:(Span.context tr.tr_recv) tr.tr_buf ~name:"server.apply"
+      ~ts:now
+  in
+  if not (Atomic.compare_and_set tr.tr_phase Submitting (Applying apply)) then
+    match Atomic.get tr.tr_phase with
+    | Early k -> k apply
+    | Submitting | Applying _ -> ()
+
+let rec with_apply tr k =
+  match Atomic.get tr.tr_phase with
+  | Applying apply -> k apply
+  | Early _ -> ()  (* unreachable: one completion per request *)
+  | Submitting ->
+    if not (Atomic.compare_and_set tr.tr_phase Submitting (Early k)) then
+      with_apply tr k
+
+(* Run the submission with the recv span current on the loop domain, so
+   the policy core's on_decision hook can annotate it. *)
 let traced_submit tr f =
   match tr with
   | None -> f ()
-  | Some { tr_buf; tr_recv } ->
+  | Some tr ->
     Fun.protect
-      ~finally:(fun () -> Span.finish tr_buf tr_recv ~ts:(now_ns ()))
-      (fun () -> Span.with_current tr_buf tr_recv f)
+      ~finally:(fun () -> submitted tr)
+      (fun () -> Span.with_current tr.tr_buf tr.tr_recv f)
 
-(* Wrap the completion-side thunk: the apply span opens now (submission
-   done), closes when the thunk's await returns; the respond span is
-   enqueued — via [push] — in the connection's respond FIFO for
-   [on_response_written]. Untraced requests enqueue a [None]
-   placeholder: thunks complete in arrival order and
-   [on_response_written] fires in wire order, so the FIFO pairs every
-   response with its (possible) span even when traced and untraced
-   requests interleave. (The threads engine's strict
-   thunk-then-write alternation allowed a single cell; the event
-   engine overlaps later thunk completions with earlier flushes, so
-   the hand-off must be a queue.) *)
-let traced_thunk tr push thunk =
+(* Hand a finished response to its connection: close apply, open
+   respond (closed by [on_written] when the bytes are out). *)
+let send tr slot (resp : Wire.response) =
   match tr with
-  | None ->
-    fun () ->
-      let resp = thunk () in
-      push None;
-      resp
-  | Some { tr_buf; tr_recv } ->
-    let apply =
-      Span.start ~parent:(Span.context tr_recv) tr_buf ~name:"server.apply"
-        ~ts:(now_ns ())
-    in
-    fun () ->
-      let resp = thunk () in
-      let now = now_ns () in
-      Span.finish tr_buf apply ~ts:now;
-      let respond =
-        Span.start ~parent:(Span.context apply) tr_buf ~name:"server.respond" ~ts:now
-      in
-      Span.annotate tr_buf respond ~key:"status" ~value:(status_name resp.Wire.status);
-      push (Some (tr_buf, respond));
-      resp
+  | None -> Evloop.respond slot ~on_written:ignore resp
+  | Some tr ->
+    with_apply tr (fun apply ->
+        let buf = tr.tr_buf in
+        let now = now_ns () in
+        Span.finish buf apply ~ts:now;
+        let sp =
+          Span.start ~parent:(Span.context apply) buf ~name:"server.respond" ~ts:now
+        in
+        Span.annotate buf sp ~key:"status" ~value:(status_name resp.Wire.status);
+        Evloop.respond slot
+          ~on_written:(fun () -> Span.finish buf sp ~ts:(now_ns ()))
+          resp)
 
-(* Submit one decoded request to the runtime. Called on the connection's
-   read side (reader thread or loop domain); must not block, so it
-   returns the thunk the completion side awaits. Inflight counts
+(* Serve one decoded request on the loop domain. Submission never
+   blocks; the response is built and handed to [slot] by whichever
+   thread completes the request — a runtime worker, the WAL sync
+   domain, a replication-ack reader releasing a read fence, or this
+   loop for answers that need no runtime. Completions must not block or
+   raise: one that raises kills its connection ([Evloop.abort]) instead
+   of escaping into the completing thread. Inflight counts
    submitted-but-unanswered requests. *)
-let handle t push (req : Wire.request) =
+let handle t (req : Wire.request) slot =
   Registry.incr t.m.requests_c;
   let start = now_ns () in
   let tr = start_trace t req ~ts:start in
-  let finish hist =
-    let dt = now_ns () -. start in
-    Registry.observe hist dt;
-    Registry.set t.m.inflight_g (float_of_int (Atomic.fetch_and_add t.inflight (-1) - 1));
-    int_of_float dt
-  in
   Registry.set t.m.inflight_g (float_of_int (Atomic.fetch_and_add t.inflight 1 + 1));
+  let reply hist status resp_value =
+    try
+      let dt = now_ns () -. start in
+      Registry.observe hist dt;
+      Registry.set t.m.inflight_g
+        (float_of_int (Atomic.fetch_and_add t.inflight (-1) - 1));
+      send tr slot
+        { Wire.resp_id = req.Wire.id; status; timing_ns = int_of_float dt; resp_value }
+    with _ -> Evloop.abort slot
+  in
+  let stopped hist = reply hist Wire.Err (Bytes.of_string "server shutting down") in
+  let key = req.Wire.key in
   (* Cluster routing happens before any runtime submission: a request
      for a shard this node does not lead is answered WRONG_SHARD with
      the node's current map, and CLUSTER_INFO never touches the store. *)
   let misrouted =
     match (t.cfg.cluster, req.Wire.op) with
     | Some cl, (Wire.Get | Wire.Set | Wire.Delete) -> (
-      match
-        cl.cl_check ~key:req.Wire.key ~write:(req.Wire.op <> Wire.Get)
-      with
+      match cl.cl_check ~key ~write:(req.Wire.op <> Wire.Get) with
       | Ok () -> None
       | Error map -> Some map)
     | _ -> None
   in
-  let thunk =
-    match misrouted with
-    | Some map ->
-      Registry.incr t.m.wrong_shard_c;
-      fun () ->
-        let timing_ns = finish t.m.get_h in
-        {
-          Wire.resp_id = req.Wire.id;
-          status = Wire.Wrong_shard;
-          timing_ns;
-          resp_value = map;
-        }
-    | None -> (
-    match req.Wire.op with
-    | Wire.Cluster_info -> (
-      match t.cfg.cluster with
-      | None ->
-        fun () ->
-          let timing_ns = finish t.m.get_h in
-          {
-            Wire.resp_id = req.Wire.id;
-            status = Wire.Err;
-            timing_ns;
-            resp_value = Bytes.of_string "not a cluster member";
-          }
-      | Some cl ->
-        fun () ->
-          let r = cl.cl_info req.Wire.value in
-          let timing_ns = finish t.m.get_h in
-          (match r with
-          | Ok map ->
-            {
-              Wire.resp_id = req.Wire.id;
-              status = Wire.Cluster_ok;
-              timing_ns;
-              resp_value = map;
-            }
-          | Error e ->
-            {
-              Wire.resp_id = req.Wire.id;
-              status = Wire.Err;
-              timing_ns;
-              resp_value = Bytes.of_string e;
-            }))
-    | Wire.Get -> (
-      match traced_submit tr (fun () -> Runtime.get_async t.runtime ~key:req.Wire.key) with
-      | promise ->
-        fun () ->
-          let value = Promise.await promise in
-          (* Quorum-read fence: the value just read may include writes
-             applied locally but not yet replicated; in quorum-ack
-             cluster mode the response waits until the key's partition
-             has no unreplicated suffix, so an observed value can never
-             vanish in a failover (which would break linearizability). *)
-          (match t.cfg.cluster with
-          | Some cl -> cl.cl_read_fence ~key:req.Wire.key
-          | None -> ());
-          let timing_ns = finish t.m.get_h in
-          (match value with
-          | Some v ->
-            { Wire.resp_id = req.Wire.id; status = Wire.Ok; timing_ns; resp_value = v }
-          | None ->
-            {
-              Wire.resp_id = req.Wire.id;
-              status = Wire.Not_found;
-              timing_ns;
-              resp_value = Bytes.empty;
-            })
-      | exception Runtime.Stopped ->
-        fun () ->
-          ignore (finish t.m.get_h);
-          err_response req.Wire.id "server shutting down")
-    | Wire.Set -> (
-      note_routed t req.Wire.key;
-      match
-        traced_submit tr (fun () ->
-            Runtime.set_async ?token:req.Wire.token t.runtime ~key:req.Wire.key
-              ~value:req.Wire.value)
-      with
-      | promise ->
-        fun () ->
-          Promise.await promise;
-          let timing_ns = finish t.m.set_h in
-          { Wire.resp_id = req.Wire.id; status = Wire.Ok; timing_ns; resp_value = Bytes.empty }
-      | exception Runtime.Stopped ->
-        fun () ->
-          ignore (finish t.m.set_h);
-          err_response req.Wire.id "server shutting down")
-    | Wire.Delete -> (
-      note_routed t req.Wire.key;
-      match traced_submit tr (fun () -> Runtime.delete_async t.runtime ~key:req.Wire.key) with
-      | promise ->
-        fun () ->
-          let present = Promise.await promise in
-          let timing_ns = finish t.m.delete_h in
-          {
-            Wire.resp_id = req.Wire.id;
-            status = (if present then Wire.Ok else Wire.Not_found);
-            timing_ns;
-            resp_value = Bytes.empty;
-          }
-      | exception Runtime.Stopped ->
-        fun () ->
-          ignore (finish t.m.delete_h);
-          err_response req.Wire.id "server shutting down"))
-  in
-  traced_thunk tr push thunk
+  traced_submit tr (fun () ->
+      match (misrouted, req.Wire.op) with
+      | Some map, _ ->
+        Registry.incr t.m.wrong_shard_c;
+        reply t.m.get_h Wire.Wrong_shard map
+      | None, Wire.Cluster_info -> (
+        match t.cfg.cluster with
+        | None -> reply t.m.get_h Wire.Err (Bytes.of_string "not a cluster member")
+        | Some cl -> (
+          match cl.cl_info req.Wire.value with
+          | Ok map -> reply t.m.get_h Wire.Cluster_ok map
+          | Error e -> reply t.m.get_h Wire.Err (Bytes.of_string e)))
+      | None, Wire.Get -> (
+        let answer value =
+          match value with
+          | Some v -> reply t.m.get_h Wire.Ok v
+          | None -> reply t.m.get_h Wire.Not_found Bytes.empty
+        in
+        try
+          Runtime.submit_get t.runtime ~key (fun value ->
+              (* Quorum-read fence: the value just read may include
+                 writes applied locally but not yet replicated; in
+                 quorum-ack cluster mode the response waits (without
+                 blocking anyone) until the key's partition has no
+                 unreplicated suffix, so an observed value can never
+                 vanish in a failover. *)
+              match t.cfg.cluster with
+              | None -> answer value
+              | Some cl -> (
+                try cl.cl_read_fence ~key (fun () -> answer value)
+                with _ -> Evloop.abort slot))
+        with Runtime.Stopped -> stopped t.m.get_h)
+      | None, Wire.Set -> (
+        note_routed t key;
+        try
+          Runtime.submit_set ?token:req.Wire.token t.runtime ~key
+            ~value:req.Wire.value (fun () -> reply t.m.set_h Wire.Ok Bytes.empty)
+        with Runtime.Stopped -> stopped t.m.set_h)
+      | None, Wire.Delete -> (
+        note_routed t key;
+        try
+          Runtime.submit_delete t.runtime ~key (fun present ->
+              reply t.m.delete_h
+                (if present then Wire.Ok else Wire.Not_found)
+                Bytes.empty)
+        with Runtime.Stopped -> stopped t.m.delete_h))
 
-let spawn_conn t fd =
-  (* Only the id/metric updates need [conns_lock]; the callback record
-     is built outside it so the locked section stays minimal (and the
-     [on_closed] closure, which takes [conns_lock] itself when the
-     connection later dies, is not constructed under it). *)
-  let id =
-    Sync.with_lock t.conns_lock (fun () ->
-        let id = t.next_conn in
-        t.next_conn <- id + 1;
-        Registry.incr t.m.conns_accepted_c;
-        t.active <- t.active + 1;
-        Registry.set t.m.conns_active_g (float_of_int t.active);
-        id)
-  in
-  (* The respond-span hand-off FIFO: thunks push one entry per response
-     at completion (in arrival order), [on_response_written] pops one
-     per response written (in wire order) — the two orders agree on
-     both engines, so entry k always belongs to response k. *)
-  let respond_q : (Span.t * Span.span) option Queue.t = Queue.create () in
-  let rq_lock = Mutex.create () in
-  let push sp = Sync.with_lock rq_lock (fun () -> Queue.add sp respond_q) in
-  let cb =
-    {
-      Conn.handle = handle t push;
-      on_bytes_in = (fun n -> Registry.incr ~by:n t.m.bytes_in_c);
-      on_bytes_out = (fun n -> Registry.incr ~by:n t.m.bytes_out_c);
-      on_response_written =
-        (fun _resp ->
-          match
-            Sync.with_lock rq_lock (fun () -> Queue.take_opt respond_q)
-          with
-          | Some (Some (buf, sp)) -> Span.finish buf sp ~ts:(now_ns ())
-          | Some None | None -> ());
-      on_protocol_error = (fun _msg -> Registry.incr t.m.protocol_errors_c);
-      on_closed =
-        (fun () ->
-          Sync.with_lock t.conns_lock (fun () ->
-              Hashtbl.remove t.conns id;
-              t.active <- t.active - 1;
-              Registry.set t.m.conns_active_g (float_of_int t.active)));
-    }
-  in
-  match t.ev with
-  | Some pool -> Evloop.add pool ~fd cb
-  | None ->
-    (* Start-and-register stays atomic under [conns_lock]: [on_closed]
-       fires from the connection's own threads and must observe the
-       table entry it removes, even if the peer disconnects instantly. *)
-    Sync.with_lock t.conns_lock (fun () ->
-        Hashtbl.replace t.conns id (Conn.start ~wire:t.wire ~fd cb))
+let callbacks t =
+  {
+    Evloop.handle = handle t;
+    on_bytes_in = (fun n -> Registry.incr ~by:n t.m.bytes_in_c);
+    on_bytes_out = (fun n -> Registry.incr ~by:n t.m.bytes_out_c);
+    on_protocol_error = (fun _msg -> Registry.incr t.m.protocol_errors_c);
+    on_closed =
+      (fun () ->
+        Registry.set t.m.conns_active_g
+          (float_of_int (Atomic.fetch_and_add t.active (-1) - 1)));
+  }
+
+let spawn_conn t cb fd =
+  Registry.incr t.m.conns_accepted_c;
+  Registry.set t.m.conns_active_g
+    (float_of_int (Atomic.fetch_and_add t.active 1 + 1));
+  Evloop.add t.ev ~fd cb
 
 let acceptor_loop t () =
+  let cb = callbacks t in
   let rec loop () =
     match Unix.accept t.listen_fd with
     | fd, _addr ->
@@ -414,7 +311,7 @@ let acceptor_loop t () =
         (try Unix.close fd with Unix.Unix_error _ -> ())
       else begin
         Unix.setsockopt fd Unix.TCP_NODELAY true;
-        spawn_conn t fd;
+        spawn_conn t cb fd;
         loop ()
       end
     | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ENOTCONN), _, _) ->
@@ -459,40 +356,33 @@ let start ?registry cfg ~runtime =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> cfg.port
   in
+  let m = metrics_of reg ~n_workers:(Runtime.n_workers runtime) in
+  let on_slow_drop () =
+    Registry.incr m.slow_client_drops_c;
+    match cfg.spans with
+    | Some buf -> Span.event buf ~name:"net.slow_client_drop" ~ts:(now_ns ())
+    | None -> ()
+  in
   let t =
     {
       cfg;
       runtime;
-      wire = Wire.create ~max_frame:cfg.max_frame ();
       listen_fd;
       bound_port;
       reg;
-      m = metrics_of reg ~n_workers:(Runtime.n_workers runtime);
-      conns = Hashtbl.create 64;
-      conns_lock = Mutex.create ();
-      next_conn = 0;
-      active = 0;
+      m;
+      ev =
+        Evloop.create
+          ~wire:(Wire.create ~max_frame:cfg.max_frame ())
+          ~loops:cfg.loops ~max_pending:cfg.max_pending
+          ~on_slow_drop ();
       acceptor = None;
-      ev = None;
+      active = Atomic.make 0;
       inflight = Atomic.make 0;
       stopping = Atomic.make false;
       stop_lock = Mutex.create ();
     }
   in
-  (match cfg.engine with
-  | Threads -> ()
-  | Evloop ->
-    let on_slow_drop () =
-      Registry.incr t.m.slow_client_drops_c;
-      match cfg.spans with
-      | Some buf -> Span.event buf ~name:"net.slow_client_drop" ~ts:(now_ns ())
-      | None -> ()
-    in
-    t.ev <-
-      Some
-        (Evloop.create ~wire:t.wire ~loops:cfg.loops
-           ~completions:(max 4 (2 * cfg.loops))
-           ~max_pending:cfg.max_pending ~on_slow_drop ()));
   t.acceptor <- Some (Thread.create (fun () -> acceptor_loop t ()) ());
   t
 
@@ -511,21 +401,10 @@ let stop t =
         (match t.acceptor with Some a -> Thread.join a | None -> ());
         t.acceptor <- None;
         (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-        match t.ev with
-        | Some pool ->
-          (* The pool drains every connection it owns: half-close the
-             receive sides, answer everything accepted, flush, then
-             join the loop domains and completion threads. *)
-          Evloop.stop pool
-        | None ->
-          (* Snapshot under the lock, then drain outside it: conns
-             remove themselves from the table via on_closed. *)
-          let live =
-            Sync.with_lock t.conns_lock (fun () ->
-                Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [])
-          in
-          List.iter Conn.drain live;
-          List.iter Conn.join live
+        (* The pool drains every connection it owns: half-close the
+           receive sides, answer everything accepted, flush, then join
+           the loop domains. *)
+        Evloop.stop t.ev
       end)
 
 type stats = {
@@ -543,7 +422,7 @@ type stats = {
 let stats t =
   {
     conns_accepted = Registry.counter_value t.m.conns_accepted_c;
-    conns_active = Sync.with_lock t.conns_lock (fun () -> t.active);
+    conns_active = Atomic.get t.active;
     requests = Registry.counter_value t.m.requests_c;
     inflight = Atomic.get t.inflight;
     bytes_in = Registry.counter_value t.m.bytes_in_c;

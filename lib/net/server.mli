@@ -1,28 +1,20 @@
 (** TCP front-end for the multicore runtime KVS: an acceptor thread plus
-    a serving engine, all feeding one {!C4_runtime.Server} — CREW
-    routing, write compaction, and crash recovery apply to network
-    traffic unchanged.
-
-    Two engines ({!config.engine}), identical in semantics:
-
-    {ul
-    {- [Evloop] (the default): a fixed pool of {!config.loops} event-loop
-       domains (see {!Evloop}), each multiplexing its share of the
-       connections with poll(2) plus a self-pipe wakeup — batched
-       nonblocking reads into per-loop scratch buffers, pipelined
-       responses coalesced into one write per wakeup. Scales to tens of
-       thousands of connections on a handful of domains.}
-    {- [Threads]: one {!Conn} (reader + ordered writer thread) per
-       connection — two OS threads each; kept for comparison benchmarks
-       (netbench's threads-vs-evloop rows) and as a fallback.}}
+    a fixed pool of {!config.loops} event-loop domains (see {!Evloop}),
+    all feeding one {!C4_runtime.Server} — CREW routing, write
+    compaction, and crash recovery apply to network traffic unchanged.
+    Each loop multiplexes its share of the connections with poll(2)
+    plus a self-pipe wakeup — batched nonblocking reads into per-loop
+    scratch buffers, pipelined responses coalesced into one write per
+    wakeup — which scales to tens of thousands of connections on a
+    handful of domains.
 
     Request handling: GET/SET/DELETE frames are submitted through the
-    runtime's async API from the connection's read side (reader thread
-    or loop domain — submission never blocks), and each response is
-    produced by a thunk awaited in arrival order (on the connection
-    writer, or on the event engine's completion executor, which keeps
-    per-connection affinity) — so per-connection pipelining order is
-    preserved while operations from different connections (and
+    runtime's callback API from the loop domain (submission never
+    blocks). The thread that completes a request — a runtime worker,
+    the WAL sync domain, or a replication-ack reader — builds its
+    response and parks it in the connection's reorder slot; the loop
+    sends the contiguous ready prefix, so per-connection pipelining
+    order is preserved while operations from different connections (and
     different keys) proceed in parallel. SET acks are only emitted
     after the store apply (the runtime's deferred-response rule), so an
     acknowledged write observed by a client survives worker crashes.
@@ -34,8 +26,7 @@
     {e not} stopped — it is owned by the caller, who should call
     {!C4_runtime.Server.stop} after this returns (that order, plus the
     runtime's reject-then-drain stop, is what guarantees no
-    accepted-but-unanswered request is ever dropped). Both engines
-    honour this contract.
+    accepted-but-unanswered request is ever dropped).
 
     Metrics (all in [registry], which must be thread-safe):
     [net.conns_accepted], [net.conns_active], [net.bytes_in],
@@ -58,10 +49,10 @@
     a {!Wire.trace_context} grows a three-span chain in the buffer —
     [server.recv] (decode + crew admission, annotated with the policy
     decisions taken while submitting, parented on the client's in-band
-    context), [server.apply] (submission to promise fulfilment) and
-    [server.respond] (closed when the connection writer finished
-    writing the response) — one connected chain with the client's
-    dispatch span. Context-free requests trace nothing. *)
+    context), [server.apply] (submission to completion) and
+    [server.respond] (closed when the response's last byte reached the
+    socket) — one connected chain with the client's dispatch span.
+    Context-free requests trace nothing. *)
 
 (** Cluster-runtime hooks, injected by [C4_clusterd.Member] (which sits
     {e above} this library in the build graph — hence plain functions
@@ -73,29 +64,19 @@
     shard map) and never reaches the runtime. {!Wire.Cluster_info}
     requests are answered by [cl_info] (payload = an encoded map to
     install if newer, or empty to just fetch) with {!Wire.Cluster_ok}
-    carrying the node's current map. [cl_read_fence ~key] is called on
-    the connection's completion side (the connection writer on the
-    threads engine, a completion-executor thread on the event engine —
-    never a loop domain, precisely because the fence blocks) after a
-    GET's store read and before its
-    response goes out; it must block until the key's partition has no
-    locally-applied-but-unreplicated suffix (quorum-ack mode), so a
-    value a client observed can never be lost to a failover. Requests
-    answered WRONG_SHARD bump [net.wrong_shard]. *)
+    carrying the node's current map; it runs on a loop domain and must
+    not block. [cl_read_fence ~key k] is called on the thread that
+    completed a GET's store read, before its response goes out; it must
+    run [k] — at once, or later from another thread — once the key's
+    partition has no locally-applied-but-unreplicated suffix
+    (quorum-ack mode), so a value a client observed can never be lost
+    to a failover. It must not block. Requests answered WRONG_SHARD
+    bump [net.wrong_shard]. *)
 type cluster = {
   cl_check : key:int -> write:bool -> (unit, bytes) result;
-  cl_read_fence : key:int -> unit;
+  cl_read_fence : key:int -> (unit -> unit) -> unit;
   cl_info : bytes -> (bytes, string) result;
 }
-
-(** The serving engine: [Evloop] (poll-based event-loop domains, the
-    default) or [Threads] (reader + writer thread per connection). *)
-type engine = Evloop | Threads
-
-val engine_to_string : engine -> string
-
-(** Inverse of {!engine_to_string}; [Error] names the valid forms. *)
-val engine_of_string : string -> (engine, string) result
 
 type config = {
   host : string;  (** address to bind, e.g. "127.0.0.1" *)
@@ -108,8 +89,7 @@ type config = {
   cluster : cluster option;
       (** shard-map routing + replication hooks; [None] (the default)
           serves every key and rejects CLUSTER_INFO *)
-  engine : engine;
-  loops : int;  (** event-loop domains ([Evloop] engine only) *)
+  loops : int;  (** event-loop domains *)
   max_pending : int;
       (** slow-client bound: a connection holding this many submitted
           but not-yet-flushed responses is dropped (counted in
@@ -118,8 +98,8 @@ type config = {
 }
 
 (** Loopback, ephemeral port, 64-deep backlog, 1 MiB frames, no span
-    buffer, no cluster hooks; [Evloop] engine with 2 loop domains and a
-    1024-response slow-client bound. *)
+    buffer, no cluster hooks; 2 loop domains and a 1024-response
+    slow-client bound. *)
 val default_config : config
 
 type t

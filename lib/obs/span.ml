@@ -41,16 +41,16 @@ let locked t f =
    no state with us. A process-level seed (pid + wall clock at module
    init) mixed through a splitmix-style finaliser makes collisions
    across processes ~2^-62-improbable, while the counter keeps ids
-   within this process unique by construction. *)
+   within this process unique by construction. The seed is computed
+   eagerly: loop domains and client threads mint ids concurrently. *)
 let id_counter = Atomic.make 1
 
 let id_seed =
-  lazy
-    ((Unix.getpid () * 1_000_003)
-    lxor int_of_float (Float.rem (Unix.gettimeofday () *. 1e6) 1e15))
+  (Unix.getpid () * 1_000_003)
+  lxor int_of_float (Float.rem (Unix.gettimeofday () *. 1e6) 1e15)
 
 let fresh_id () =
-  let z = Atomic.fetch_and_add id_counter 1 + Lazy.force id_seed in
+  let z = Atomic.fetch_and_add id_counter 1 + id_seed in
   let z = (z lxor (z lsr 30)) * 0x2545F4914F6CDD1D in
   let z = (z lxor (z lsr 27)) * 0x27BB2EE687B0B0FD in
   (z lxor (z lsr 31)) land max_int

@@ -44,11 +44,16 @@ let try_pop t =
   Sync.with_lock t.mutex (fun () ->
       if Queue.is_empty t.queue then None else Some (Queue.pop t.queue))
 
-let drain_matching t ~f =
+let drain_matching ?(limit = max_int) t ~f =
   Sync.with_lock t.mutex (fun () ->
-      let kept = Queue.create () and matched = ref [] in
+      let kept = Queue.create () and matched = ref [] and n = ref 0 in
       Queue.iter
-        (fun v -> if f v then matched := v :: !matched else Queue.push v kept)
+        (fun v ->
+          if !n < limit && f v then begin
+            incr n;
+            matched := v :: !matched
+          end
+          else Queue.push v kept)
         t.queue;
       Queue.clear t.queue;
       Queue.transfer kept t.queue;

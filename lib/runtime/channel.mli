@@ -23,8 +23,10 @@ val pop : 'a t -> 'a option
 (** Nonblocking pop. *)
 val try_pop : 'a t -> 'a option
 
-(** Remove and return (in order) every queued element satisfying [f]. *)
-val drain_matching : 'a t -> f:('a -> bool) -> 'a list
+(** Remove and return (in order) every queued element satisfying [f],
+    or only the first [limit] of them: later matches keep their place
+    in the queue. *)
+val drain_matching : ?limit:int -> 'a t -> f:('a -> bool) -> 'a list
 
 val length : 'a t -> int
 

@@ -15,11 +15,13 @@ exception Stopped
    ack is only sent after the store apply, so a crash never loses one. *)
 exception Crash_injected
 
+(* Each op carries its completion: a plain callback run once, on the
+   thread that completes the op (see [submit_get]). *)
 type op =
-  | Get of int * bytes option Promise.t
-  | Set of int * bytes * int option * unit Promise.t
+  | Get of int * (bytes option -> unit)
+  | Set of int * bytes * int option * (unit -> unit)
       (** key, value, idempotency token, ack *)
-  | Delete of int * bool Promise.t
+  | Delete of int * (bool -> unit)
   | Gate of unit Promise.t * unit Promise.t
       (** park the worker: fulfil [entered], block on [release] —
           deterministic-replay support (see [pause_worker]) *)
@@ -90,7 +92,7 @@ type t = {
   mutable requeued_n : int;
   (* Durability tier: [None] keeps the pre-WAL behaviour (everything
      dies with the process). With a WAL, every mutation is appended
-     BEFORE its promise is fulfilled, and the fulfilment itself is
+     BEFORE its completion runs, and the completion itself is
      routed through [Wal.commit] so an ack can additionally wait for
      the group-commit fsync — on the WAL's sync domain, never a worker. *)
   wal : Wal.t option;
@@ -117,10 +119,10 @@ let release_write t key =
         ~partition:(Store.partition_of_key t.store key))
 
 (* Log the mutation (when a WAL is configured) and route [ack] — the
-   release + fulfil step — through the durability policy. Append runs
+   release + completion step — through the durability policy. Append runs
    here, on the worker, BEFORE any acknowledgement exists; the ack
    itself runs inline without a WAL, and through [Wal.commit] with one,
-   so fsync-gated policies fulfil from the WAL's sync domain after the
+   so fsync-gated policies complete from the WAL's sync domain after the
    group commit. [group] marks a compaction-window close (the window's
    deferred responses are the natural group-commit batch). [record] is
    [None] for a mutation that changed nothing worth logging (a
@@ -142,7 +144,7 @@ let log_then_ack t ~key ~record ~group ack =
    answer all of them (deferred responses). *)
 let worker_loop t (w : worker_state) =
   let store = t.store in
-  let apply_set key value token promise =
+  let apply_set key value token k =
     let applied =
       match token with
       | None ->
@@ -160,7 +162,7 @@ let worker_loop t (w : worker_state) =
     let record = if applied then Some (Record.Set { key; value; token }) else None in
     log_then_ack t ~key ~record ~group:false (fun () ->
         release_write t key;
-        Promise.fulfil promise ())
+        k ())
   in
   let rec loop () =
     match Channel.pop w.channel with
@@ -170,47 +172,36 @@ let worker_loop t (w : worker_state) =
       Promise.fulfil entered ();
       Promise.await release;
       loop ()
-    | Some (Get (key, promise)) ->
+    | Some (Get (key, k)) ->
       let value, retries = Store.get store ~key in
       w.retries <- w.retries + retries;
       w.ops <- w.ops + 1;
-      Promise.fulfil promise value;
+      k value;
       loop ()
-    | Some (Delete (key, promise)) ->
+    | Some (Delete (key, k)) ->
       let present = Store.remove store ~key in
       w.ops <- w.ops + 1;
       w.writes_n <- w.writes_n + 1;
       log_then_ack t ~key ~record:(Some (Record.Delete { key })) ~group:false
         (fun () ->
           release_write t key;
-          Promise.fulfil promise present);
+          k present);
       loop ()
-    | Some (Set (key, value, (Some _ as token), promise)) ->
+    | Some (Set (key, value, (Some _ as token), k)) ->
       (* Tokened writes bypass batching; see [is_plain_set_to]. *)
-      apply_set key value token promise;
+      apply_set key value token k;
       loop ()
-    | Some (Set (key, value, None, promise)) ->
+    | Some (Set (key, value, None, k)) ->
       if Core.compaction_enabled t.core then begin
-        let dependents = Channel.drain_matching w.channel ~f:(is_plain_set_to key) in
-        let max_batch = Core.max_batch t.core in
+        (* The window stays bounded: later writes to the key stay queued
+           in place, behind this batch and ahead of anything newer. *)
         let dependents =
-          if List.length dependents > max_batch - 1 then begin
-            (* Put the overflow back in order; rare, but the window must
-               stay bounded. If the channel closed under us (shutdown),
-               fold the stragglers into this batch instead of losing
-               their promises. *)
-            let keep = List.filteri (fun i _ -> i < max_batch - 1) dependents
-            and overflow = List.filteri (fun i _ -> i >= max_batch - 1) dependents in
-            let orphaned =
-              List.filter (fun op -> not (Channel.try_push w.channel op)) overflow
-            in
-            keep @ orphaned
-          end
-          else dependents
+          Channel.drain_matching ~limit:(Core.max_batch t.core - 1) w.channel
+            ~f:(is_plain_set_to key)
         in
         match dependents with
         | [] ->
-          apply_set key value None promise;
+          apply_set key value None k;
           loop ()
         | _ :: _ ->
           (* The harvest found dependent writes: a compaction window in
@@ -261,18 +252,18 @@ let worker_loop t (w : worker_state) =
              group commit). *)
           log_then_ack t ~key ~record:None ~group:true (fun () ->
               release_write t key;
-              Promise.fulfil promise ();
+              k ();
               List.iter
                 (function
-                  | Set (k, _, _, p) ->
-                    release_write t k;
-                    Promise.fulfil p ()
+                  | Set (dep_key, _, _, dep_k) ->
+                    release_write t dep_key;
+                    dep_k ()
                   | Get _ | Delete _ | Gate _ | Crash -> assert false)
                 dependents);
           loop ()
       end
       else begin
-        apply_set key value None promise;
+        apply_set key value None k;
         loop ()
       end
   in
@@ -280,9 +271,12 @@ let worker_loop t (w : worker_state) =
 
 (* Run [worker_loop] and always publish death through [alive] — the
    signal the monitor (crash) and [stop] (clean exit, ignored because
-   [stopped] is set first) both read. *)
+   [stopped] is set first) both read. Any exception counts as a crash,
+   not only [Crash_injected]: a worker that died of anything else
+   without clearing [alive] would never be recovered, and every op
+   routed to it would wait forever. *)
 let run_worker t (w : worker_state) () =
-  (try worker_loop t w with Crash_injected -> ());
+  (try worker_loop t w with _ -> ());
   Atomic.set w.alive false
 
 let spawn_worker t w =
@@ -481,22 +475,24 @@ let pick_reader t =
   t.next_reader <- (r + 1) mod n;
   r
 
-let get_async t ~key =
+let submit_get t ~key k = submit_routed t pick_reader (Get (key, k))
+
+(* CREW: the partition owner is the only worker that ever writes it. *)
+let submit_set ?token t ~key ~value k =
+  submit_routed t (pick_writer key) (Set (key, value, token, k))
+
+(* Deletes mutate the partition, so CREW routes them to the owner. *)
+let submit_delete t ~key k = submit_routed t (pick_writer key) (Delete (key, k))
+
+(* Promise wrappers for blocking callers. *)
+let promised submit =
   let promise = Promise.create () in
-  submit_routed t pick_reader (Get (key, promise));
+  submit (Promise.fulfil promise);
   promise
 
-let set_async ?token t ~key ~value =
-  let promise = Promise.create () in
-  (* CREW: the partition owner is the only worker that ever writes it. *)
-  submit_routed t (pick_writer key) (Set (key, value, token, promise));
-  promise
-
-let delete_async t ~key =
-  let promise = Promise.create () in
-  (* Deletes mutate the partition, so CREW routes them to the owner. *)
-  submit_routed t (pick_writer key) (Delete (key, promise));
-  promise
+let get_async t ~key = promised (submit_get t ~key)
+let set_async ?token t ~key ~value = promised (submit_set ?token t ~key ~value)
+let delete_async t ~key = promised (submit_delete t ~key)
 
 let get t ~key = Promise.await (get_async t ~key)
 let set t ~key ~value = Promise.await (set_async t ~key ~value)
@@ -525,8 +521,8 @@ let shed_level t = Core.shed_level t.core
 (* Apply an op inline — only used by [stop] once every domain is joined,
    so the single remaining thread trivially satisfies CREW. Mutations
    are still appended to the WAL (the [Wal.close] that follows fsyncs
-   them), but the acks are fulfilled directly: the sync domain is about
-   to be drained anyway and every promise must resolve before [stop]
+   them), but the acks run directly: the sync domain is about to be
+   drained anyway and every completion must run before [stop]
    returns. *)
 let apply_directly t op =
   let log key op =
@@ -541,20 +537,20 @@ let apply_directly t op =
     (* Unblock a waiting [pause_worker]; the release side no longer has
        a worker to wake. *)
     if Promise.peek entered = None then Promise.fulfil entered ()
-  | Get (key, p) -> Promise.fulfil p (fst (Store.get t.store ~key))
-  | Delete (key, p) ->
+  | Get (key, k) -> k (fst (Store.get t.store ~key))
+  | Delete (key, k) ->
     let present = Store.remove t.store ~key in
     log key (Record.Delete { key });
-    Promise.fulfil p present
-  | Set (key, value, None, p) ->
+    k present
+  | Set (key, value, None, k) ->
     Store.set t.store ~key ~value;
     log key (Record.Set { key; value; token = None });
-    Promise.fulfil p ()
-  | Set (key, value, (Some tok as token), p) ->
+    k ()
+  | Set (key, value, (Some tok as token), k) ->
     (match Store.set_idempotent t.store ~key ~value ~token:tok with
     | `Applied -> log key (Record.Set { key; value; token })
     | `Duplicate -> ());
-    Promise.fulfil p ()
+    k ()
 
 let is_stopping t = Atomic.get t.stopped
 
@@ -592,8 +588,8 @@ let stop t =
         (match t.monitor with Some d -> Domain.join d | None -> ());
         t.monitor <- None;
         (* A worker that crashed in the stop window leaves a backlog the
-           monitor never got to requeue. Every promise issued before
-           [stop] must still resolve, so apply the leftovers here. *)
+           monitor never got to requeue. Every op submitted before
+           [stop] must still complete, so apply the leftovers here. *)
         Array.iter
           (fun w ->
             List.iter (apply_directly t)

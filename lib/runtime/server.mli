@@ -7,7 +7,8 @@
     around the same core the discrete-event model drives: the core
     decides (pins, routes, window opens/closes, shed levels, stale
     evictions), and this driver turns those decisions into mechanism —
-    worker domains, MPSC channels, promises, a crash monitor. The
+    worker domains, MPSC channels, completion callbacks, a crash
+    monitor. The
     differential parity test replays one recorded trace through both
     drivers and holds their decision streams equal.
 
@@ -18,8 +19,9 @@
     - reads are sprayed across live workers round-robin and run the
       seqlock's optimistic protocol against concurrent in-place updates;
     - with compaction enabled (via {!config.crew}), a worker that pops
-      a write drains every queued write to the same key from its
-      channel (the dependent-write harvest), runs the core's window
+      a write drains the queued writes to the same key from its channel,
+      up to the batch cap (the dependent-write harvest; later ones keep
+      their place in the queue), runs the core's window
       lifecycle (open / absorb / close), applies ONE batched update,
       and only then answers all of them — C-4's deferred-response rule,
       so recorded histories remain linearizable, which the test suite
@@ -27,8 +29,9 @@
     - writes may carry an idempotency token: a retried write whose first
       attempt was applied (only the ack was lost) is detected in the
       store and NOT applied twice;
-    - a monitor domain watches for worker death (see {!inject_crash}):
-      on a crash it re-owns the dead worker's partitions on a survivor
+    - a monitor domain watches for worker death — an injected crash
+      ({!inject_crash}) or any exception escaping a worker: on a death
+      it re-owns the dead worker's partitions on a survivor
       through [Core.reassign] (which also evicts the dead worker's EWT
       pins, so no stale pin keeps routing at the corpse), requeues the
       dead channel's backlog along the new routes, and restarts the
@@ -103,22 +106,44 @@ val default_config : config
 (** Start the worker domains (plus the monitor when [recovery]). *)
 val start : config -> t
 
-(** Blocking operations (thread-safe, callable from any domain). *)
+(** {2 Submission}
+
+    The [submit_*] calls route one op and return at once (thread-safe,
+    callable from any domain); its completion [k] later runs exactly
+    once, on the thread that completes the op: a worker domain, the
+    WAL's sync domain under an fsync-gated policy, a cluster
+    replication-ack reader behind a quorum gate, or the caller of
+    {!stop} for ops it applies itself. [k] must not block — it runs on
+    those threads' critical paths — and should not raise: an exception
+    escaping [k] kills the worker that ran it (the monitor then
+    recovers it) and leaves the rest of that worker's batch
+    unanswered. A SET's [k] runs only after the store apply (and, with
+    a WAL, the append and its durability policy). [token] is an
+    idempotency key: two sets carrying the same token apply at most
+    once — pass the same token on a client retry and the duplicate is
+    suppressed. Submissions raise {!Stopped} once {!stop} has begun;
+    [k] then never runs. *)
+
+val submit_get : t -> key:int -> (bytes option -> unit) -> unit
+
+val submit_set :
+  ?token:int -> t -> key:int -> value:bytes -> (unit -> unit) -> unit
+
+(** Deletes are routed to the partition owner like writes, since they
+    mutate partition state; [k] gets [true] if the key was present. *)
+val submit_delete : t -> key:int -> (bool -> unit) -> unit
+
+(** {2 Blocking and promise wrappers}
+
+    The same ops for callers that may block (tests, a replica's apply
+    loop, examples): each submits with a completion that fulfils a
+    promise. *)
+
 val get : t -> key:int -> bytes option
-
 val set : t -> key:int -> value:bytes -> unit
-
-(** Remove a key (routed to the partition owner like a write, since it
-    mutates partition state); [true] if the key was present. *)
 val delete : t -> key:int -> bool
-
-(** Nonblocking variants returning promises. [token] is an idempotency
-    key: two sets carrying the same token apply at most once — pass the
-    same token on a client retry and the duplicate is suppressed. *)
 val get_async : t -> key:int -> bytes option Promise.t
-
 val set_async : ?token:int -> t -> key:int -> value:bytes -> unit Promise.t
-
 val delete_async : t -> key:int -> bool Promise.t
 
 (** Simulated fail-stop of one worker domain: the worker dies between
@@ -153,9 +178,9 @@ val shed_level : t -> int
     down — so a front-end (e.g. [C4_net.Server]) that flushes its
     connection backlogs before calling [stop] never has an
     accepted-but-unanswered request dropped. Idempotent, and safe to
-    race with in-flight operations: every promise issued before [stop]
-    resolves (including the backlog of a worker that crashed in the stop
-    window, which [stop] applies itself). With a WAL, [stop] finishes by
+    race with in-flight operations: every op submitted before [stop]
+    completes (including the backlog of a worker that crashed in the
+    stop window, which [stop] applies itself). With a WAL, [stop] finishes by
     flushing and fsyncing every partition's log and closing it — a clean
     shutdown leaves no torn tail. Concurrent [stop]s serialise; the
     loser returns after shutdown completes. *)

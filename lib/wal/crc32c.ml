@@ -1,16 +1,18 @@
+(* Built eagerly at module initialisation: the table is read by every
+   appending worker domain, and two domains forcing one [lazy] at once
+   makes one of them raise [CamlinternalLazy.Undefined]. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let digest b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32c.digest";
-  let tbl = Lazy.force table in
+  let tbl = table in
   let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     let byte = Char.code (Bytes.unsafe_get b i) in

@@ -92,6 +92,21 @@ let test_lint_no_stdout_print () =
   Alcotest.(check bool) "Printf.sprintf is fine" false
     (has_rule "no-stdout-print" "lib/x/m.ml" {|let s = Printf.sprintf "%d" 1|})
 
+let test_lint_no_toplevel_lazy () =
+  Alcotest.(check bool) "lazy in lib flagged" true
+    (has_rule "no-toplevel-lazy" "lib/x/m.ml" "let t = lazy (Array.make 4 0)\n");
+  Alcotest.(check bool) "Lazy.force in lib flagged" true
+    (has_rule "no-toplevel-lazy" "lib/x/m.ml" "let f () = Lazy.force t\n");
+  Alcotest.(check bool) "bin is exempt" false
+    (has_rule "no-toplevel-lazy" "bin/m.ml" "let t = lazy 1\n");
+  Alcotest.(check bool) "comment mention is fine" false
+    (has_rule "no-toplevel-lazy" "lib/x/m.ml" "(* not lazy *) let t = 1\n");
+  Alcotest.(check bool) "identifier containing lazy is fine" false
+    (has_rule "no-toplevel-lazy" "lib/x/m.ml" "let lazy_ok = 1 let x = is_lazy\n");
+  Alcotest.(check bool) "pragma opts out" false
+    (has_rule "no-toplevel-lazy" "lib/x/m.ml"
+       "(* c4-lint: allow no-toplevel-lazy *)\nlet t = lazy 1\n")
+
 let test_lint_poly_compare_mutable () =
   let bad =
     "type t = { mutable x : int }\nlet eq (a : t) (b : t) = a = b\n"
@@ -585,6 +600,7 @@ let tests =
     Alcotest.test_case "lint: bare-mutex-lock" `Quick test_lint_bare_mutex_lock;
     Alcotest.test_case "lint: no-obj-magic" `Quick test_lint_no_obj_magic;
     Alcotest.test_case "lint: no-stdout-print" `Quick test_lint_no_stdout_print;
+    Alcotest.test_case "lint: no-toplevel-lazy" `Quick test_lint_no_toplevel_lazy;
     Alcotest.test_case "lint: poly-compare-mutable" `Quick test_lint_poly_compare_mutable;
     Alcotest.test_case "lint: pragma opt-out" `Quick test_lint_pragma;
     Alcotest.test_case "lint: dirs + mli-required + reports" `Quick

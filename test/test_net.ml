@@ -627,7 +627,7 @@ let test_stitched_span_chain () =
     (fun () ->
       Alcotest.(check bool) "set ok" true
         (NetClient.set client ~key:5 ~value:(Bytes.of_string "traced") = Ok ());
-      (* The respond span closes in the server's writer thread after the
+      (* The respond span closes on the server's loop domain after the
          response bytes go out — strictly after the client's callback
          fired, so give it a moment. *)
       let deadline = Unix.gettimeofday () +. 5.0 in
@@ -760,7 +760,7 @@ let test_client_routing_matches_cluster () =
       (C4_kvs.Hash.node_of_key ~n_nodes:5 key)
   done
 
-(* ---------------- event-engine edge cases ---------------- *)
+(* ---------------- event-loop edge cases ---------------- *)
 
 (* Raw blocking socket straight at the server, no NetClient. *)
 let raw_connect srv =
@@ -863,12 +863,17 @@ let test_slow_client_dropped () =
           (* 64 pipelined GETs of a 512 KiB value, never reading: the
              responses cannot fit any socket buffer, so pending must hit
              the bound. *)
-          for i = 0 to 63 do
-            write_all fd
-              (Wire.encode_request wire
-                 { Wire.id = i; op = Wire.Get; key; token = None;
-                   trace = None; value = Bytes.empty })
-          done;
+          (* The drop may land while we are still sending: EPIPE or
+             ECONNRESET here is the drop arriving early, and every
+             assertion below still has to hold. *)
+          (try
+             for i = 0 to 63 do
+               write_all fd
+                 (Wire.encode_request wire
+                    { Wire.id = i; op = Wire.Get; key; token = None;
+                      trace = None; value = Bytes.empty })
+             done
+           with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
           let reg = NetServer.registry srv in
           let drops () = counter_value reg "net.slow_client_drops" in
           let deadline = Unix.gettimeofday () +. 10.0 in
@@ -894,41 +899,109 @@ let test_slow_client_dropped () =
       Alcotest.(check bool) "server still serves" true
         (NetClient.get client ~key = Ok (Some big)))
 
-(* The threads engine stays selectable (and correct) behind the same
-   config — the comparison baseline for the evloop benchmarks. *)
-let test_threads_engine_serves () =
-  let server_cfg =
-    { NetServer.default_config with NetServer.engine = NetServer.Threads }
+(* Cluster hooks that serve every key, with a scripted read fence. *)
+let fence_hooks fence =
+  {
+    NetServer.cl_check = (fun ~key:_ ~write:_ -> Ok ());
+    cl_read_fence = fence;
+    cl_info = (fun _ -> Ok Bytes.empty);
+  }
+
+let read_response fd dec =
+  let buf = Bytes.create 4096 in
+  let rec go () =
+    match Wire.Decoder.next_frame dec with
+    | `Frame body -> (
+      match Wire.decode_response wire body with
+      | Ok r -> r
+      | Error e -> Alcotest.failf "bad response: %s" e)
+    | `Corrupt e -> Alcotest.failf "corrupt response stream: %s" e
+    | `Awaiting -> (
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 -> Alcotest.fail "server closed the connection"
+      | n ->
+        Wire.Decoder.feed dec buf ~off:0 ~len:n;
+        go ())
   in
-  with_net ~server_cfg (fun _ _ client ->
-      Alcotest.(check bool) "set" true
-        (NetClient.set client ~key:3 ~value:(Bytes.of_string "thr") = Ok ());
-      Alcotest.(check bool) "get back" true
-        (NetClient.get client ~key:3 = Ok (Some (Bytes.of_string "thr")));
-      let n = 100 in
-      let order = ref [] in
-      let lock = Mutex.create () in
-      let remaining = Atomic.make n in
-      let dispatched =
-        List.init n (fun i ->
-            let op = if i mod 2 = 0 then Wire.Set else Wire.Get in
-            let value =
-              if op = Wire.Set then Bytes.of_string "v" else Bytes.empty
-            in
-            NetClient.dispatch client ~op ~key:7 ~value
-              ~on_response:(fun r ->
-                C4_runtime.Sync.with_lock lock (fun () ->
-                    order := r.Wire.resp_id :: !order);
-                Atomic.decr remaining)
-              ())
-      in
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      while Atomic.get remaining > 0 && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.001
-      done;
-      Alcotest.(check int) "all answered" 0 (Atomic.get remaining);
-      Alcotest.(check (list int)) "responses in dispatch order" dispatched
-        (List.rev !order))
+  go ()
+
+(* Completions finish out of order — a GET held by its read fence, a
+   SET behind it that completes at once — and the responses still leave
+   in arrival order: the SET's response waits in its reorder slot until
+   the fence is released from another thread. *)
+let test_reorder_slots_hold_arrival_order () =
+  let held = ref None in
+  let lock = Mutex.create () in
+  let fence ~key k =
+    if key = 21 then C4_runtime.Sync.with_lock lock (fun () -> held := Some k)
+    else k ()
+  in
+  let server_cfg =
+    { NetServer.default_config with NetServer.cluster = Some (fence_hooks fence) }
+  in
+  with_net ~server_cfg (fun _ srv _ ->
+      let fd = raw_connect srv in
+      Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let req id op key value =
+            Wire.encode_request wire
+              { Wire.id; op; key; token = None; trace = None; value }
+          in
+          write_all fd (req 0 Wire.Get 21 Bytes.empty);
+          write_all fd (req 1 Wire.Set 22 (Bytes.of_string "later"));
+          let reg = NetServer.registry srv in
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          let fenced () = C4_runtime.Sync.with_lock lock (fun () -> !held <> None) in
+          while
+            (not (fenced () && counter_value reg "net.bytes_in" > 0))
+            && Unix.gettimeofday () < deadline
+          do
+            Unix.sleepf 0.001
+          done;
+          Alcotest.(check bool) "GET held at its fence" true (fenced ());
+          (* Give the SET time to complete and park behind the GET. *)
+          Unix.sleepf 0.05;
+          Alcotest.(check int) "nothing sent while the head is held" 0
+            (counter_value reg "net.bytes_out");
+          let release = C4_runtime.Sync.with_lock lock (fun () -> !held) in
+          Thread.join (Thread.create (fun () -> Option.iter (fun k -> k ()) release) ());
+          let dec = Wire.Decoder.create wire in
+          let first = read_response fd dec in
+          let second = read_response fd dec in
+          Alcotest.(check (list int)) "arrival order" [ 0; 1 ]
+            [ first.Wire.resp_id; second.Wire.resp_id ];
+          Alcotest.(check bool) "GET answered" true (first.Wire.status = Wire.Not_found);
+          Alcotest.(check bool) "SET acked" true (second.Wire.status = Wire.Ok)))
+
+(* A completion that raises kills its own connection — never the thread
+   that ran it — and the server keeps serving and still drains. *)
+let test_raising_completion_kills_only_its_conn () =
+  let fence ~key k = if key = 13 then failwith "fence raised" else k () in
+  let server_cfg =
+    { NetServer.default_config with NetServer.cluster = Some (fence_hooks fence) }
+  in
+  with_net ~server_cfg (fun runtime srv client ->
+      let fd = raw_connect srv in
+      Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          write_all fd
+            (Wire.encode_request wire
+               { Wire.id = 0; op = Wire.Get; key = 13; token = None; trace = None;
+                 value = Bytes.empty });
+          let buf = Bytes.create 256 in
+          let closed =
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> true
+            | _ -> false
+            | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> true
+          in
+          Alcotest.(check bool) "connection closed without a response" true closed);
+      Alcotest.(check bool) "counted as a protocol error" true
+        ((NetServer.stats srv).NetServer.protocol_errors >= 1);
+      Alcotest.(check int) "no worker died" 0 (Runtime.stats runtime).Runtime.recoveries;
+      Alcotest.(check bool) "other connections still served" true
+        (NetClient.set client ~key:14 ~value:(Bytes.of_string "ok") = Ok ()
+        && NetClient.get client ~key:14 = Ok (Some (Bytes.of_string "ok"))))
 
 let tests =
   [
@@ -963,6 +1036,8 @@ let tests =
       test_one_byte_dribble;
     Alcotest.test_case "slow client dropped at the pending bound" `Quick
       test_slow_client_dropped;
-    Alcotest.test_case "threads engine stays selectable" `Quick
-      test_threads_engine_serves;
+    Alcotest.test_case "reorder slots hold arrival order" `Quick
+      test_reorder_slots_hold_arrival_order;
+    Alcotest.test_case "raising completion kills only its connection" `Quick
+      test_raising_completion_kills_only_its_conn;
   ]

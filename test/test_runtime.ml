@@ -55,7 +55,12 @@ let test_channel_drain_matching () =
   let evens = Channel.drain_matching c ~f:(fun x -> x mod 2 = 0) in
   Alcotest.(check (list int)) "drained in order" [ 2; 4; 6 ] evens;
   Alcotest.(check int) "odds remain" 3 (Channel.length c);
-  Alcotest.(check (option int)) "order preserved" (Some 1) (Channel.pop c)
+  Alcotest.(check (option int)) "order preserved" (Some 1) (Channel.pop c);
+  List.iter (Channel.push c) [ 8; 7; 10; 12 ];
+  let two = Channel.drain_matching ~limit:2 c ~f:(fun x -> x mod 2 = 0) in
+  Alcotest.(check (list int)) "limit takes the first matches" [ 8; 10 ] two;
+  Alcotest.(check (list int)) "later matches keep their place" [ 3; 5; 7; 12 ]
+    (Channel.drain_matching c ~f:(fun _ -> true))
 
 let test_channel_blocking_pop () =
   let c = Channel.create () in
@@ -368,6 +373,29 @@ let test_server_crash_recovery () =
       Alcotest.(check bool) "recovery recorded" true (stats.Server.recoveries >= 1);
       Alcotest.(check int) "restarted worker back in service" 4 (Server.alive_workers t))
 
+(* A worker that dies of an arbitrary exception — here one escaping a
+   completion — must be recovered like an injected crash; otherwise it
+   stays "alive" and every op routed to it goes unanswered. *)
+let test_server_worker_exception_recovered () =
+  let cfg = { Server.default_config with Server.n_workers = 2 } in
+  with_server ~cfg (fun t ->
+      Server.set t ~key:1 ~value:(Bytes.of_string "before");
+      Server.submit_get t ~key:1 (fun _ -> failwith "completion raised");
+      await_recovery t ~expect:2;
+      Alcotest.(check int) "exactly one recovery" 1
+        (Server.stats t).Server.recoveries;
+      (* Reads spray over both workers and writes reach every owner:
+         every later op is answered. *)
+      for key = 0 to 199 do
+        Server.set t ~key ~value:(Bytes.of_string (string_of_int key))
+      done;
+      for key = 0 to 199 do
+        Alcotest.(check (option string))
+          (Printf.sprintf "key %d answered" key)
+          (Some (string_of_int key))
+          (Option.map Bytes.to_string (Server.get t ~key))
+      done)
+
 (* A worker crash in the middle of a recorded single-key history: the
    operations that span the crash + recovery must still linearize. *)
 let test_server_crash_history_linearizable () =
@@ -488,6 +516,8 @@ let tests =
       test_server_crash_recovery;
     Alcotest.test_case "history across crash linearizes" `Slow
       test_server_crash_history_linearizable;
+    Alcotest.test_case "worker dying of any exception is recovered" `Quick
+      test_server_worker_exception_recovered;
     Alcotest.test_case "server idempotent retry applies once" `Quick
       test_server_idempotent_retry;
     Alcotest.test_case "server CREW routing covers workers" `Quick test_server_crew_routing;
