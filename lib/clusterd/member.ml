@@ -469,8 +469,8 @@ let current_map t = Sync.with_lock t.lock (fun () -> t.map)
 (* Install [m] if strictly newer. Fences stale replication senders
    (connections whose hello carried an older epoch are cut — a deposed
    leader cannot keep feeding us) and reconciles outbound senders with
-   the new replica sets. Never blocks: it serves CLUSTER_INFO on a net
-   loop domain, so senders no longer wanted are only told to stop. *)
+   the new replica sets. Never blocks: it serves CLUSTER_INFO on a runtime
+   worker, so senders no longer wanted are only told to stop. *)
 let install t m =
   let to_stop, stale =
     Sync.with_lock t.lock (fun () ->

@@ -133,9 +133,11 @@ type admit =
   | Rejected of { reason : Decision.reject_reason; owner : int option }
 
 let admit_write t ~partition ~now ~pick =
-  (* JBSQ occupancy is the NIC's queue accounting; a [`Static] engine
-     (the runtime) accounts for its own channels instead. *)
-  let charge = pick <> `Static in
+  (* JBSQ occupancy is the NIC's queue accounting; the runtime's
+     [`Static] and [`Local] picks account for its own inboxes instead. *)
+  let charge =
+    match pick with `Static | `Local _ -> false | `Balanced _ | `Worker _ -> true
+  in
   match Ewt.lookup t.ewt ~partition with
   | Some owner -> (
     match Ewt.note_write ~now t.ewt ~partition ~thread:owner with
@@ -156,6 +158,7 @@ let admit_write t ~partition ~now ~pick =
     let chosen =
       match pick with
       | `Worker w -> Some (w, charge)
+      | `Local w -> Some (w, false)
       | `Static -> Some (t.owners.(partition), false)
       | `Balanced (lo, hi) -> (
         match t.cfg.Config.pin_fallback with
@@ -311,7 +314,7 @@ let compaction_stats t =
 (* ---------------- adaptive load shedding ---------------- *)
 
 let shed_level t = t.shed
-let note_arrival t = t.win_arrivals <- t.win_arrivals + 1
+let note_arrival ?(n = 1) t = t.win_arrivals <- t.win_arrivals + n
 let note_drop t = t.win_drops <- t.win_drops + 1
 
 let shed_check t ~now:_ =

@@ -137,15 +137,16 @@ val occupancy : t -> worker:int -> int
     consult the EWT; on a hit bump the pin's counter and route to the
     owner; on a miss pick a worker — [`Balanced (lo, hi)] asks JBSQ
     (or the static hash, per {!Config.pin_fallback}), [`Worker w] pins
-    to a given worker (central-queue hand-out), [`Static] uses the
-    durable assignment — and install the pin. JBSQ occupancy is charged
-    for every admission except [`Static] picks, whose engine owns its
-    own queue accounting (the runtime's channels). *)
+    to a given worker (central-queue hand-out), [`Local w] pins to the
+    engine worker [w] that is admitting the write itself, [`Static] uses
+    the durable assignment — and install the pin. JBSQ occupancy is
+    charged for every admission except [`Static] and [`Local] picks,
+    whose engine owns its own queue accounting (the runtime's inboxes). *)
 val admit_write :
   t ->
   partition:int ->
   now:float ->
-  pick:[ `Balanced of int * int | `Static | `Worker of int ] ->
+  pick:[ `Balanced of int * int | `Local of int | `Static | `Worker of int ] ->
   admit
 
 (** The write's response left: decrement the pin's counter, emitting
@@ -222,7 +223,9 @@ val compaction_stats : t -> C4_kvs.Compaction_log.stats option
     owns the thresholds and the level. *)
 
 val shed_level : t -> int
-val note_arrival : t -> unit
+
+(** Count [n] (default 1) arrivals in the current window. *)
+val note_arrival : ?n:int -> t -> unit
 
 (** Count one non-shed drop in the current window. *)
 val note_drop : t -> unit

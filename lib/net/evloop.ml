@@ -1,27 +1,14 @@
 module Sync = C4_runtime.Sync
 
-(* A fixed pool of loop domains multiplexing all connections with
-   poll(2) plus a self-pipe wakeup. Each loop owns a disjoint set of
-   connections (round-robin assignment at accept time): connection
-   membership, the decoder and the [eof]/[drained] flags are touched
-   only by the owning loop domain, so they need no lock; the reorder
-   slots, the output buffer and the pending count are shared with the
-   completing threads and guarded by the per-connection mutex.
-
-   Division of labour per request: the loop does the nonblocking batched
-   read into its per-loop scratch buffer, feeds the connection's
-   incremental [Wire.Decoder], numbers the request in arrival order and
-   calls [cb.handle] — the server's nonblocking runtime submission —
-   inline. The thread that completes the request calls [respond], which
-   parks the response in the slot for its arrival number and wakes the
-   loop; nothing else runs there, so a completion costs a lock, two
-   stores and at most one pipe write. The loop stages the contiguous
-   ready prefix of slots into the output buffer (encoding each response
-   there, recording its end offset as a boundary) and drains the buffer
-   with one coalesced write per wakeup, firing each response's
-   [on_written] hook as the flush crosses its boundary — in wire order,
-   which is what lets tracing close respond spans exactly when bytes hit
-   the socket. *)
+(* The connection side of the runtime's worker loops (see evloop.mli).
+   Each loop's connections belong to one worker: membership, the
+   decoder and the [eof]/[drained] flags are touched only by it, so
+   they need no lock; the reorder slots, the output buffer and the
+   pending count are shared with completing threads and guarded by the
+   per-connection mutex. A completion only parks its response; the
+   owning worker encodes the contiguous ready prefix and flushes it
+   with one coalesced write per round, firing each response's
+   [on_written] hook as the flush crosses its boundary. *)
 
 type callbacks = {
   handle : Wire.request -> slot -> unit;
@@ -36,7 +23,7 @@ and conn = {
   fd : Unix.file_descr;
   cb : callbacks;
   decoder : Wire.Decoder.decoder;
-  c_loop : loop;
+  c_wake : unit -> unit;  (* wake the owning worker *)
   lock : Mutex.t;  (* guards every mutable field below except [eof]/[drained] *)
   (* Reorder slots, a ring indexed by arrival number: the response to
      request [seq] parks at [seq land (length - 1)] until every earlier
@@ -54,10 +41,6 @@ and conn = {
   mutable queued_total : int;
   mutable flushed_total : int;
   mutable pending : int;  (* accepted, response not yet retired *)
-  (* Completions that claimed the loop's wakeup and have not yet written
-     the self-pipe: the connection, and so the pool and its pipe, must
-     outlive them. *)
-  mutable wakers : int;
   mutable eof : bool;  (* loop-only: no further frames will be decoded *)
   mutable dead : bool;  (* peer unwritable (gone, dropped as slow, or aborted) *)
   mutable drained : bool;  (* loop-only: receive side already shut down *)
@@ -66,19 +49,15 @@ and conn = {
 and slot = { s_conn : conn; s_seq : int; mutable s_done : bool (* under lock *) }
 
 and loop = {
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  wake_pending : bool Atomic.t;  (* a wakeup is already on its way *)
+  l_wake : unit -> unit;
   l_lock : Mutex.t;  (* guards [incoming] *)
   incoming : conn Queue.t;
-  conns : (int, conn) Hashtbl.t;  (* loop-domain only *)
+  conns : (int, conn) Hashtbl.t;  (* owning worker only *)
   scratch : Bytes.t;  (* per-loop read buffer, shared by its conns *)
-  wake_buf : Bytes.t;
   mutable pfds : Unix.file_descr array;
   mutable pevents : int array;
   mutable prevents : int array;
   mutable porder : conn option array;
-  mutable domain : unit Domain.t option;
 }
 
 type t = {
@@ -91,7 +70,6 @@ type t = {
   p_lock : Mutex.t;
   active : int Atomic.t;
   stopping : bool Atomic.t;
-  draining : bool Atomic.t;
   q_lock : Mutex.t;  (* with q_cond: signals active reaching zero *)
   q_cond : Condition.t;
 }
@@ -100,35 +78,6 @@ let no_response =
   { Wire.resp_id = -1; status = Wire.Err; timing_ns = 0; resp_value = Bytes.empty }
 
 let no_hook () = ()
-let wake_byte = Bytes.make 1 'w'
-
-(* Coalesced wakeup: only the caller that sets [wake_pending] writes the
-   self-pipe. The loop clears the flag at the top of each iteration,
-   before it looks at any shared state, so whatever a caller published
-   before finding the flag already set is seen by that iteration or the
-   next one — which the flag's setter has already woken. The pipe is
-   nonblocking (a full pipe already guarantees a wakeup is pending), and
-   EBADF just means the pool already shut down. *)
-let claim_wake l =
-  (not (Atomic.get l.wake_pending))
-  && Atomic.compare_and_set l.wake_pending false true
-
-let write_wake l =
-  try ignore (Unix.write l.wake_w wake_byte 0 1) with Unix.Unix_error _ -> ()
-
-let wake l = if claim_wake l then write_wake l
-
-let drain_wake l =
-  let continue = ref true in
-  while !continue do
-    match Unix.read l.wake_r l.wake_buf 0 (Bytes.length l.wake_buf) with
-    | 0 -> continue := false
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      continue := false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> continue := false
-  done
 
 (* --- reorder slots and output buffer (under c.lock) --- *)
 
@@ -227,7 +176,7 @@ let mark_dead c =
 (* One coalesced write: everything buffered goes out in a single
    write(2); a partial write leaves the tail for the next POLLOUT.
    Nonblocking, so holding c.lock across it cannot stall a completing
-   thread for long. Loop domain only. *)
+   thread for long. Owning worker only. *)
 let rec write_out c =
   if (not c.dead) && c.o_start < c.o_end then
     match Unix.write c.fd c.obuf c.o_start (c.o_end - c.o_start) with
@@ -248,36 +197,29 @@ let rec write_out c =
 
 (* --- completion side (any thread) --- *)
 
-type parked = Retired | Parked | Parked_waking
-
 let respond s ~on_written resp =
   let c = s.s_conn in
-  match
+  let parked =
     Sync.with_lock c.lock (fun () ->
-        if s.s_done then Retired
+        if s.s_done then false
         else begin
           s.s_done <- true;
           if c.dead then begin
             c.pending <- c.pending - 1;
-            Retired
+            false
           end
           else begin
             let i = s.s_seq land (Array.length c.ready - 1) in
             c.ready.(i) <- resp;
             c.hooks.(i) <- on_written;
-            if claim_wake c.c_loop then begin
-              c.wakers <- c.wakers + 1;
-              Parked_waking
-            end
-            else Parked
+            true
           end
         end)
-  with
-  | Retired -> on_written ()
-  | Parked -> ()
-  | Parked_waking ->
-    write_wake c.c_loop;
-    Sync.with_lock c.lock (fun () -> c.wakers <- c.wakers - 1)
+  in
+  (* Outside the lock; the worker's self-pipe outlives every
+     connection, so a wake after the loop has closed this one is
+     harmless. *)
+  if parked then c.c_wake () else on_written ()
 
 let abort s =
   let c = s.s_conn in
@@ -293,7 +235,7 @@ let abort s =
         try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
       end)
 
-(* --- read path (loop domain) --- *)
+(* --- read path (owning worker) --- *)
 
 let slow_drop pool c =
   pool.on_slow_drop ();
@@ -369,7 +311,7 @@ let read_conn pool l c =
       continue := false
   done
 
-(* --- loop domain --- *)
+(* --- one I/O round (owning worker) --- *)
 
 let close_conn pool l c =
   Hashtbl.remove l.conns c.id;
@@ -382,7 +324,7 @@ let close_conn pool l c =
 let ensure_capacity l n =
   if Array.length l.pfds < n then begin
     let cap = max n (2 * Array.length l.pfds) in
-    l.pfds <- Array.make cap l.wake_r;
+    l.pfds <- Array.make cap l.pfds.(0);
     l.pevents <- Array.make cap 0;
     l.prevents <- Array.make cap 0;
     l.porder <- Array.make cap None
@@ -394,13 +336,12 @@ let take_incoming l =
       Queue.clear l.incoming;
       xs)
 
-let loop_iter pool l =
-  (* Clear the wake flag before reading any shared state (see [wake]). *)
-  Atomic.set l.wake_pending false;
+let step pool ~worker ~wake =
+  let l = pool.loops.(worker) in
   List.iter (fun c -> Hashtbl.replace l.conns c.id c) (take_incoming l);
   (* Graceful drain: half-close every receive side once; buffered bytes
      still read out (and decode, and get answered) before EOF shows. *)
-  if Atomic.get pool.draining then
+  if Atomic.get pool.stopping then
     Hashtbl.iter
       (fun _ c ->
         if not c.drained then begin
@@ -409,12 +350,12 @@ let loop_iter pool l =
           with Unix.Unix_error _ -> ()
         end)
       l.conns;
-  (* Send what completed since the last pass, then build the interest
+  (* Send what completed since the last round, then build the interest
      set: self-pipe + every conn (read unless EOF, write while output is
      still buffered). *)
   let n = 1 + Hashtbl.length l.conns in
   ensure_capacity l n;
-  l.pfds.(0) <- l.wake_r;
+  l.pfds.(0) <- wake;
   l.pevents.(0) <- Poll.pollin;
   l.porder.(0) <- None;
   let i = ref 1 in
@@ -434,8 +375,6 @@ let loop_iter pool l =
   ignore
     (Poll.poll ~fds:l.pfds ~events:l.pevents ~revents:l.prevents ~n:!i
        ~timeout_ms:250);
-  if Poll.readable l.prevents.(0) || Poll.errored l.prevents.(0) then
-    drain_wake l;
   for j = 1 to !i - 1 do
     match l.porder.(j) with
     | None -> ()
@@ -455,76 +394,46 @@ let loop_iter pool l =
           Sync.with_lock c.lock (fun () ->
               ignore (stage pool.wire c);
               write_out c;
-              c.eof && c.pending = 0 && c.wakers = 0)
+              c.eof && c.pending = 0)
         in
         if done_ then c :: acc else acc)
       l.conns []
   in
-  List.iter (fun c -> close_conn pool l c) finished
-
-let loop_run pool l () =
-  let rec go () =
-    loop_iter pool l;
-    let should_exit =
-      Atomic.get pool.stopping
-      && Hashtbl.length l.conns = 0
-      && Sync.with_lock l.l_lock (fun () -> Queue.is_empty l.incoming)
-    in
-    if not should_exit then go ()
-  in
-  try go ()
-  with _ ->
-    (* A loop domain must never die silently rich with connections:
-       close them all so Server.stop's quiesce wait cannot hang. *)
-    List.iter (fun c -> Hashtbl.replace l.conns c.id c) (take_incoming l);
-    let all = Hashtbl.fold (fun _ c acc -> c :: acc) l.conns [] in
-    List.iter (fun c -> close_conn pool l c) all
+  List.iter (fun c -> close_conn pool l c) finished;
+  let re = l.prevents.(0) in
+  Poll.readable re || Poll.errored re
 
 (* --- pool lifecycle --- *)
 
-let create ~wire ~loops ~max_pending ~on_slow_drop () =
+let create ~wire ~loops ~max_pending ~on_slow_drop ~wake () =
   if loops < 1 then invalid_arg "Evloop.create: loops";
   if max_pending < 1 then invalid_arg "Evloop.create: max_pending";
-  let mk_loop _ =
-    let r, w = Unix.pipe () in
-    Unix.set_nonblock r;
-    Unix.set_nonblock w;
+  let mk_loop worker =
     {
-      wake_r = r;
-      wake_w = w;
-      wake_pending = Atomic.make false;
+      l_wake = (fun () -> wake worker);
       l_lock = Mutex.create ();
       incoming = Queue.create ();
       conns = Hashtbl.create 64;
       scratch = Bytes.create 65536;
-      wake_buf = Bytes.create 64;
-      pfds = Array.make 16 r;
+      pfds = Array.make 16 Unix.stdin;
       pevents = Array.make 16 0;
       prevents = Array.make 16 0;
       porder = Array.make 16 None;
-      domain = None;
     }
   in
-  let pool =
-    {
-      wire;
-      max_pending;
-      on_slow_drop;
-      loops = Array.init loops mk_loop;
-      next_loop = 0;
-      next_id = 0;
-      p_lock = Mutex.create ();
-      active = Atomic.make 0;
-      stopping = Atomic.make false;
-      draining = Atomic.make false;
-      q_lock = Mutex.create ();
-      q_cond = Condition.create ();
-    }
-  in
-  Array.iter
-    (fun l -> l.domain <- Some (Domain.spawn (fun () -> loop_run pool l ())))
-    pool.loops;
-  pool
+  {
+    wire;
+    max_pending;
+    on_slow_drop;
+    loops = Array.init loops mk_loop;
+    next_loop = 0;
+    next_id = 0;
+    p_lock = Mutex.create ();
+    active = Atomic.make 0;
+    stopping = Atomic.make false;
+    q_lock = Mutex.create ();
+    q_cond = Condition.create ();
+  }
 
 let add pool ~fd cb =
   if Atomic.get pool.stopping then begin
@@ -547,7 +456,7 @@ let add pool ~fd cb =
         fd;
         cb;
         decoder = Wire.Decoder.create pool.wire;
-        c_loop = l;
+        c_wake = l.l_wake;
         lock = Mutex.create ();
         ready = Array.make 16 no_response;
         hooks = Array.make 16 no_hook;
@@ -560,7 +469,6 @@ let add pool ~fd cb =
         queued_total = 0;
         flushed_total = 0;
         pending = 0;
-        wakers = 0;
         eof = false;
         dead = false;
         drained = false;
@@ -568,31 +476,16 @@ let add pool ~fd cb =
     in
     Atomic.incr pool.active;
     Sync.with_lock l.l_lock (fun () -> Queue.add c l.incoming);
-    wake l
+    l.l_wake ()
   end
 
 let stop pool =
   if not (Atomic.exchange pool.stopping true) then begin
-    Atomic.set pool.draining true;
-    Array.iter wake pool.loops;
-    (* Loops keep running while connections drain — they do the
-       flushing; quiesce first, then tear the machinery down. *)
+    Array.iter (fun l -> l.l_wake ()) pool.loops;
+    (* The workers keep running their rounds while connections drain —
+       they do the flushing; return once every connection is closed. *)
     Sync.with_lock pool.q_lock (fun () ->
         while Atomic.get pool.active > 0 do
           Condition.wait pool.q_cond pool.q_lock
-        done);
-    Array.iter wake pool.loops;
-    Array.iter
-      (fun l ->
-        match l.domain with
-        | Some d ->
-          Domain.join d;
-          l.domain <- None
-        | None -> ())
-      pool.loops;
-    Array.iter
-      (fun l ->
-        (try Unix.close l.wake_r with Unix.Unix_error _ -> ());
-        try Unix.close l.wake_w with Unix.Unix_error _ -> ())
-      pool.loops
+        done)
   end

@@ -20,7 +20,6 @@ type config = {
   max_frame : int;
   spans : Span.t option;
   cluster : cluster option;
-  loops : int;
   max_pending : int;
 }
 
@@ -32,7 +31,6 @@ let default_config =
     max_frame = 1 lsl 20;
     spans = None;
     cluster = None;
-    loops = 2;
     max_pending = 1024;
   }
 
@@ -94,15 +92,6 @@ let metrics_of reg ~n_workers =
     slow_client_drops_c = Registry.counter reg "net.slow_client_drops";
   }
 
-(* Count each mutation against the worker the policy core's ownership
-   view routes it to ([Runtime.owner_of_key] = the core's pin-aware
-   [route_owner]). After a crash recovery the remap changes what
-   [owner_of_key] returns, so the counts visibly migrate to the
-   survivor while the dead worker's counter freezes. *)
-let note_routed t key =
-  let owner = Runtime.owner_of_key t.runtime key in
-  Registry.incr t.m.routed_c.(owner)
-
 let op_name = function
   | Wire.Get -> "GET"
   | Wire.Set -> "SET"
@@ -119,26 +108,25 @@ let status_name = function
 (* Per-request server spans, built only when the server has a span
    buffer AND the request carried a trace context to adopt:
 
-     server.recv    decode + crew admission (the submit), child of the
-                    client's in-band context; admission decisions the
-                    policy core emits on the submitting thread land
-                    here as annotations via [Span.with_current]
-     server.apply   submission to completion (queueing + store apply,
+     server.recv    decode + crew admission, child of the client's
+                    in-band context; admission decisions the policy
+                    core emits on this worker land here as annotations
+                    via [Span.with_current]
+     server.apply   admitted to completed (queueing + store apply,
                     compaction windows, WAL and cluster fences included)
      server.respond response parked, encoded and written, closed by the
                     connection's [on_written] hook
 
    Each parents on the previous, so the client's dispatch span and
-   these three form one chain walkable from either end.
-
-   The completion may run on another domain before the submission has
-   even returned on the loop, so the apply span is handed over through
-   [tr_phase]: the submitter closes recv, opens apply and publishes it;
-   a completion that finds no apply span yet leaves its continuation
-   for the submitter to run. *)
-type phase = Submitting | Applying of Span.span | Early of (Span.span -> unit)
-
-type req_trace = { tr_buf : Span.t; tr_recv : Span.span; tr_phase : phase Atomic.t }
+   these three form one chain walkable from either end. The runtime
+   calls [admitted] before the op can run anywhere, so a completion on
+   any thread finds the apply span open; a request answered without the
+   runtime opens it at its reply. *)
+type req_trace = {
+  tr_buf : Span.t;
+  tr_recv : Span.span;
+  mutable tr_apply : Span.span option;  (* set before any completion can run *)
+}
 
 let start_trace t (req : Wire.request) ~ts =
   match (t.cfg.spans, req.Wire.trace) with
@@ -150,38 +138,24 @@ let start_trace t (req : Wire.request) ~ts =
     Span.annotate buf recv ~key:"op" ~value:(op_name req.Wire.op);
     Span.annotate buf recv ~key:"key" ~value:(string_of_int req.Wire.key);
     Span.annotate buf recv ~key:"req_id" ~value:(string_of_int req.Wire.id);
-    Some { tr_buf = buf; tr_recv = recv; tr_phase = Atomic.make Submitting }
+    Some { tr_buf = buf; tr_recv = recv; tr_apply = None }
   | _ -> None
 
-let submitted tr =
+let open_apply tr =
   let now = now_ns () in
   Span.finish tr.tr_buf tr.tr_recv ~ts:now;
   let apply =
-    Span.start ~parent:(Span.context tr.tr_recv) tr.tr_buf ~name:"server.apply"
-      ~ts:now
+    Span.start ~parent:(Span.context tr.tr_recv) tr.tr_buf ~name:"server.apply" ~ts:now
   in
-  if not (Atomic.compare_and_set tr.tr_phase Submitting (Applying apply)) then
-    match Atomic.get tr.tr_phase with
-    | Early k -> k apply
-    | Submitting | Applying _ -> ()
+  tr.tr_apply <- Some apply;
+  apply
 
-let rec with_apply tr k =
-  match Atomic.get tr.tr_phase with
-  | Applying apply -> k apply
-  | Early _ -> ()  (* unreachable: one completion per request *)
-  | Submitting ->
-    if not (Atomic.compare_and_set tr.tr_phase Submitting (Early k)) then
-      with_apply tr k
+let admitted = Option.map (fun tr () -> ignore (open_apply tr))
 
-(* Run the submission with the recv span current on the loop domain, so
-   the policy core's on_decision hook can annotate it. *)
+(* Run the submission with the recv span current on the worker, so the
+   policy core's on_decision hook can annotate it. *)
 let traced_submit tr f =
-  match tr with
-  | None -> f ()
-  | Some tr ->
-    Fun.protect
-      ~finally:(fun () -> submitted tr)
-      (fun () -> Span.with_current tr.tr_buf tr.tr_recv f)
+  match tr with None -> f () | Some tr -> Span.with_current tr.tr_buf tr.tr_recv f
 
 (* Hand a finished response to its connection: close apply, open
    respond (closed by [on_written] when the bytes are out). *)
@@ -189,26 +163,26 @@ let send tr slot (resp : Wire.response) =
   match tr with
   | None -> Evloop.respond slot ~on_written:ignore resp
   | Some tr ->
-    with_apply tr (fun apply ->
-        let buf = tr.tr_buf in
-        let now = now_ns () in
-        Span.finish buf apply ~ts:now;
-        let sp =
-          Span.start ~parent:(Span.context apply) buf ~name:"server.respond" ~ts:now
-        in
-        Span.annotate buf sp ~key:"status" ~value:(status_name resp.Wire.status);
-        Evloop.respond slot
-          ~on_written:(fun () -> Span.finish buf sp ~ts:(now_ns ()))
-          resp)
+    let apply = match tr.tr_apply with Some a -> a | None -> open_apply tr in
+    let buf = tr.tr_buf in
+    let now = now_ns () in
+    Span.finish buf apply ~ts:now;
+    let sp =
+      Span.start ~parent:(Span.context apply) buf ~name:"server.respond" ~ts:now
+    in
+    Span.annotate buf sp ~key:"status" ~value:(status_name resp.Wire.status);
+    Evloop.respond slot ~on_written:(fun () -> Span.finish buf sp ~ts:(now_ns ())) resp
 
-(* Serve one decoded request on the loop domain. Submission never
-   blocks; the response is built and handed to [slot] by whichever
-   thread completes the request — a runtime worker, the WAL sync
-   domain, a replication-ack reader releasing a read fence, or this
-   loop for answers that need no runtime. Completions must not block or
-   raise: one that raises kills its connection ([Evloop.abort]) instead
-   of escaping into the completing thread. Inflight counts
-   submitted-but-unanswered requests. *)
+(* Serve one decoded request on the worker that decoded it. Submission
+   never blocks; the response is built and handed to [slot] by whichever
+   thread completes the request — usually this worker, inline, before
+   the submission returns; otherwise the partition's pin holder, the WAL
+   sync domain, or a replication-ack reader releasing a read fence.
+   Completions must not block or raise: one that raises kills its
+   connection ([Evloop.abort]) instead of escaping into the completing
+   thread. Inflight counts submitted-but-unanswered requests. Each
+   mutation bumps [net.routed_w<i>] for the worker its admission chose
+   to execute it. *)
 let handle t (req : Wire.request) slot =
   Registry.incr t.m.requests_c;
   let start = now_ns () in
@@ -225,6 +199,7 @@ let handle t (req : Wire.request) slot =
     with _ -> Evloop.abort slot
   in
   let stopped hist = reply hist Wire.Err (Bytes.of_string "server shutting down") in
+  let admitted = admitted tr in
   let key = req.Wire.key in
   (* Cluster routing happens before any runtime submission: a request
      for a shard this node does not lead is answered WRONG_SHARD with
@@ -256,7 +231,7 @@ let handle t (req : Wire.request) slot =
           | None -> reply t.m.get_h Wire.Not_found Bytes.empty
         in
         try
-          Runtime.submit_get t.runtime ~key (fun value ->
+          Runtime.submit_get ?admitted t.runtime ~key (fun value ->
               (* Quorum-read fence: the value just read may include
                  writes applied locally but not yet replicated; in
                  quorum-ack cluster mode the response waits (without
@@ -270,19 +245,21 @@ let handle t (req : Wire.request) slot =
                 with _ -> Evloop.abort slot))
         with Runtime.Stopped -> stopped t.m.get_h)
       | None, Wire.Set -> (
-        note_routed t key;
-        try
-          Runtime.submit_set ?token:req.Wire.token t.runtime ~key
+        match
+          Runtime.submit_set ?admitted ?token:req.Wire.token t.runtime ~key
             ~value:req.Wire.value (fun () -> reply t.m.set_h Wire.Ok Bytes.empty)
-        with Runtime.Stopped -> stopped t.m.set_h)
+        with
+        | worker -> Registry.incr t.m.routed_c.(worker)
+        | exception Runtime.Stopped -> stopped t.m.set_h)
       | None, Wire.Delete -> (
-        note_routed t key;
-        try
-          Runtime.submit_delete t.runtime ~key (fun present ->
+        match
+          Runtime.submit_delete ?admitted t.runtime ~key (fun present ->
               reply t.m.delete_h
                 (if present then Wire.Ok else Wire.Not_found)
                 Bytes.empty)
-        with Runtime.Stopped -> stopped t.m.delete_h))
+        with
+        | worker -> Registry.incr t.m.routed_c.(worker)
+        | exception Runtime.Stopped -> stopped t.m.delete_h))
 
 let callbacks t =
   {
@@ -302,8 +279,7 @@ let spawn_conn t cb fd =
     (float_of_int (Atomic.fetch_and_add t.active 1 + 1));
   Evloop.add t.ev ~fd cb
 
-let acceptor_loop t () =
-  let cb = callbacks t in
+let acceptor_loop t cb () =
   let rec loop () =
     match Unix.accept t.listen_fd with
     | fd, _addr ->
@@ -374,8 +350,10 @@ let start ?registry cfg ~runtime =
       ev =
         Evloop.create
           ~wire:(Wire.create ~max_frame:cfg.max_frame ())
-          ~loops:cfg.loops ~max_pending:cfg.max_pending
-          ~on_slow_drop ();
+          ~loops:(Runtime.n_workers runtime) ~max_pending:cfg.max_pending
+          ~on_slow_drop
+          ~wake:(fun worker -> Runtime.wake runtime ~worker)
+          ();
       acceptor = None;
       active = Atomic.make 0;
       inflight = Atomic.make 0;
@@ -383,7 +361,12 @@ let start ?registry cfg ~runtime =
       stop_lock = Mutex.create ();
     }
   in
-  t.acceptor <- Some (Thread.create (fun () -> acceptor_loop t ()) ());
+  (try Runtime.attach runtime (Evloop.step t.ev)
+   with e ->
+     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+     raise e);
+  let cb = callbacks t in
+  t.acceptor <- Some (Thread.create (fun () -> acceptor_loop t cb ()) ());
   t
 
 let port t = t.bound_port
@@ -401,10 +384,11 @@ let stop t =
         (match t.acceptor with Some a -> Thread.join a | None -> ());
         t.acceptor <- None;
         (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-        (* The pool drains every connection it owns: half-close the
-           receive sides, answer everything accepted, flush, then join
-           the loop domains. *)
-        Evloop.stop t.ev
+        (* Drain every connection: half-close the receive sides, answer
+           everything accepted, flush, close; then hand the workers
+           back their idle loop. *)
+        Evloop.stop t.ev;
+        Runtime.detach t.runtime
       end)
 
 type stats = {

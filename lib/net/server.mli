@@ -1,23 +1,21 @@
-(** TCP front-end for the multicore runtime KVS: an acceptor thread plus
-    a fixed pool of {!config.loops} event-loop domains (see {!Evloop}),
-    all feeding one {!C4_runtime.Server} — CREW routing, write
-    compaction, and crash recovery apply to network traffic unchanged.
-    Each loop multiplexes its share of the connections with poll(2)
-    plus a self-pipe wakeup — batched nonblocking reads into per-loop
-    scratch buffers, pipelined responses coalesced into one write per
-    wakeup — which scales to tens of thousands of connections on a
-    handful of domains.
+(** TCP front-end for the multicore runtime KVS: an acceptor thread
+    hands each connection to one of the {!C4_runtime.Server} workers,
+    which serve it as event loops (see {!Evloop}) — CREW routing, write
+    compaction and crash recovery apply to network traffic unchanged.
+    No domain of its own: {!start} attaches to the runtime's workers,
+    {!stop} detaches.
 
-    Request handling: GET/SET/DELETE frames are submitted through the
-    runtime's callback API from the loop domain (submission never
-    blocks). The thread that completes a request — a runtime worker,
-    the WAL sync domain, or a replication-ack reader — builds its
-    response and parks it in the connection's reorder slot; the loop
-    sends the contiguous ready prefix, so per-connection pipelining
-    order is preserved while operations from different connections (and
-    different keys) proceed in parallel. SET acks are only emitted
-    after the store apply (the runtime's deferred-response rule), so an
-    acknowledged write observed by a client survives worker crashes.
+    A request runs to completion on the worker that decoded it: decode
+    → admit → apply → park → flush. A GET reads the store inline; a
+    SET/DELETE is applied inline when its partition is free or pinned
+    to this worker (with nothing queued there), and forwarded to the
+    pin holder's inbox otherwise. Whichever thread completes a request
+    — usually this worker; else the pin holder, the WAL sync domain or
+    a replication-ack reader — parks its response in the connection's
+    reorder slot, and the worker sends the contiguous ready prefix, so
+    per-connection pipelining order holds while connections and keys
+    proceed in parallel. SET acks follow the store apply, so an
+    acknowledged write survives worker crashes.
 
     Shutdown ({!stop}) drains gracefully: the listening socket closes
     first (no new connections), every live connection is half-closed and
@@ -37,13 +35,12 @@
     dropped for exceeding {!config.max_pending}), and per-op
     service-time histograms [net.get_ns],
     [net.set_ns], [net.delete_ns]. Each mutation additionally bumps a
-    [net.routed_w<i>] counter for the worker the d-CREW policy core's
-    ownership view ([C4_runtime.Server.owner_of_key], i.e.
-    [C4_crew.Core.route_owner]) routes it to. One counter per worker is
-    registered eagerly at start, so a telemetry scrape sees every owner
-    from the first request and a count can never land on a dangling
-    worker id — after a crash recovery the counts visibly migrate to
-    the surviving owner while the dead worker's counter freezes.
+    [net.routed_w<i>] counter for the worker its admission chose to
+    execute it (the decoding worker, or the partition's pin holder).
+    One counter per worker is registered eagerly at start, so a
+    telemetry scrape sees every worker from the first request and a
+    count can never land on a dangling worker id — a worker that dies
+    stops counting until its restarted domain serves again.
 
     Tracing: with {!config.spans} set, a request that arrives carrying
     a {!Wire.trace_context} grows a three-span chain in the buffer —
@@ -64,8 +61,8 @@
     shard map) and never reaches the runtime. {!Wire.Cluster_info}
     requests are answered by [cl_info] (payload = an encoded map to
     install if newer, or empty to just fetch) with {!Wire.Cluster_ok}
-    carrying the node's current map; it runs on a loop domain and must
-    not block. [cl_read_fence ~key k] is called on the thread that
+    carrying the node's current map; it runs on a worker and must not
+    block. [cl_read_fence ~key k] is called on the thread that
     completed a GET's store read, before its response goes out; it must
     run [k] — at once, or later from another thread — once the key's
     partition has no locally-applied-but-unreplicated suffix
@@ -89,7 +86,6 @@ type config = {
   cluster : cluster option;
       (** shard-map routing + replication hooks; [None] (the default)
           serves every key and rejects CLUSTER_INFO *)
-  loops : int;  (** event-loop domains *)
   max_pending : int;
       (** slow-client bound: a connection holding this many submitted
           but not-yet-flushed responses is dropped (counted in
@@ -98,16 +94,18 @@ type config = {
 }
 
 (** Loopback, ephemeral port, 64-deep backlog, 1 MiB frames, no span
-    buffer, no cluster hooks; 2 loop domains and a 1024-response
-    slow-client bound. *)
+    buffer, no cluster hooks, a 1024-response slow-client bound. *)
 val default_config : config
 
 type t
 
-(** Bind, listen, and start accepting. [registry] (created with
-    [~thread_safe:true] when supplied) receives the metrics; a private
-    thread-safe registry is used when omitted. Raises [Unix.Unix_error]
-    when the address cannot be bound. *)
+(** Bind, listen, attach to [runtime]'s workers
+    ({!C4_runtime.Server.attach}) and start accepting. [registry]
+    (created with [~thread_safe:true] when supplied) receives the
+    metrics; a private thread-safe registry is used when omitted.
+    Raises [Unix.Unix_error] when the address cannot be bound, and
+    [Invalid_argument] when another front-end is attached to
+    [runtime]. *)
 val start : ?registry:C4_obs.Registry.t -> config -> runtime:C4_runtime.Server.t -> t
 
 (** The port actually bound (resolves port 0). *)

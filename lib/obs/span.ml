@@ -42,7 +42,7 @@ let locked t f =
    init) mixed through a splitmix-style finaliser makes collisions
    across processes ~2^-62-improbable, while the counter keeps ids
    within this process unique by construction. The seed is computed
-   eagerly: loop domains and client threads mint ids concurrently. *)
+   eagerly: worker domains and client threads mint ids concurrently. *)
 let id_counter = Atomic.make 1
 
 let id_seed =

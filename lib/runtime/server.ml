@@ -7,21 +7,23 @@ module Record = C4_wal.Record
 
 exception Stopped
 
-(* Poison value used by [inject_crash]: popping it kills the worker loop
-   mid-stream, as an abrupt domain death would, except between (not
-   inside) store operations — OCaml gives us no way to kill a domain
-   mid-instruction, and the store's seqlock would be irrecoverable if we
-   could. Acknowledged writes are still the interesting invariant: an
-   ack is only sent after the store apply, so a crash never loses one. *)
+(* Raised by [inject_crash]'s poison op: the worker dies between (never
+   inside) store operations, and since acks follow the apply, a crash
+   never loses an acknowledged write. *)
 exception Crash_injected
 
-(* Each op carries its completion: a plain callback run once, on the
-   thread that completes the op (see [submit_get]). *)
+(* A write's admission stamp: the worker whose pin counted it, and that
+   worker's incarnation. A recovery evicts the dead worker's pins and
+   bumps its incarnation, so a release with the old stamp is dropped
+   instead of decrementing a pin a later write installed. *)
+type pin = { p_worker : int; p_epoch : int }
+
+(* Each op carries its completion, run once by whoever completes it. *)
 type op =
   | Get of int * (bytes option -> unit)
-  | Set of int * bytes * int option * (unit -> unit)
-      (** key, value, idempotency token, ack *)
-  | Delete of int * (bool -> unit)
+  | Set of int * bytes * int option * pin * (unit -> unit)
+      (** key, value, idempotency token, admission stamp, ack *)
+  | Delete of int * pin * (bool -> unit)
   | Gate of unit Promise.t * unit Promise.t
       (** park the worker: fulfil [entered], block on [release] —
           deterministic-replay support (see [pause_worker]) *)
@@ -29,15 +31,27 @@ type op =
 
 type worker_state = {
   id : int;
-  channel : op Channel.t;
+  inbox : op Channel.t;
   alive : bool Atomic.t;
+  mutable epoch : int;  (* incarnation; bumped by recovery under route_lock *)
+  (* Self-pipe wakeup: only the caller that sets [wake_pending] writes
+     the pipe. The worker clears the flag before it looks at its inbox
+     or connections, so whatever a waker published before finding the
+     flag set is seen by this iteration or the next, already woken. *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  wake_pending : bool Atomic.t;
   mutable domain : unit Domain.t option;
+  (* Domain-private counters, read racily by [stats] and [shed_check]. *)
   mutable ops : int;
   mutable writes_n : int;
   mutable batches : int;
   mutable batched_writes : int;
   mutable retries : int;
   mutable dups : int;
+  mutable arrivals : int;
+  mutable arrivals_folded : int;  (* under route_lock *)
+  mutable doomed : exn option;  (* an inbox op raised mid-round; see [catch_up] *)
 }
 
 type config = {
@@ -46,7 +60,6 @@ type config = {
   n_partitions : int;
   crew : Crew_config.t;
   recovery : bool;
-  monitor_interval : float;
   clock : unit -> float;
   on_decision : (C4_crew.Decision.t -> unit) option;
   registry : Registry.t option;
@@ -60,7 +73,6 @@ let default_config =
     n_partitions = 256;
     crew = Crew_config.queued;
     recovery = true;
-    monitor_interval = 0.0005;
     (* ns, to match the policy core's time unit across both engines *)
     clock = (fun () -> Unix.gettimeofday () *. 1e9);
     on_decision = None;
@@ -68,65 +80,129 @@ let default_config =
     wal = None;
   }
 
-(* The multicore driver around the crew policy core (the runtime's half
-   of the {!C4_crew.Core.ENGINE} contract): the core decides, worker
-   domains and channels execute. All core transitions that touch shared
-   routing state (admission, releases, sweeps, recovery remaps) run
-   under [route_lock]; per-worker window transitions are worker-private
-   and rely on the thread-safe registry for their counters. *)
+type io = worker:int -> wake:Unix.file_descr -> bool
+
+(* The runtime's half of the {!C4_crew.Core.ENGINE} contract. Core
+   transitions on shared routing state (admission, releases, sweeps,
+   remaps) run under [route_lock]; window transitions are per worker. *)
 type t = {
   cfg : config;
   store : Store.t;
   workers : worker_state array;
   core : Core.t;
-  (* Routing state — the core's ownership view, the reader cursor, and
-     every channel push — is guarded by [route_lock], so a recovery that
-     remaps ownership can never race a producer pushing along a stale
-     route (the classic two-writers-after-failover bug). *)
+  (* Also guards the reader cursor and every inbox push, so a recovery
+     remap never races a push along a stale route. *)
   route_lock : Mutex.t;
   mutable next_reader : int;
   stopped : bool Atomic.t;
   stop_lock : Mutex.t;
-  mutable monitor : unit Domain.t option;
+  (* A dying worker signals [mon_cond]; the monitor sleeps on it. *)
+  mon_lock : Mutex.t;
+  mon_cond : Condition.t;
+  mutable monitor : Thread.t option;
   mutable recoveries_n : int;
   mutable requeued_n : int;
-  (* Durability tier: [None] keeps the pre-WAL behaviour (everything
-     dies with the process). With a WAL, every mutation is appended
-     BEFORE its completion runs, and the completion itself is
-     routed through [Wal.commit] so an ack can additionally wait for
-     the group-commit fsync — on the WAL's sync domain, never a worker. *)
+  io : io Atomic.t;
   wal : Wal.t option;
   wal_replayed_n : int;
 }
+
+(* The worker this domain runs, whatever runtime it belongs to, and the
+   id of its loop's thread: other threads started on a worker's domain
+   (a replication sender, say) are not that worker. *)
+let self_key : (worker_state * int) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let self_worker () =
+  match Domain.DLS.get self_key with
+  | Some (w, tid) when tid = Thread.id (Thread.self ()) -> Some w
+  | Some _ | None -> None
+
+let on_worker t =
+  match self_worker () with
+  | Some w when w.id < Array.length t.workers && t.workers.(w.id) == w -> Some w
+  | Some _ | None -> None
+
+(* ---------------- wakeups ---------------- *)
+
+let wake_byte = Bytes.make 1 'w'
+
+(* A worker never wakes itself: what it publishes during an iteration is
+   picked up before it next blocks. The pipe is nonblocking (a full pipe
+   already means a wakeup is pending). *)
+let wake_worker w =
+  let self = match self_worker () with Some s -> s == w | None -> false in
+  if (not self)
+     && (not (Atomic.get w.wake_pending))
+     && Atomic.compare_and_set w.wake_pending false true
+  then try ignore (Unix.write w.wake_w wake_byte 0 1) with Unix.Unix_error _ -> ()
+
+let wake t ~worker = wake_worker t.workers.(worker)
+
+(* Wakes are coalesced, so one read empties the pipe; a byte it misses
+   only costs one spurious round. *)
+let drain_wake w =
+  try ignore (Unix.read w.wake_r (Bytes.create 64) 0 64) with Unix.Unix_error _ -> ()
+
+(* The I/O round of a worker with no front-end attached: sleep in
+   poll(2) on the self-pipe alone. *)
+let idle_io ~worker:_ ~wake =
+  let events = [| Poll.pollin |] and revents = [| 0 |] in
+  Poll.poll ~fds:[| wake |] ~events ~revents ~n:1 ~timeout_ms:(-1) > 0
+
+let attach t io =
+  if not (Atomic.compare_and_set t.io idle_io io) then
+    invalid_arg "Server.attach: a front-end is already attached";
+  Array.iter wake_worker t.workers
+
+let detach t =
+  Atomic.set t.io idle_io;
+  Array.iter wake_worker t.workers
+
+(* ---------------- routing ---------------- *)
 
 let owner_of_key t key =
   Sync.with_lock t.route_lock (fun () ->
       Core.route_owner t.core ~partition:(Store.partition_of_key t.store key))
 
+(* CREW admission, [route_lock] held: ride an existing pin, else pin
+   where [pick] says — [`Local w] for a worker admitting its own
+   request, [`Static] (the durable owner) for anyone else. A reject is
+   unreachable with the queued profile's unbounded counters; if one
+   fires, route to the pin holder or the durable owner anyway. *)
+let admit_locked t ~key ~pick =
+  let partition = Store.partition_of_key t.store key in
+  let worker =
+    match Core.admit_write t.core ~partition ~now:(t.cfg.clock ()) ~pick with
+    | Core.Admitted { worker; _ } | Core.Rejected { owner = Some worker; _ } -> worker
+    | Core.Rejected { owner = None; _ } -> Core.assigned_owner t.core ~partition
+    | Core.No_slot -> assert false
+  in
+  { p_worker = worker; p_epoch = t.workers.(worker).epoch }
+
+(* The write's response left. Non-strict: a TTL sweep may have reclaimed
+   the pin (the core counts the orphan). A stale stamp releases nothing:
+   the recovery evicted that pin, counts and all. *)
+let release_write t key pin =
+  Sync.with_lock t.route_lock (fun () ->
+      if t.workers.(pin.p_worker).epoch = pin.p_epoch then
+        Core.write_done ~strict:false t.core
+          ~partition:(Store.partition_of_key t.store key))
+
 (* Only token-free writes are harvested into a compaction batch: a
    tokened (retried) write must go through [Store.set_idempotent]'s
    check-and-record, which a combined batched update would bypass. *)
 let is_plain_set_to key = function
-  | Set (k, _, None, _) -> k = key
+  | Set (k, _, None, _, _) -> k = key
   | Set _ | Get _ | Delete _ | Gate _ | Crash -> false
 
-(* The write's response left: hand the release to the policy core.
-   Non-strict because a TTL sweep (or a recovery eviction) may have
-   legitimately reclaimed the pin — the core counts the orphan. *)
-let release_write t key =
-  Sync.with_lock t.route_lock (fun () ->
-      Core.write_done ~strict:false t.core
-        ~partition:(Store.partition_of_key t.store key))
+(* ---------------- execution (on a worker) ---------------- *)
 
-(* Log the mutation (when a WAL is configured) and route [ack] — the
-   release + completion step — through the durability policy. Append runs
-   here, on the worker, BEFORE any acknowledgement exists; the ack
-   itself runs inline without a WAL, and through [Wal.commit] with one,
-   so fsync-gated policies complete from the WAL's sync domain after the
-   group commit. [group] marks a compaction-window close (the window's
-   deferred responses are the natural group-commit batch). [record] is
-   [None] for a mutation that changed nothing worth logging (a
-   suppressed duplicate — its original is already in the log). *)
+(* Append the mutation BEFORE any ack exists, then route [ack] (release
+   + completion) through [Wal.commit], so fsync-gated policies complete
+   from the WAL's sync domain. [group] marks a window close (one
+   group-commit batch); [record] is [None] for a suppressed duplicate,
+   whose original is already logged. *)
 let log_then_ack t ~key ~record ~group ack =
   match t.wal with
   | None -> ack ()
@@ -137,166 +213,171 @@ let log_then_ack t ~key ~record ~group ack =
     | None -> ());
     Wal.commit wal ~partition ~group ack
 
-(* Worker loop: CREW writes for owned partitions, balanced reads, and
-   the compaction fast path — pop a write, harvest every queued write to
-   the same key, and drive the core's window lifecycle: open, absorb
-   each harvested write, apply ONE batched update, close, and only then
-   answer all of them (deferred responses). *)
-let worker_loop t (w : worker_state) =
-  let store = t.store in
-  let apply_set key value token k =
-    let applied =
-      match token with
-      | None ->
-        Store.set store ~key ~value;
-        true
-      | Some token -> (
-        match Store.set_idempotent store ~key ~value ~token with
-        | `Applied -> true
-        | `Duplicate ->
-          w.dups <- w.dups + 1;
-          false)
-    in
-    w.ops <- w.ops + 1;
-    w.writes_n <- w.writes_n + 1;
-    let record = if applied then Some (Record.Set { key; value; token }) else None in
-    log_then_ack t ~key ~record ~group:false (fun () ->
-        release_write t key;
-        k ())
-  in
-  let rec loop () =
-    match Channel.pop w.channel with
-    | None -> ()
-    | Some Crash -> raise Crash_injected
-    | Some (Gate (entered, release)) ->
-      Promise.fulfil entered ();
-      Promise.await release;
-      loop ()
-    | Some (Get (key, k)) ->
-      let value, retries = Store.get store ~key in
-      w.retries <- w.retries + retries;
-      w.ops <- w.ops + 1;
-      k value;
-      loop ()
-    | Some (Delete (key, k)) ->
-      let present = Store.remove store ~key in
-      w.ops <- w.ops + 1;
-      w.writes_n <- w.writes_n + 1;
-      log_then_ack t ~key ~record:(Some (Record.Delete { key })) ~group:false
-        (fun () ->
-          release_write t key;
-          k present);
-      loop ()
-    | Some (Set (key, value, (Some _ as token), k)) ->
-      (* Tokened writes bypass batching; see [is_plain_set_to]. *)
-      apply_set key value token k;
-      loop ()
-    | Some (Set (key, value, None, k)) ->
-      if Core.compaction_enabled t.core then begin
-        (* The window stays bounded: later writes to the key stay queued
-           in place, behind this batch and ahead of anything newer. *)
-        let dependents =
-          Channel.drain_matching ~limit:(Core.max_batch t.core - 1) w.channel
-            ~f:(is_plain_set_to key)
-        in
-        match dependents with
-        | [] ->
-          apply_set key value None k;
-          loop ()
-        | _ :: _ ->
-          (* The harvest found dependent writes: a compaction window in
-             core terms. Wall-clock engines hold no SLO budget, so the
-             window's deadline is "now" and it closes as soon as the
-             harvest is absorbed — the adaptive-close limit of the
-             model's policy (the queue IS empty: we just drained it). *)
-          let now = t.cfg.clock () in
-          ignore
-            (Core.open_window t.core ~worker:w.id ~key ~now ~arrival:now
-               ~mean_service:0.0);
-          Core.absorb t.core ~worker:w.id ~key ~id:0 ~now;
-          List.iteri
-            (fun i _ -> Core.absorb t.core ~worker:w.id ~key ~id:(i + 1) ~now)
-            dependents;
-          let values =
-            value
-            :: List.map
-                 (function
-                   | Set (_, v, _, _) -> v
-                   | Get _ | Delete _ | Gate _ | Crash -> assert false)
-                 dependents
-          in
-          Store.set_batched store ~key ~values;
-          ignore (Core.close_window t.core ~worker:w.id ~now:(t.cfg.clock ()));
-          let n = List.length values in
-          w.ops <- w.ops + n;
-          w.writes_n <- w.writes_n + n;
-          w.batches <- w.batches + 1;
-          w.batched_writes <- w.batched_writes + n;
-          (* Durability at window close: every absorbed write is logged
-             individually (replay re-applies them in order and converges
-             on the same final value the combined update produced), and
-             the window's deferred responses form ONE group-commit batch
-             — a single fsync covers them all. *)
-          (match t.wal with
-          | None -> ()
-          | Some wal ->
-            let partition = Store.partition_of_key store key in
-            List.iter
-              (fun value ->
-                ignore
-                  (Wal.append wal ~partition ~op:(Record.Set { key; value; token = None })))
-              values);
-          (* Deferred responses: nothing was acknowledged before the
-             combined update hit the store, and nothing is released
-             before the window closed (nor, with a WAL, before the
-             group commit). *)
-          log_then_ack t ~key ~record:None ~group:true (fun () ->
-              release_write t key;
-              k ();
-              List.iter
-                (function
-                  | Set (dep_key, _, _, dep_k) ->
-                    release_write t dep_key;
-                    dep_k ()
-                  | Get _ | Delete _ | Gate _ | Crash -> assert false)
-                dependents);
-          loop ()
-      end
-      else begin
-        apply_set key value None k;
-        loop ()
-      end
-  in
-  loop ()
+(* Domain-private: only the worker's own domain bumps its counters. *)
+let count w ~ops ~writes =
+  w.ops <- w.ops + ops;
+  w.writes_n <- w.writes_n + writes
 
-(* Run [worker_loop] and always publish death through [alive] — the
-   signal the monitor (crash) and [stop] (clean exit, ignored because
-   [stopped] is set first) both read. Any exception counts as a crash,
-   not only [Crash_injected]: a worker that died of anything else
-   without clearing [alive] would never be recovered, and every op
-   routed to it would wait forever. *)
-let run_worker t (w : worker_state) () =
+let read t w ~key =
+  let value, retries = Store.get t.store ~key in
+  w.retries <- w.retries + retries;
+  count w ~ops:1 ~writes:0;
+  value
+
+(* [release] hands the write's pin back once its ack is due. *)
+let apply_set t w ~key ~value ~token ~release k =
+  let applied =
+    match token with
+    | None ->
+      Store.set t.store ~key ~value;
+      true
+    | Some token -> (
+      match Store.set_idempotent t.store ~key ~value ~token with
+      | `Applied -> true
+      | `Duplicate ->
+        w.dups <- w.dups + 1;
+        false)
+  in
+  count w ~ops:1 ~writes:1;
+  let record = if applied then Some (Record.Set { key; value; token }) else None in
+  log_then_ack t ~key ~record ~group:false (fun () ->
+      release ();
+      k ())
+
+let apply_delete t w ~key ~release k =
+  let present = Store.remove t.store ~key in
+  count w ~ops:1 ~writes:1;
+  log_then_ack t ~key ~record:(Some (Record.Delete { key })) ~group:false (fun () ->
+      release ();
+      k present)
+
+(* The compaction fast path: [key]'s popped write plus the [dependents]
+   harvested behind it, as (value, pin, ack), form one window. With no
+   SLO budget the window closes as soon as the harvest is absorbed —
+   the adaptive-close limit of the model's policy. *)
+let apply_window t w ~key ~value ~pin k dependents =
+  let now = t.cfg.clock () in
+  ignore
+    (Core.open_window t.core ~worker:w.id ~key ~now ~arrival:now ~mean_service:0.0);
+  Core.absorb t.core ~worker:w.id ~key ~id:0 ~now;
+  List.iteri
+    (fun i _ -> Core.absorb t.core ~worker:w.id ~key ~id:(i + 1) ~now)
+    dependents;
+  let values = value :: List.map (fun (v, _, _) -> v) dependents in
+  Store.set_batched t.store ~key ~values;
+  ignore (Core.close_window t.core ~worker:w.id ~now:(t.cfg.clock ()));
+  let n = List.length values in
+  count w ~ops:n ~writes:n;
+  w.batches <- w.batches + 1;
+  w.batched_writes <- w.batched_writes + n;
+  (* Each absorbed write is logged (replay converges on the same final
+     value); the deferred responses form ONE group-commit batch. *)
+  (match t.wal with
+  | None -> ()
+  | Some wal ->
+    let partition = Store.partition_of_key t.store key in
+    List.iter
+      (fun value ->
+        ignore (Wal.append wal ~partition ~op:(Record.Set { key; value; token = None })))
+      values);
+  log_then_ack t ~key ~record:None ~group:true (fun () ->
+      release_write t key pin;
+      k ();
+      List.iter
+        (fun (_, dep_pin, dep_k) ->
+          release_write t key dep_pin;
+          dep_k ())
+        dependents)
+
+(* One inbox op. A popped plain write harvests the queued writes to the
+   same key (up to the batch cap; later ones keep their place) into a
+   window. An exception here kills the worker. *)
+let exec t w op =
+  let released key pin () = release_write t key pin in
+  match op with
+  | Crash -> raise Crash_injected
+  | Gate (entered, release) ->
+    Promise.fulfil entered ();
+    Promise.await release
+  | Get (key, k) -> k (read t w ~key)
+  | Delete (key, pin, k) -> apply_delete t w ~key ~release:(released key pin) k
+  | Set (key, value, token, pin, k) -> (
+    let dependents =
+      if token = None && Core.compaction_enabled t.core then
+        List.map
+          (function Set (_, v, _, pin, k) -> (v, pin, k) | _ -> assert false)
+          (Channel.drain_matching ~limit:(Core.max_batch t.core - 1) w.inbox
+             ~f:(is_plain_set_to key))
+      else []
+    in
+    match dependents with
+    | [] -> apply_set t w ~key ~value ~token ~release:(released key pin) k
+    | _ :: _ -> apply_window t w ~key ~value ~pin k dependents)
+
+(* Run up to [n] queued ops, in order, while [f] accepts the oldest. *)
+let rec run_queued t w ~f n =
+  if n > 0 then
+    match Channel.pop_if w.inbox ~f with
+    | Some op ->
+      exec t w op;
+      run_queued t w ~f (n - 1)
+    | None -> ()
+
+let is_request = function Get _ | Set _ | Delete _ -> true | Gate _ | Crash -> false
+
+(* Run what was queued here ahead of a request this worker admits
+   itself: a write forwarded to this pin holder waits for one apply, not
+   for the rest of the batch the holder is reading. Control ops wait for
+   the next iteration; an exception kills the worker at the end of its
+   round. *)
+let catch_up t w =
+  if w.doomed = None && not (Channel.is_empty w.inbox) then
+    try run_queued t w ~f:is_request (Channel.length w.inbox)
+    with e -> w.doomed <- Some e
+
+(* Drain the inbox, then one I/O round (poll(2) on the self-pipe plus the
+   front-end's connections); exit once [stop] has closed the inbox. *)
+let worker_loop t w =
+  Domain.DLS.set self_key (Some (w, Thread.id (Thread.self ())));
+  let rec go () =
+    Atomic.set w.wake_pending false;
+    (* What was queued when the iteration began; ops pushed meanwhile
+       wait for the next one, so connections are never starved. *)
+    run_queued t w ~f:(fun _ -> true) (Channel.length w.inbox);
+    if not (Channel.is_closed w.inbox) then begin
+      if (Atomic.get t.io) ~worker:w.id ~wake:w.wake_r then drain_wake w;
+      Option.iter raise w.doomed;
+      go ()
+    end
+  in
+  go ()
+
+(* Always publish death through [alive] and wake the monitor: any
+   exception counts as a crash, or the worker would never be recovered.
+   A clean exit at [stop] is ignored, [stopped] being set first. *)
+let run_worker t w () =
   (try worker_loop t w with _ -> ());
-  Atomic.set w.alive false
+  Sync.with_lock t.mon_lock (fun () ->
+      Atomic.set w.alive false;
+      Condition.signal t.mon_cond)
 
 let spawn_worker t w =
+  w.doomed <- None;
   Atomic.set w.alive true;
   w.domain <- Some (Domain.spawn (run_worker t w))
 
 (* ---------------- crash recovery ---------------- *)
 
-(* Called by the monitor with [route_lock] HELD and producers therefore
-   blocked. Ordering: join the corpse (so the old writer provably runs
-   no more store operations), remap its partitions to a survivor through
-   the core (which also evicts the dead worker's EWT pins — a stale pin
-   would keep routing writes at the corpse's channel), drain its
-   backlog, restart it, then requeue the backlog along the new routes.
-   Ownership stays with the survivor — handing partitions back would
-   reopen the stale-route window; the restarted worker rejoins as read
-   capacity and as a future failover target. *)
-let recover_locked t (w : worker_state) =
+(* With [route_lock] held: join the corpse (so it provably writes no
+   more), remap its partitions to a survivor (evicting its pins),
+   restart it — it resumes serving its connections — and requeue its
+   backlog along the new routes, admitting every write afresh so its
+   pin lives where it will be applied. Ownership stays with the
+   survivor. Returns the workers to wake once the lock is released. *)
+let recover_locked t w =
   (match w.domain with Some d -> Domain.join d | None -> ());
   w.domain <- None;
+  w.epoch <- w.epoch + 1;
   let survivor =
     let rec find i =
       if i >= t.cfg.n_workers then w.id
@@ -306,52 +387,67 @@ let recover_locked t (w : worker_state) =
     find 0
   in
   ignore (Core.reassign t.core ~from_worker:w.id ~to_worker:survivor);
-  let backlog = Channel.drain_matching w.channel ~f:(fun _ -> true) in
+  let backlog = Channel.drain_matching w.inbox ~f:(fun _ -> true) in
   spawn_worker t w;
-  List.iter
-    (fun op ->
-      match op with
-      | Crash ->
-        (* A queued crash targeted the worker that already died; do not
-           let it chase the backlog onto the survivor. *)
-        ()
-      | Get _ | Gate _ ->
-        ignore (Channel.try_push t.workers.(survivor).channel op);
-        t.requeued_n <- t.requeued_n + 1
-      | Set (key, _, _, _) | Delete (key, _) ->
-        let dst =
-          Core.route_owner t.core ~partition:(Store.partition_of_key t.store key)
-        in
-        ignore (Channel.try_push t.workers.(dst).channel op);
-        t.requeued_n <- t.requeued_n + 1)
-    backlog;
-  t.recoveries_n <- t.recoveries_n + 1
+  let requeue op dst =
+    ignore (Channel.try_push t.workers.(dst).inbox op);
+    t.requeued_n <- t.requeued_n + 1;
+    Some dst
+  in
+  let woken =
+    List.filter_map
+      (fun op ->
+        match op with
+        | Crash ->
+          (* A queued crash targeted the worker that already died; do not
+             let it chase the backlog onto the survivor. *)
+          None
+        | Get _ | Gate _ -> requeue op survivor
+        | Set (key, value, token, _, k) ->
+          let pin = admit_locked t ~key ~pick:`Static in
+          requeue (Set (key, value, token, pin, k)) pin.p_worker
+        | Delete (key, _, k) ->
+          let pin = admit_locked t ~key ~pick:`Static in
+          requeue (Delete (key, pin, k)) pin.p_worker)
+      backlog
+  in
+  t.recoveries_n <- t.recoveries_n + 1;
+  List.sort_uniq compare woken
 
+(* Sleeps until a worker publishes its death (or [stop] begins). *)
 let rec monitor_loop t =
-  if not (Atomic.get t.stopped) then begin
-    Array.iter
-      (fun w ->
-        if not (Atomic.get w.alive) then
-          Sync.with_lock t.route_lock (fun () ->
-              (* Re-check under the lock: [stop] may have won the race, in
-                 which case it owns the backlog (see [stop]'s final drain). *)
-              if (not (Atomic.get t.stopped)) && not (Atomic.get w.alive) then
-                recover_locked t w))
-      t.workers;
-    Unix.sleepf t.cfg.monitor_interval;
+  let dead =
+    Sync.with_lock t.mon_lock (fun () ->
+        let rec wait () =
+          if Atomic.get t.stopped then None
+          else
+            match Array.find_opt (fun w -> not (Atomic.get w.alive)) t.workers with
+            | Some w -> Some w
+            | None ->
+              Condition.wait t.mon_cond t.mon_lock;
+              wait ()
+        in
+        wait ())
+  in
+  match dead with
+  | None -> ()
+  | Some w ->
+    let woken =
+      Sync.with_lock t.route_lock (fun () ->
+          (* Re-check under the lock: [stop] may have won the race, in
+             which case it owns the backlog (see [stop]'s final drain). *)
+          if (not (Atomic.get t.stopped)) && not (Atomic.get w.alive) then
+            recover_locked t w
+          else [])
+    in
+    List.iter (fun worker -> wake t ~worker) woken;
     monitor_loop t
-  end
 
 (* ---------------- lifecycle ---------------- *)
 
 let start cfg =
   if cfg.n_workers < 1 then invalid_arg "Server.start: n_workers";
   let registry =
-    (* A caller-supplied registry must be thread-safe (workers on
-       several domains bump the crew counters); the private fallback
-       always is. Sharing one registry with the network front-end is
-       what lets a single telemetry scrape expose crew.*, wal.* and
-       net.* metrics together. *)
     match cfg.registry with
     | Some r -> r
     | None -> Registry.create ~thread_safe:true ()
@@ -359,13 +455,9 @@ let start cfg =
   let store =
     Store.create ~n_buckets:cfg.n_buckets ~n_partitions:cfg.n_partitions ~registry ()
   in
-  (* Durability: open (and recover) the WAL before any worker exists.
-     Replay is single-threaded here, so it trivially satisfies CREW;
-     records carrying an idempotency token go back through
-     [Store.set_idempotent], re-installing the token so a client retry
-     of a persisted-but-unacked write is still suppressed after the
-     restart. Serving counters are reset afterwards so replay traffic
-     never pollutes them. *)
+  (* Replay the WAL before any worker exists (trivially CREW). Tokened
+     records re-install their token, so a retry of a persisted but
+     unacked write is still suppressed; replay leaves no counts. *)
   let wal, wal_replayed =
     match cfg.wal with
     | None -> (None, 0)
@@ -385,10 +477,17 @@ let start cfg =
   in
   let workers =
     Array.init cfg.n_workers (fun id ->
+        let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+        Unix.set_nonblock wake_r;
+        Unix.set_nonblock wake_w;
         {
           id;
-          channel = Channel.create ();
+          inbox = Channel.create ();
           alive = Atomic.make false;
+          epoch = 0;
+          wake_r;
+          wake_w;
+          wake_pending = Atomic.make false;
           domain = None;
           ops = 0;
           writes_n = 0;
@@ -396,11 +495,13 @@ let start cfg =
           batched_writes = 0;
           retries = 0;
           dups = 0;
+          arrivals = 0;
+          arrivals_folded = 0;
+          doomed = None;
         })
   in
-  (* The model's EWT is a scarce CAM; the runtime's is bookkeeping, so
-     size it to hold every partition — a capacity reject here would
-     only degrade the decision stream, never protect hardware. *)
+  (* The runtime's EWT is bookkeeping, not a scarce CAM: fit every
+     partition. *)
   let crew_cfg =
     {
       cfg.crew with
@@ -422,49 +523,31 @@ let start cfg =
       next_reader = 0;
       stopped = Atomic.make false;
       stop_lock = Mutex.create ();
+      mon_lock = Mutex.create ();
+      mon_cond = Condition.create ();
       monitor = None;
       recoveries_n = 0;
       requeued_n = 0;
+      io = Atomic.make idle_io;
       wal;
       wal_replayed_n = wal_replayed;
     }
   in
   Array.iter (fun w -> spawn_worker t w) workers;
-  if cfg.recovery then t.monitor <- Some (Domain.spawn (fun () -> monitor_loop t));
+  if cfg.recovery then t.monitor <- Some (Thread.create monitor_loop t);
   t
 
-(* Route + push as one atomic step under [route_lock]. [try_push] maps a
-   closed channel (stop won the race) to [Stopped] rather than a raw
-   [Invalid_argument] escaping from the channel layer. *)
-let submit_routed t pick op =
-  let ok =
-    Sync.with_lock t.route_lock (fun () ->
-        (not (Atomic.get t.stopped))
-        && Channel.try_push t.workers.(pick t).channel op)
-  in
-  if not ok then raise Stopped
+(* ---------------- submission ---------------- *)
 
-(* CREW admission through the policy core: on a pinned partition ride
-   the pin, otherwise pin at the durable assignment ([`Static] — the
-   runtime's channels do their own queue accounting, so no JBSQ charge).
-   A reject is unreachable with the queued profile's effectively
-   unbounded counter; if it ever fires, route durably anyway. *)
-let pick_writer key t =
-  let partition = Store.partition_of_key t.store key in
-  Core.note_arrival t.core;
-  match
-    Core.admit_write t.core ~partition ~now:(t.cfg.clock ()) ~pick:`Static
-  with
-  | Core.Admitted { worker; _ } -> worker
-  | Core.Rejected _ -> Core.assigned_owner t.core ~partition
-  | Core.No_slot -> assert false
+(* With [route_lock] held; [stop] closes the inboxes under it after
+   setting [stopped], so a push that saw [stopped] unset cannot fail. *)
+let push_locked t dst op =
+  if Atomic.get t.stopped || not (Channel.try_push t.workers.(dst).inbox op) then
+    raise Stopped
 
-(* Round-robin over live workers; if none is live (every worker crashed
-   at once, pre-recovery) any channel works — the monitor requeues. Read
-   spray is engine mechanism, not a policy decision: the model balances
-   reads through JBSQ slots, the runtime through this cursor. *)
+(* Reads from outside the workers: round-robin over live workers (any
+   inbox if none is live — the monitor requeues). *)
 let pick_reader t =
-  Core.note_arrival t.core;
   let n = t.cfg.n_workers in
   let rec find i tries =
     if tries = 0 then i
@@ -475,14 +558,83 @@ let pick_reader t =
   t.next_reader <- (r + 1) mod n;
   r
 
-let submit_get t ~key k = submit_routed t pick_reader (Get (key, k))
+(* A read on a worker runs right here, lock-free: the store's seqlock
+   makes it safe against the partition's writer on another worker. *)
+let submit_get ?(admitted = ignore) t ~key k =
+  match on_worker t with
+  | Some w ->
+    if Atomic.get t.stopped then raise Stopped;
+    w.arrivals <- w.arrivals + 1;
+    catch_up t w;
+    admitted ();
+    k (read t w ~key)
+  | None ->
+    let dst =
+      Sync.with_lock t.route_lock (fun () ->
+          if Atomic.get t.stopped then raise Stopped;
+          Core.note_arrival t.core;
+          let dst = pick_reader t in
+          admitted ();
+          push_locked t dst (Get (key, k));
+          dst)
+    in
+    wake t ~worker:dst
 
-(* CREW: the partition owner is the only worker that ever writes it. *)
-let submit_set ?token t ~key ~value k =
-  submit_routed t (pick_writer key) (Set (key, value, token, k))
+(* CREW: a partition is written only by its pin holder. A worker
+   admitting its own request pins a free partition to itself and
+   applies the write inline, unless its inbox still holds work (maybe
+   an earlier write to the same partition); a partition pinned
+   elsewhere gets the write forwarded to the holder. Threads outside
+   the workers pin at the durable owner and always go through its
+   inbox. Returns the executing worker. An exception from an inline
+   apply releases the pin (unless the ack did) and reaches the caller. *)
+let submit_write t ~admitted ~key ~queued ~inline =
+  let self = on_worker t in
+  Option.iter (fun w -> w.arrivals <- w.arrivals + 1; catch_up t w) self;
+  let pin, here =
+    Sync.with_lock t.route_lock (fun () ->
+        if Atomic.get t.stopped then raise Stopped;
+        let pick =
+          match self with
+          | Some w -> `Local w.id
+          | None ->
+            Core.note_arrival t.core;
+            `Static
+        in
+        let pin = admit_locked t ~key ~pick in
+        let here =
+          match self with
+          | Some w -> pin.p_worker = w.id && Channel.is_empty w.inbox
+          | None -> false
+        in
+        admitted ();
+        if not here then push_locked t pin.p_worker (queued pin);
+        (pin, here))
+  in
+  (match self with
+  | Some w when here -> (
+    let released = ref false in
+    let release () =
+      released := true;
+      release_write t key pin
+    in
+    try inline w ~release
+    with e ->
+      if not !released then release_write t key pin;
+      raise e)
+  | Some _ | None -> wake t ~worker:pin.p_worker);
+  pin.p_worker
 
-(* Deletes mutate the partition, so CREW routes them to the owner. *)
-let submit_delete t ~key k = submit_routed t (pick_writer key) (Delete (key, k))
+let submit_set ?(admitted = ignore) ?token t ~key ~value k =
+  submit_write t ~admitted ~key
+    ~queued:(fun pin -> Set (key, value, token, pin, k))
+    ~inline:(fun w ~release -> apply_set t w ~key ~value ~token ~release k)
+
+(* Deletes mutate the partition, so CREW routes them like writes. *)
+let submit_delete ?(admitted = ignore) t ~key k =
+  submit_write t ~admitted ~key
+    ~queued:(fun pin -> Delete (key, pin, k))
+    ~inline:(fun w ~release -> apply_delete t w ~key ~release k)
 
 (* Promise wrappers for blocking callers. *)
 let promised submit =
@@ -491,114 +643,92 @@ let promised submit =
   promise
 
 let get_async t ~key = promised (submit_get t ~key)
-let set_async ?token t ~key ~value = promised (submit_set ?token t ~key ~value)
-let delete_async t ~key = promised (submit_delete t ~key)
+
+let set_async ?token t ~key ~value =
+  promised (fun k -> ignore (submit_set ?token t ~key ~value k))
+
+let delete_async t ~key = promised (fun k -> ignore (submit_delete t ~key k))
 
 let get t ~key = Promise.await (get_async t ~key)
 let set t ~key ~value = Promise.await (set_async t ~key ~value)
 let delete t ~key = Promise.await (delete_async t ~key)
 
+let submit_control t ~worker op =
+  Sync.with_lock t.route_lock (fun () -> push_locked t worker op);
+  wake t ~worker
+
 let inject_crash t ~worker =
   if worker < 0 || worker >= t.cfg.n_workers then invalid_arg "Server.inject_crash";
-  submit_routed t (fun _ -> worker) Crash
+  submit_control t ~worker Crash
 
 let pause_worker t ~worker =
   if worker < 0 || worker >= t.cfg.n_workers then invalid_arg "Server.pause_worker";
   let entered = Promise.create () in
   let release = Promise.create () in
-  submit_routed t (fun _ -> worker) (Gate (entered, release));
+  submit_control t ~worker (Gate (entered, release));
   Promise.await entered;
   fun () -> Promise.fulfil release ()
 
 let sweep_stale t ~now =
   Sync.with_lock t.route_lock (fun () -> Core.sweep_stale t.core ~now)
 
+(* Workers count their own arrivals without a lock; fold what they
+   counted since the last check into the core's window first. A racy
+   read of a counter only defers arrivals to the next check. *)
 let shed_check t ~now =
-  Sync.with_lock t.route_lock (fun () -> Core.shed_check t.core ~now)
+  Sync.with_lock t.route_lock (fun () ->
+      Array.iter
+        (fun w ->
+          let n = w.arrivals in
+          Core.note_arrival ~n:(n - w.arrivals_folded) t.core;
+          w.arrivals_folded <- n)
+        t.workers;
+      Core.shed_check t.core ~now)
 
 let shed_level t = Core.shed_level t.core
 
-(* Apply an op inline — only used by [stop] once every domain is joined,
-   so the single remaining thread trivially satisfies CREW. Mutations
-   are still appended to the WAL (the [Wal.close] that follows fsyncs
-   them), but the acks run directly: the sync domain is about to be
-   drained anyway and every completion must run before [stop]
-   returns. *)
-let apply_directly t op =
-  let log key op =
-    match t.wal with
-    | None -> ()
-    | Some wal ->
-      ignore (Wal.append wal ~partition:(Store.partition_of_key t.store key) ~op)
-  in
-  match op with
-  | Crash -> ()
-  | Gate (entered, _) ->
-    (* Unblock a waiting [pause_worker]; the release side no longer has
-       a worker to wake. *)
-    if Promise.peek entered = None then Promise.fulfil entered ()
-  | Get (key, k) -> k (fst (Store.get t.store ~key))
-  | Delete (key, k) ->
-    let present = Store.remove t.store ~key in
-    log key (Record.Delete { key });
-    k present
-  | Set (key, value, None, k) ->
-    Store.set t.store ~key ~value;
-    log key (Record.Set { key; value; token = None });
-    k ()
-  | Set (key, value, (Some tok as token), k) ->
-    (match Store.set_idempotent t.store ~key ~value ~token:tok with
-    | `Applied -> log key (Record.Set { key; value; token })
-    | `Duplicate -> ());
-    k ()
+(* [stop]'s last sweep over an inbox, once every domain is joined: the
+   single remaining thread trivially satisfies CREW. *)
+let finish_backlog t w =
+  List.iter
+    (function
+      | Crash -> ()
+      | Gate (entered, _) ->
+        (* Unblock a waiting [pause_worker]; nobody is left to park. *)
+        if Promise.peek entered = None then Promise.fulfil entered ()
+      | op -> exec t w op)
+    (Channel.drain_matching w.inbox ~f:(fun _ -> true))
 
 let is_stopping t = Atomic.get t.stopped
 
-(* Phase 2 of [stop]: with new submissions already rejected, wait for
-   the still-running workers to drain their queued backlogs before any
-   channel is closed. A dead worker's backlog cannot drain (the monitor
-   skips recovery once [stopped] is set), so it is excluded here and
-   applied directly by [stop]'s final sweep. *)
-let await_backlogs_drained t =
-  let drained () =
-    Array.for_all
-      (fun w -> Channel.length w.channel = 0 || not (Atomic.get w.alive))
-      t.workers
-  in
-  while not (drained ()) do
-    Domain.cpu_relax ()
-  done
-
 let stop t =
-  (* [stop_lock] serialises concurrent stops end-to-end: the loser
-     blocks until the winner has fully shut down, then returns. *)
   Sync.with_lock t.stop_lock (fun () ->
       if not (Atomic.get t.stopped) then begin
-        Atomic.set t.stopped true;
-        (* Reject-new is now in force; drain in-flight backlogs while
-           the workers are still up, then tear down. *)
-        await_backlogs_drained t;
-        (* Taking route_lock serialises with any in-flight recovery, so
-           the domain handles we join below are final. *)
+        Sync.with_lock t.mon_lock (fun () ->
+            Atomic.set t.stopped true;
+            Condition.broadcast t.mon_cond);
+        (* Under route_lock: no push or recovery is in flight, so the
+           domains joined below are final. Each worker drains what it
+           holds and exits. *)
         Sync.with_lock t.route_lock (fun () ->
-            Array.iter (fun w -> Channel.close w.channel) t.workers);
+            Array.iter (fun w -> Channel.close w.inbox) t.workers);
+        Array.iter wake_worker t.workers;
         Array.iter
           (fun w -> match w.domain with Some d -> Domain.join d | None -> ())
           t.workers;
-        (match t.monitor with Some d -> Domain.join d | None -> ());
+        Option.iter Thread.join t.monitor;
         t.monitor <- None;
-        (* A worker that crashed in the stop window leaves a backlog the
-           monitor never got to requeue. Every op submitted before
-           [stop] must still complete, so apply the leftovers here. *)
+        (* Whatever is left (a crashed worker's backlog, a push that
+           raced the close) still completes. *)
+        Array.iter (finish_backlog t) t.workers;
+        (* Drain the sync domain's acks, fsync and close every log. *)
+        Option.iter Wal.close t.wal;
+        (* Last, once no thread that could wake a worker is left. *)
         Array.iter
           (fun w ->
-            List.iter (apply_directly t)
-              (Channel.drain_matching w.channel ~f:(fun _ -> true)))
-          t.workers;
-        (* Durability epilogue: drain the sync domain's pending acks,
-           fsync every partition, close the segment fds. After this a
-           restart replays the full log with no torn tail. *)
-        Option.iter Wal.close t.wal
+            (try Unix.close w.wake_r with Unix.Unix_error _ -> ());
+            try Unix.close w.wake_w with Unix.Unix_error _ -> ())
+          t.workers
       end)
 
 (* ---------------- stats ---------------- *)

@@ -344,7 +344,7 @@ let test_concurrent_clients_linearizable () =
 
 let test_crash_recovery_over_network () =
   let runtime_cfg =
-    { Runtime.default_config with Runtime.n_workers = 4; monitor_interval = 0.001 }
+    { Runtime.default_config with Runtime.n_workers = 4 }
   in
   with_net ~runtime_cfg (fun runtime _ client ->
       let value_of k = Bytes.of_string (Printf.sprintf "net%d" k) in
@@ -627,7 +627,7 @@ let test_stitched_span_chain () =
     (fun () ->
       Alcotest.(check bool) "set ok" true
         (NetClient.set client ~key:5 ~value:(Bytes.of_string "traced") = Ok ());
-      (* The respond span closes on the server's loop domain after the
+      (* The respond span closes on the server's worker after the
          response bytes go out — strictly after the client's callback
          fired, so give it a moment. *)
       let deadline = Unix.gettimeofday () +. 5.0 in
@@ -701,53 +701,94 @@ let counter_value reg name =
   | Some _ -> Alcotest.failf "%s is not a counter" name
   | None -> Alcotest.failf "counter %s not registered" name
 
-(* After a crash remap, routed-write counts must attribute to the new
-   owner — the dead worker's counter freezes, it never dangles. *)
+let await_true ~what cond =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
+
+(* The one worker [per_worker_ops] grew on between two snapshots; fails
+   unless exactly one did, by [n]. *)
+let sole_executor ~what before after n =
+  let grew = ref [] in
+  Array.iteri
+    (fun w a -> if a <> before.(w) then grew := (w, a - before.(w)) :: !grew)
+    after;
+  match !grew with
+  | [ (w, d) ] when d = n -> w
+  | _ -> Alcotest.failf "%s: expected one worker to run %d ops" what n
+
+(* Routed-write counts attribute to the worker that executes the write
+   (the admission result): the connection's own worker while the
+   partition is free, the pin holder while another worker holds it. A
+   pin holder that crashes with forwarded writes queued has them
+   requeued onto the survivor; its counter freezes, and once the
+   partition is free again the connection's worker runs the writes. *)
 let test_routed_counter_migration () =
-  let runtime_cfg =
-    { Runtime.default_config with Runtime.n_workers = 4; monitor_interval = 0.001 }
-  in
+  let runtime_cfg = { Runtime.default_config with Runtime.n_workers = 4 } in
   with_net ~runtime_cfg (fun runtime srv client ->
       let reg = NetServer.registry srv in
       let routed w = counter_value reg (Printf.sprintf "net.routed_w%d" w) in
+      let ops () = (Runtime.stats runtime).Runtime.per_worker_ops in
       (* Eager registration: every worker's counter is scrapable before
          any traffic reaches it. *)
       for w = 0 to 3 do
         Alcotest.(check int) (Printf.sprintf "routed_w%d starts at 0" w) 0 (routed w)
       done;
-      let key = 0 in
-      let set () =
+      let set key =
         match NetClient.set client ~key ~value:(Bytes.of_string "m") with
         | Ok () -> ()
         | Error e -> Alcotest.failf "set failed: %s" e
       in
-      let owner = Runtime.owner_of_key runtime key in
-      for _ = 1 to 25 do set () done;
-      Alcotest.(check int) "all sets routed to the owner" 25 (routed owner);
-      Runtime.inject_crash runtime ~worker:owner;
-      let rec await tries =
-        if tries = 0 then Alcotest.fail "recovery did not complete"
-        else if
-          Runtime.alive_workers runtime = 4
-          && (Runtime.stats runtime).Runtime.recoveries > 0
-          && Runtime.owner_of_key runtime key <> owner
-        then ()
-        else begin
-          Unix.sleepf 0.001;
-          await (tries - 1)
-        end
+      let before = ops () in
+      for _ = 1 to 25 do set 0 done;
+      let home = sole_executor ~what:"free partition" before (ops ()) 25 in
+      Alcotest.(check int) "sets routed to the connection's worker" 25 (routed home);
+      (* Hold a pin on another worker: park it, queue a crash behind the
+         gate, then pin the key there with a write from outside the
+         workers. *)
+      let key =
+        let rec find k =
+          if Runtime.owner_of_key runtime k <> home then k else find (k + 1)
+        in
+        find 1
       in
-      await 5_000;
-      let new_owner = Runtime.owner_of_key runtime key in
-      let frozen = routed owner in
-      let before = routed new_owner in
-      for _ = 1 to 25 do set () done;
-      Alcotest.(check int) "post-recovery sets attribute to the new owner"
-        (before + 25) (routed new_owner);
-      Alcotest.(check int) "dead worker's counter is frozen" frozen (routed owner);
+      let holder = Runtime.owner_of_key runtime key in
+      let release = Runtime.pause_worker runtime ~worker:holder in
+      Runtime.inject_crash runtime ~worker:holder;
+      let pinned = Runtime.set_async runtime ~key ~value:(Bytes.of_string "x") in
+      let acked = Atomic.make 0 in
+      for _ = 1 to 5 do
+        ignore
+          (NetClient.dispatch client ~op:Wire.Set ~key ~value:(Bytes.of_string "f")
+             ~on_response:(fun r -> if r.Wire.status = Wire.Ok then Atomic.incr acked)
+             ())
+      done;
+      await_true ~what:"forwarded writes" (fun () -> routed holder = 5);
+      Alcotest.(check int) "nothing ran on the connection's worker" 25 (routed home);
+      release ();
+      C4_runtime.Promise.await pinned;
+      await_true ~what:"requeued writes acked" (fun () -> Atomic.get acked = 5);
+      await_true ~what:"recovery" (fun () ->
+          Runtime.alive_workers runtime = 4
+          && (Runtime.stats runtime).Runtime.recoveries = 1);
+      Alcotest.(check int) "backlog requeued onto the survivor" 6
+        (Runtime.stats runtime).Runtime.requeued_ops;
+      Alcotest.(check bool) "ownership moved off the dead worker" true
+        (Runtime.owner_of_key runtime key <> holder);
+      let frozen = routed holder in
+      let before = ops () in
+      for _ = 1 to 25 do set key done;
+      Alcotest.(check int) "post-recovery sets run on the connection's worker"
+        home
+        (sole_executor ~what:"freed partition" before (ops ()) 25);
+      Alcotest.(check int) "post-recovery sets attribute to it" 50 (routed home);
+      Alcotest.(check int) "dead worker's counter is frozen" frozen (routed holder);
       (* The ownership census agrees: the dead worker re-registered with
-         zero partitions until re-pinned, the survivor absorbed them. *)
+         zero partitions, the survivor absorbed them. *)
       let counts = Runtime.ownership_counts runtime in
+      Alcotest.(check int) "dead worker owns nothing" 0 counts.(holder);
       Alcotest.(check int) "census sums to the partition count"
         (Runtime.n_partitions runtime)
         (Array.fold_left ( + ) 0 counts))
@@ -1003,6 +1044,232 @@ let test_raising_completion_kills_only_its_conn () =
         (NetClient.set client ~key:14 ~value:(Bytes.of_string "ok") = Ok ()
         && NetClient.get client ~key:14 = Ok (Some (Bytes.of_string "ok"))))
 
+(* ---------------- run to completion on the decoding worker ---------------- *)
+
+let frame id op key value =
+  Wire.encode_request wire { Wire.id; op; key; token = None; trace = None; value }
+
+(* With one request outstanding, every GET and SET on a free partition
+   runs on the worker that owns the connection: one worker per
+   connection, and the two connections land on different workers. *)
+let test_inline_on_own_worker () =
+  with_net (fun runtime srv _ ->
+      let ops () = (Runtime.stats runtime).Runtime.per_worker_ops in
+      let run fd =
+        let dec = Wire.Decoder.create wire in
+        let before = ops () in
+        for i = 0 to 19 do
+          let key = 500 + i and value = Bytes.of_string (string_of_int i) in
+          write_all fd (frame (2 * i) Wire.Set key value);
+          Alcotest.(check bool) "SET acked" true
+            ((read_response fd dec).Wire.status = Wire.Ok);
+          write_all fd (frame ((2 * i) + 1) Wire.Get key Bytes.empty);
+          Alcotest.(check bytes) "GET sees it" value (read_response fd dec).Wire.resp_value
+        done;
+        sole_executor ~what:"one connection" before (ops ()) 40
+      in
+      let a = raw_connect srv and b = raw_connect srv in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close [ a; b ])
+        (fun () ->
+          let wa = run a and wb = run b in
+          Alcotest.(check bool) "connections served by different workers" true (wa <> wb)))
+
+let decision_recorder () =
+  let lock = Mutex.create () and log = ref [] in
+  ( (fun d -> C4_runtime.Sync.with_lock lock (fun () -> log := d :: !log)),
+    fun () -> C4_runtime.Sync.with_lock lock (fun () -> List.rev !log) )
+
+(* Replay a decision stream against a pin table: a route must name the
+   current pin holder, a pin must find the partition free, an unpin must
+   find it pinned. Returns the pins left and the number of routes. *)
+let check_pin_stream decisions =
+  let module D = C4_crew.Decision in
+  let holder = Hashtbl.create 16 and routes = ref 0 in
+  List.iter
+    (function
+      | D.Pin { partition; worker } ->
+        if Hashtbl.mem holder partition then
+          Alcotest.failf "partition %d pinned twice" partition;
+        Hashtbl.replace holder partition worker
+      | D.Route { partition; worker } ->
+        incr routes;
+        if Hashtbl.find_opt holder partition <> Some worker then
+          Alcotest.failf "route of partition %d to %d, not its pin holder" partition
+            worker
+      | D.Unpin { partition } ->
+        if not (Hashtbl.mem holder partition) then
+          Alcotest.failf "partition %d unpinned while free" partition;
+        Hashtbl.remove holder partition
+      | _ -> ())
+    decisions;
+  (holder, !routes)
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* Tests run in the build sandbox: a relative directory is private. *)
+let with_wal_dir name f =
+  let dir = Printf.sprintf "net_wal_%s_%d" name (Unix.getpid ()) in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* Two connections — one per worker — pipeline rounds of writes and
+   reads at one key. Under fsync-always every ack waits for the group
+   commit, so pins stay held and the other worker's writes are
+   forwarded to the holder: the decision stream must route every write
+   to the current pin holder, and the merged history must linearize. *)
+let test_hot_key_follows_the_pin () =
+  with_wal_dir "hot" (fun dir ->
+      let record, decisions = decision_recorder () in
+      let runtime_cfg =
+        {
+          Runtime.default_config with
+          Runtime.n_workers = 2;
+          n_partitions = 16;
+          on_decision = Some record;
+          wal =
+            Some
+              { (C4_wal.Wal.default_config ~dir ~n_partitions:16) with
+                C4_wal.Wal.fsync = C4_wal.Wal.Always };
+        }
+      in
+      with_net ~runtime_cfg (fun runtime srv _ ->
+          let key = 7 and rounds = 6 in
+          let now () = Unix.gettimeofday () *. 1e6 in
+          let client c fd =
+            let dec = Wire.Decoder.create wire in
+            List.concat
+              (List.init rounds (fun r ->
+                   (* 3 pipelined SETs then a GET, all in one write. *)
+                   let value i = (c * 1000) + (r * 10) + i + 1 in
+                   let batch =
+                     List.init 3 (fun i ->
+                         frame i Wire.Set key (Bytes.of_string (string_of_int (value i))))
+                     @ [ frame 3 Wire.Get key Bytes.empty ]
+                   in
+                   let invoked = now () in
+                   write_all fd (Bytes.concat Bytes.empty batch);
+                   List.init 4 (fun i ->
+                       let resp = read_response fd dec in
+                       let responded = now () in
+                       let client = string_of_int c in
+                       if i < 3 then begin
+                         if resp.Wire.status <> Wire.Ok then Alcotest.fail "SET failed";
+                         History.set ~client ~value:(value i) ~invoked ~responded
+                       end
+                       else
+                         let seen =
+                           match resp.Wire.status with
+                           | Wire.Ok -> int_of_string (Bytes.to_string resp.Wire.resp_value)
+                           | _ -> 0
+                         in
+                         History.get ~client ~value:seen ~invoked ~responded)))
+          in
+          let fds = [ raw_connect srv; raw_connect srv ] in
+          let results = Array.make 2 [] in
+          Fun.protect
+            ~finally:(fun () -> List.iter Unix.close fds)
+            (fun () ->
+              let threads =
+                List.mapi
+                  (fun c fd -> Thread.create (fun () -> results.(c) <- client c fd) ())
+                  fds
+              in
+              List.iter Thread.join threads);
+          let history = History.of_ops (List.concat (Array.to_list results)) in
+          Alcotest.(check int) "history complete" (2 * rounds * 4) (History.length history);
+          (match Lin.check ~initial:0 history with
+          | Lin.Linearizable _ -> ()
+          | Lin.Not_linearizable ->
+            Alcotest.failf "hot-key history not linearizable:@.%a" History.pp history);
+          let pinned, routes = check_pin_stream (decisions ()) in
+          Alcotest.(check bool) "writes rode an existing pin" true (routes > 0);
+          Alcotest.(check int) "every pin released" 0 (Hashtbl.length pinned);
+          Alcotest.(check int) "no worker died" 0 (Runtime.stats runtime).Runtime.recoveries))
+
+(* Only the worker's own loop thread runs requests inline: another
+   thread started on a worker's domain (as a cluster hook may start a
+   replication sender) submits from outside, so each write goes to its
+   partition's durable owner rather than being pinned where it was
+   submitted. *)
+let test_thread_on_worker_domain_submits_from_outside () =
+  let runtime = ref None and routed = ref [] in
+  let cl_info _ =
+    let rt = Option.get !runtime in
+    let submit () =
+      routed :=
+        List.map
+          (fun key ->
+            (Runtime.owner_of_key rt key, Runtime.submit_set rt ~key ~value:Bytes.empty ignore))
+          [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+    in
+    Thread.join (Thread.create submit ());
+    Ok Bytes.empty
+  in
+  let hooks = { (fence_hooks (fun ~key:_ k -> k ())) with NetServer.cl_info } in
+  let server_cfg = { NetServer.default_config with NetServer.cluster = Some hooks } in
+  with_net ~server_cfg (fun rt srv _ ->
+      runtime := Some rt;
+      let fd = raw_connect srv in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          write_all fd (frame 0 Wire.Cluster_info 0 Bytes.empty);
+          let resp = read_response fd (Wire.Decoder.create wire) in
+          Alcotest.(check bool) "CLUSTER_INFO answered" true (resp.Wire.status = Wire.Cluster_ok));
+      Alcotest.(check int) "every write submitted" 8 (List.length !routed);
+      Alcotest.(check bool) "keys span both owners" true
+        (List.exists (fun (o, _) -> o = 0) !routed && List.exists (fun (o, _) -> o = 1) !routed);
+      List.iter
+        (fun (owner, worker) ->
+          Alcotest.(check int) "executed by the durable owner" owner worker)
+        !routed)
+
+(* An exception inside an inline apply (here the WAL append, through
+   its replication tap) releases the write's pin and kills only its
+   connection: the worker keeps serving, and the key stays writable. *)
+let test_raising_apply_releases_pin () =
+  with_wal_dir "raise" (fun dir ->
+      let record, decisions = decision_recorder () in
+      let runtime_cfg =
+        {
+          Runtime.default_config with
+          Runtime.n_workers = 2;
+          n_partitions = 16;
+          on_decision = Some record;
+          wal = Some (C4_wal.Wal.default_config ~dir ~n_partitions:16);
+        }
+      in
+      with_net ~runtime_cfg (fun runtime srv client ->
+          let armed = Atomic.make true in
+          let wal = Option.get (Runtime.wal_handle runtime) in
+          C4_wal.Wal.set_append_hook wal
+            (Some (fun ~partition:_ _ -> if Atomic.get armed then failwith "append raised"));
+          let fd = raw_connect srv in
+          Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+              write_all fd (frame 0 Wire.Set 3 (Bytes.of_string "lost"));
+              let buf = Bytes.create 256 in
+              let closed =
+                match Unix.read fd buf 0 (Bytes.length buf) with
+                | 0 -> true
+                | _ -> false
+                | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> true
+              in
+              Alcotest.(check bool) "connection closed without a response" true closed);
+          Atomic.set armed false;
+          let pinned, _ = check_pin_stream (decisions ()) in
+          Alcotest.(check int) "the failed write's pin was released" 0 (Hashtbl.length pinned);
+          Alcotest.(check bool) "counted as a protocol error" true
+            ((NetServer.stats srv).NetServer.protocol_errors >= 1);
+          Alcotest.(check int) "no worker died" 0 (Runtime.stats runtime).Runtime.recoveries;
+          Alcotest.(check bool) "the key is still writable" true
+            (NetClient.set client ~key:3 ~value:(Bytes.of_string "ok") = Ok ()
+            && NetClient.get client ~key:3 = Ok (Some (Bytes.of_string "ok")))))
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
@@ -1038,6 +1305,14 @@ let tests =
       test_slow_client_dropped;
     Alcotest.test_case "reorder slots hold arrival order" `Quick
       test_reorder_slots_hold_arrival_order;
+    Alcotest.test_case "requests run on their own worker" `Quick
+      test_inline_on_own_worker;
+    Alcotest.test_case "hot-key writes follow the pin" `Quick
+      test_hot_key_follows_the_pin;
+    Alcotest.test_case "raising apply releases its pin" `Quick
+      test_raising_apply_releases_pin;
+    Alcotest.test_case "other threads on a worker's domain submit from outside" `Quick
+      test_thread_on_worker_domain_submits_from_outside;
     Alcotest.test_case "raising completion kills only its connection" `Quick
       test_raising_completion_kills_only_its_conn;
   ]
