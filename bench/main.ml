@@ -581,6 +581,16 @@ let microbench () =
              ignore (C4_dsim.Heap.pop heap)));
       Test.make ~name:"fnv1a hash (16B key)"
         (Staged.stage (fun () -> ignore (C4_kvs.Hash.fnv1a "0123456789abcdef")));
+      (* The per-update cost a serving-path metric pays: one uncontended
+         per-domain shard lock around the cell update. *)
+      (let reg = C4_obs.Registry.create ~thread_safe:true () in
+       let c = C4_obs.Registry.counter reg "bench.ops" in
+       Test.make ~name:"registry.incr (thread-safe)"
+         (Staged.stage (fun () -> C4_obs.Registry.incr c)));
+      (let reg = C4_obs.Registry.create ~thread_safe:true () in
+       let h = C4_obs.Registry.histogram reg "bench.lat_ns" in
+       Test.make ~name:"registry.observe (thread-safe)"
+         (Staged.stage (fun () -> C4_obs.Registry.observe h 1234.0)));
       (let wire = C4_net.Wire.create () in
        let req =
          {

@@ -36,10 +36,8 @@ let default_config =
 
 type metrics = {
   conns_accepted_c : Registry.counter;
-  conns_active_g : Registry.gauge;
   bytes_in_c : Registry.counter;
   bytes_out_c : Registry.counter;
-  inflight_g : Registry.gauge;
   protocol_errors_c : Registry.counter;
   requests_c : Registry.counter;
   wrong_shard_c : Registry.counter;
@@ -68,13 +66,19 @@ type t = {
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
-let metrics_of reg ~n_workers =
+(* [net.conns_active] and [net.inflight] are sampled from the server's
+   own atomics at scrape time: no request writes a gauge. *)
+let metrics_of reg ~n_workers ~active ~inflight =
+  let sampled name a = Registry.sampled_gauge reg name (fun () -> float_of_int (Atomic.get a)) in
+  let conns_accepted_c = Registry.counter reg "net.conns_accepted" in
+  sampled "net.conns_active" active;
+  let bytes_in_c = Registry.counter reg "net.bytes_in" in
+  let bytes_out_c = Registry.counter reg "net.bytes_out" in
+  sampled "net.inflight" inflight;
   {
-    conns_accepted_c = Registry.counter reg "net.conns_accepted";
-    conns_active_g = Registry.gauge reg "net.conns_active";
-    bytes_in_c = Registry.counter reg "net.bytes_in";
-    bytes_out_c = Registry.counter reg "net.bytes_out";
-    inflight_g = Registry.gauge reg "net.inflight";
+    conns_accepted_c;
+    bytes_in_c;
+    bytes_out_c;
     protocol_errors_c = Registry.counter reg "net.protocol_errors";
     requests_c = Registry.counter reg "net.requests";
     wrong_shard_c = Registry.counter reg "net.wrong_shard";
@@ -187,13 +191,12 @@ let handle t (req : Wire.request) slot =
   Registry.incr t.m.requests_c;
   let start = now_ns () in
   let tr = start_trace t req ~ts:start in
-  Registry.set t.m.inflight_g (float_of_int (Atomic.fetch_and_add t.inflight 1 + 1));
+  Atomic.incr t.inflight;
   let reply hist status resp_value =
     try
       let dt = now_ns () -. start in
       Registry.observe hist dt;
-      Registry.set t.m.inflight_g
-        (float_of_int (Atomic.fetch_and_add t.inflight (-1) - 1));
+      Atomic.decr t.inflight;
       send tr slot
         { Wire.resp_id = req.Wire.id; status; timing_ns = int_of_float dt; resp_value }
     with _ -> Evloop.abort slot
@@ -267,16 +270,12 @@ let callbacks t =
     on_bytes_in = (fun n -> Registry.incr ~by:n t.m.bytes_in_c);
     on_bytes_out = (fun n -> Registry.incr ~by:n t.m.bytes_out_c);
     on_protocol_error = (fun _msg -> Registry.incr t.m.protocol_errors_c);
-    on_closed =
-      (fun () ->
-        Registry.set t.m.conns_active_g
-          (float_of_int (Atomic.fetch_and_add t.active (-1) - 1)));
+    on_closed = (fun () -> Atomic.decr t.active);
   }
 
 let spawn_conn t cb fd =
   Registry.incr t.m.conns_accepted_c;
-  Registry.set t.m.conns_active_g
-    (float_of_int (Atomic.fetch_and_add t.active 1 + 1));
+  Atomic.incr t.active;
   Evloop.add t.ev ~fd cb
 
 let acceptor_loop t cb () =
@@ -332,7 +331,8 @@ let start ?registry cfg ~runtime =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> cfg.port
   in
-  let m = metrics_of reg ~n_workers:(Runtime.n_workers runtime) in
+  let active = Atomic.make 0 and inflight = Atomic.make 0 in
+  let m = metrics_of reg ~n_workers:(Runtime.n_workers runtime) ~active ~inflight in
   let on_slow_drop () =
     Registry.incr m.slow_client_drops_c;
     match cfg.spans with
@@ -355,8 +355,8 @@ let start ?registry cfg ~runtime =
           ~wake:(fun worker -> Runtime.wake runtime ~worker)
           ();
       acceptor = None;
-      active = Atomic.make 0;
-      inflight = Atomic.make 0;
+      active;
+      inflight;
       stopping = Atomic.make false;
       stop_lock = Mutex.create ();
     }

@@ -28,7 +28,8 @@
 
     Metrics (all in [registry], which must be thread-safe):
     [net.conns_accepted], [net.conns_active], [net.bytes_in],
-    [net.bytes_out], [net.inflight], [net.protocol_errors],
+    [net.bytes_out], [net.inflight] (the two gauges sampled at scrape
+    time from the counters {!stats} reads), [net.protocol_errors],
     [net.requests], [net.accept_errors] (accepts shed to
     [EMFILE]/[ENFILE] fd exhaustion — the acceptor backs off and
     survives instead of dying), [net.slow_client_drops] (connections

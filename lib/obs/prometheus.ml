@@ -44,7 +44,7 @@ let render_metric buf name reading =
         Buffer.add_string buf
           (Printf.sprintf "%s{quantile=\"%s\"} %s\n" n (num q) (num (H.quantile h q))))
       quantiles;
-    Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (num (H.mean h *. float_of_int (H.count h))));
+    Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (num (H.sum h)));
     Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n (H.count h))
 
 let of_snapshot readings =

@@ -1,10 +1,11 @@
-(* [size] mirrors the queue length, written under [mutex], so the
-   consumer can test for work without taking the lock. *)
+(* [size] mirrors the queue length and [closed] the closed flag, both
+   written under [mutex], so the consumer can test for work and for
+   shutdown without taking the lock. *)
 type 'a t = {
   mutex : Mutex.t;
   queue : 'a Queue.t;
   size : int Atomic.t;
-  mutable closed : bool;
+  closed : bool Atomic.t;
 }
 
 let create () =
@@ -12,14 +13,14 @@ let create () =
     mutex = Mutex.create ();
     queue = Queue.create ();
     size = Atomic.make 0;
-    closed = false;
+    closed = Atomic.make false;
   }
 
 let sync_size t = Atomic.set t.size (Queue.length t.queue)
 
 let try_push t v =
   Sync.with_lock t.mutex (fun () ->
-      if t.closed then false
+      if Atomic.get t.closed then false
       else begin
         Queue.push v t.queue;
         sync_size t;
@@ -56,6 +57,6 @@ let drain_matching ?(limit = max_int) t ~f =
       sync_size t;
       List.rev !matched)
 
-let length t = Sync.with_lock t.mutex (fun () -> Queue.length t.queue)
-let close t = Sync.with_lock t.mutex (fun () -> t.closed <- true)
-let is_closed t = Sync.with_lock t.mutex (fun () -> t.closed)
+let length t = Atomic.get t.size
+let close t = Sync.with_lock t.mutex (fun () -> Atomic.set t.closed true)
+let is_closed t = Atomic.get t.closed

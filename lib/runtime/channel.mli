@@ -33,9 +33,12 @@ val is_empty : 'a t -> bool
     in the queue. *)
 val drain_matching : ?limit:int -> 'a t -> f:('a -> bool) -> 'a list
 
+(** Lock-free, like {!is_empty}: may lag a concurrent push or pop. *)
 val length : 'a t -> int
 
 (** Close the channel: producers may no longer push. *)
 val close : 'a t -> unit
 
+(** Lock-free; a [push] that begins after [is_closed] returns [true]
+    fails. *)
 val is_closed : 'a t -> bool

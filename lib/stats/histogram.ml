@@ -94,6 +94,7 @@ let p95 t = quantile t 0.95
 let p99 t = quantile t 0.99
 let p999 t = quantile t 0.999
 let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
+let sum t = t.sum
 let max_recorded t = t.max_seen
 
 let reset t =
@@ -101,17 +102,6 @@ let reset t =
   t.total <- 0;
   t.sum <- 0.0;
   t.max_seen <- 0.0
-
-let copy t =
-  {
-    sub_bits = t.sub_bits;
-    sub_count = t.sub_count;
-    octaves = t.octaves;
-    counts = Array.copy t.counts;
-    total = t.total;
-    sum = t.sum;
-    max_seen = t.max_seen;
-  }
 
 let merge t ~other =
   if t.sub_bits <> other.sub_bits || Array.length t.counts <> Array.length other.counts

@@ -36,15 +36,17 @@ val p99 : t -> float
 val p999 : t -> float
 
 val mean : t -> float
+
+(** Sum of every recorded value, negative ones counted as 0. *)
+val sum : t -> float
+
 val max_recorded : t -> float
 val reset : t -> unit
 
-(** An independent deep copy: later [add]s to either histogram leave
-    the other untouched. The consistent-snapshot building block —
-    {!C4_obs.Registry} copies under its lock so exporters never read
-    torn totals. *)
-val copy : t -> t
-
+(** Add [other]'s recordings into [t]; both must have the same layout.
+    The consistent-snapshot building block: {!C4_obs.Registry} merges
+    its per-domain shards into a fresh histogram under their locks, so
+    exporters never read torn totals. *)
 val merge : t -> other:t -> unit
 
 (** Nonempty buckets as [(upper_edge, count)] pairs, ascending. *)

@@ -793,6 +793,76 @@ let test_routed_counter_migration () =
         (Runtime.n_partitions runtime)
         (Array.fold_left ( + ) 0 counts))
 
+(* [net.inflight] is sampled from the server's own counter at scrape
+   time, not written per request. With the pin holder parked, [k]
+   writes forwarded to it stay outstanding: the /metrics gauge and the
+   /healthz field (built from [Server.stats], as [c4_sim serve] builds
+   it) must both read [k], and both read 0 once the holder is released
+   and every write is acknowledged. *)
+let test_sampled_inflight_gauge () =
+  let k = 6 in
+  with_net (fun runtime srv client ->
+      let health () =
+        C4_obs.Json.Obj
+          [ ("inflight", C4_obs.Json.Int (NetServer.stats srv).NetServer.inflight) ]
+      in
+      let tel =
+        C4_obs.Telemetry.start ~port:0 ~registry:(NetServer.registry srv) ~health ()
+      in
+      Fun.protect ~finally:(fun () -> C4_obs.Telemetry.stop tel) @@ fun () ->
+      let port = C4_obs.Telemetry.port tel in
+      let metrics_inflight () =
+        let _, body = Test_obs.http_get ~port "/metrics" in
+        List.find_map
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | [ "net_inflight"; v ] -> Some (float_of_string v)
+            | _ -> None)
+          (String.split_on_char '\n' body)
+      in
+      let health_inflight () =
+        let _, body = Test_obs.http_get ~port "/healthz" in
+        Test_obs.obj_field "inflight" (Test_obs.parse_json body)
+      in
+      let check_both what n =
+        Alcotest.(check (option (float 0.0)))
+          (what ^ ": /metrics net_inflight") (Some (float_of_int n)) (metrics_inflight ());
+        Alcotest.(check bool)
+          (what ^ ": /healthz inflight") true
+          (health_inflight () = Some (Test_obs.Num (float_of_int n)))
+      in
+      check_both "idle" 0;
+      let set key =
+        match NetClient.set client ~key ~value:(Bytes.of_string "v") with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "set failed: %s" e
+      in
+      let ops () = (Runtime.stats runtime).Runtime.per_worker_ops in
+      let before = ops () in
+      set 0;
+      let home = sole_executor ~what:"free partition" before (ops ()) 1 in
+      let key =
+        let rec find k = if Runtime.owner_of_key runtime k <> home then k else find (k + 1) in
+        find 1
+      in
+      let release = Runtime.pause_worker runtime ~worker:(Runtime.owner_of_key runtime key) in
+      let pinned = Runtime.set_async runtime ~key ~value:(Bytes.of_string "pin") in
+      let acked = Atomic.make 0 in
+      (* Released on failure too: the server cannot stop while parked. *)
+      Fun.protect ~finally:release (fun () ->
+          for _ = 1 to k do
+            ignore
+              (NetClient.dispatch client ~op:Wire.Set ~key ~value:(Bytes.of_string "f")
+                 ~on_response:(fun r -> if r.Wire.status = Wire.Ok then Atomic.incr acked)
+                 ())
+          done;
+          await_true ~what:"forwarded writes outstanding" (fun () ->
+              metrics_inflight () = Some (float_of_int k));
+          check_both "held" k);
+      C4_runtime.Promise.await pinned;
+      await_true ~what:"writes acked" (fun () -> Atomic.get acked = k);
+      check_both "drained" 0)
+
 let test_client_routing_matches_cluster () =
   for key = 0 to 999 do
     Alcotest.(check int)
@@ -1299,6 +1369,7 @@ let tests =
       test_stitched_span_chain;
     Alcotest.test_case "routed counters migrate on recovery" `Quick
       test_routed_counter_migration;
+    Alcotest.test_case "sampled net.inflight gauge" `Quick test_sampled_inflight_gauge;
     Alcotest.test_case "one-byte dribble completes in order" `Quick
       test_one_byte_dribble;
     Alcotest.test_case "slow client dropped at the pending bound" `Quick

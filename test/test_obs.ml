@@ -542,6 +542,56 @@ let test_snapshot_not_torn_under_writers () =
       Alcotest.(check int) "counter saw every increment" written ops
     | _ -> Alcotest.fail "unexpected reading kinds")
 
+(* A thread-safe registry shards by domain id, and runtime recovery
+   respawns domains, so ids grow past the shard count and wrap onto
+   shards earlier domains used. More sequential domains than the
+   registry can have shards, plus two threads racing on one domain
+   (same shard, same lock), must still add up exactly: domain [i]
+   records [i] increments and [i] observations of [10 i]. *)
+let test_shard_merge_under_domain_churn () =
+  let r = Registry.create ~thread_safe:true () in
+  let c = Registry.counter r "churn.ops" and h = Registry.histogram r "churn.lat_ns" in
+  let record i =
+    for _ = 1 to i do
+      Registry.incr c;
+      Registry.observe h (float_of_int (10 * i))
+    done
+  in
+  let domains = 70 (* more than any registry's shard count *) in
+  for i = 1 to domains do
+    Domain.join (Domain.spawn (fun () -> record i))
+  done;
+  let per_thread = 5_000 in
+  Domain.join
+    (Domain.spawn (fun () ->
+         let racer () =
+           for _ = 1 to per_thread do
+             Registry.incr ~by:2 c;
+             Registry.observe h 7.0
+           done
+         in
+         List.iter Thread.join [ Thread.create racer (); Thread.create racer () ]));
+  let ops = (domains * (domains + 1) / 2) + (2 * 2 * per_thread) in
+  let count = (domains * (domains + 1) / 2) + (2 * per_thread) in
+  let sum =
+    List.fold_left ( + ) (2 * per_thread * 7) (List.init domains (fun i -> 10 * (i + 1) * (i + 1)))
+  in
+  Alcotest.(check int) "counter total" ops (Registry.counter_value c);
+  let merged = Registry.histogram_values h in
+  Alcotest.(check int) "histogram count" count (C4_stats.Histogram.count merged);
+  Alcotest.(check (float 0.0)) "histogram sum" (float_of_int sum)
+    (C4_stats.Histogram.sum merged);
+  Alcotest.(check (option (float 0.0))) "read" (Some (float_of_int ops))
+    (Registry.read r "churn.ops");
+  let lines = String.split_on_char '\n' (Prometheus.of_registry r) in
+  List.iter
+    (fun l -> Alcotest.(check bool) l true (List.mem l lines))
+    [
+      Printf.sprintf "churn_ops %d" ops;
+      Printf.sprintf "churn_lat_ns_count %d" count;
+      Printf.sprintf "churn_lat_ns_sum %d" sum;
+    ]
+
 (* ---------------- Prometheus exposition ---------------- *)
 
 let test_prometheus_exposition () =
@@ -688,6 +738,8 @@ let tests =
       test_span_links_and_ambient;
     Alcotest.test_case "snapshots are not torn under writers" `Quick
       test_snapshot_not_torn_under_writers;
+    Alcotest.test_case "shards merge exactly under domain churn" `Quick
+      test_shard_merge_under_domain_churn;
     Alcotest.test_case "prometheus exposition format" `Quick
       test_prometheus_exposition;
     Alcotest.test_case "telemetry endpoint under load" `Quick
