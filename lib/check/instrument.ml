@@ -1,3 +1,7 @@
+(* c4-lint: allow test-only-module — tracing is a testing mode: the
+   race tests run code against Traced and check the recorded history
+   with Race, so tests are this detector's clients by design. *)
+
 module Sync = C4_runtime.Sync
 
 module Recorder = struct

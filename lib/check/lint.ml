@@ -10,6 +10,7 @@ let all_rules =
     "poly-compare-mutable";
     "no-stdout-print";
     "no-toplevel-lazy";
+    "test-only-module";
   ]
 
 let is_ident_char c =
@@ -562,9 +563,118 @@ let rec source_files dir =
     |> List.filter (fun f -> not (String.length f > 0 && f.[0] = '.'))
     |> List.concat_map (fun f -> source_files (Filename.concat dir f))
 
-let lint_dirs dirs =
+(* ---------------- test-only-module ---------------- *)
+
+(* The library a dune file declares: the word after its first "name". *)
+let library_name dir =
+  match read_file (Filename.concat dir "dune") with
+  | exception Sys_error _ -> None
+  | src ->
+    let words =
+      String.map (function '(' | ')' | '\n' | '\t' -> ' ' | c -> c) src
+      |> String.split_on_char ' '
+      |> List.filter (( <> ) "")
+    in
+    let rec after = function
+      | "name" :: w :: _ -> Some w
+      | _ :: r -> after r
+      | [] -> None
+    in
+    after words
+
+(* The module paths a stripped source names: "M" for every path that
+   starts [M.], and "Lib.M" for every [Lib.M]. A name after a dot
+   ([A.M.x]) is a submodule of [A], not the module [M]. *)
+let module_refs stripped =
+  let refs = Hashtbl.create 64 in
+  let n = String.length stripped in
+  let upper i = i < n && stripped.[i] >= 'A' && stripped.[i] <= 'Z' in
+  let ident_end i =
+    let j = ref i in
+    while !j < n && is_ident_char stripped.[!j] do
+      incr j
+    done;
+    !j
+  in
+  let i = ref 0 in
+  while !i < n do
+    let after_dot_or_ident =
+      !i > 0 && (is_ident_char stripped.[!i - 1] || stripped.[!i - 1] = '.')
+    in
+    if upper !i && not after_dot_or_ident then begin
+      let e = ident_end !i in
+      if e < n && stripped.[e] = '.' then begin
+        let m = String.sub stripped !i (e - !i) in
+        Hashtbl.replace refs m ();
+        if upper (e + 1) then
+          let inner = String.sub stripped (e + 1) (ident_end (e + 1) - e - 1) in
+          Hashtbl.replace refs (m ^ "." ^ inner) ()
+      end;
+      i := e
+    end
+    else incr i
+  done;
+  refs
+
+(* Library modules under lib/ that no source outside their own files
+   names, tests aside; a pragma exempts a module. Elimination runs to a
+   fixpoint, so a module named only by flagged modules is flagged too. *)
+let test_only_modules ~sources files =
+  let modules =
+    List.filter_map
+      (fun f ->
+        if not (has_component [ "lib" ] f && Filename.check_suffix f ".ml") then None
+        else
+          Option.map
+            (fun lib ->
+              let base = Filename.chop_suffix f ".ml" in
+              let m = String.capitalize_ascii (Filename.basename base) in
+              let own = List.filter (fun g -> List.mem g files) [ f; base ^ ".mli" ] in
+              (m, String.capitalize_ascii lib ^ "." ^ m, own))
+            (library_name (Filename.dirname f)))
+      files
+    |> List.filter (fun (_, _, own) ->
+           not
+             (List.exists
+                (fun f -> List.mem "test-only-module" (pragmas (read_file f)))
+                own))
+  in
+  let sources =
+    List.filter_map
+      (fun f ->
+        if has_component [ "test"; "tests" ] f then None
+        else Some (f, module_refs (strip (read_file f))))
+      sources
+  in
+  let rec eliminate dead =
+    let dead_files = List.concat_map (fun (_, _, own) -> own) dead in
+    let named (m, path, own) =
+      List.exists
+        (fun (f, refs) ->
+          (not (List.mem f own || List.mem f dead_files))
+          && (Hashtbl.mem refs m || Hashtbl.mem refs path))
+        sources
+    in
+    match List.filter (fun m -> not (List.mem m dead || named m)) modules with
+    | [] -> dead
+    | fresh -> eliminate (dead @ fresh)
+  in
+  List.map
+    (fun (_, path, own) ->
+      {
+        file = List.hd own;
+        line = 1;
+        rule = "test-only-module";
+        message = path ^ " is named by no source outside its own files but tests";
+      })
+    (eliminate [])
+
+let lint_dirs ?(refs = []) dirs =
   let files = List.concat_map source_files dirs in
-  let violations = List.concat_map lint_file files in
+  let violations =
+    List.concat_map lint_file files
+    @ test_only_modules ~sources:(files @ List.concat_map source_files refs) files
+  in
   { violations; files_scanned = List.length files }
 
 let to_text { violations; files_scanned } =

@@ -21,7 +21,14 @@
     - [no-toplevel-lazy]: no [lazy] / [Lazy.force] in [lib/] — a value
       shared across domains must be built eagerly, because a domain
       that forces a lazy value while another is forcing it raises
-      [CamlinternalLazy.Undefined]. *)
+      [CamlinternalLazy.Undefined].
+    - [test-only-module]: every module of a dune library under [lib/]
+      is named — as [M.] or [Lib.M], comments aside — by some linted or
+      reference source outside its own [.ml]/[.mli]. Sources under a
+      [test] directory do not count, and neither do modules this rule
+      flags, so a chain of modules only tests reach is flagged whole.
+      Unlike the rules above it needs the whole tree, so only
+      {!lint_dirs} applies it. *)
 
 type violation = { file : string; line : int; rule : string; message : string }
 
@@ -43,8 +50,10 @@ val lint_source : path:string -> string -> violation list
 
 val lint_file : string -> violation list
 
-(** Lint every [.ml] / [.mli] under the given directories. *)
-val lint_dirs : string list -> report
+(** Lint every [.ml] / [.mli] under the given directories. Sources
+    under [refs] are not linted, but they count as references for
+    [test-only-module]. *)
+val lint_dirs : ?refs:string list -> string list -> report
 
 val to_text : report -> string
 val to_json : report -> string

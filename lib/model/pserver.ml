@@ -1,3 +1,8 @@
+(* c4-lint: allow test-only-module — the differential reference for
+   Server: a second implementation of the queueing model that the test
+   suite compares point by point against the first. Its client is the
+   test by design. *)
+
 module Sim = C4_dsim.Sim
 module Process = C4_dsim.Process
 module Rng = C4_dsim.Rng

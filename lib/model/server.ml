@@ -551,8 +551,9 @@ and on_arrival st (r : Request.t) =
     ~partition:r.partition ~ts:now;
   let corrupt = match st.cfg.faults with Some f -> f.corrupt r ~now | None -> false in
   if corrupt then begin
-    (* Header parsing precedes admission (as in Nic.Pipeline.admit), so
-       a corrupted packet never charges a flow-control slot. *)
+    (* Header parsing precedes admission (the NIC parses before its
+       EWT -> JBSQ stages), so a corrupted packet never charges a
+       flow-control slot. *)
     Core.note_drop st.core;
     Registry.incr st.drop_bad_c;
     Metrics.note_drop st.metrics ~reason:Metrics.Bad_packet;

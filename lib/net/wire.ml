@@ -35,14 +35,9 @@ type t = {
 
 let create ?(max_frame = 1 lsl 20) ?(layout = Header.default_layout) () =
   if max_frame <= 0 then invalid_arg "Wire.create: max_frame";
-  if layout.Header.key_length < 1 || layout.Header.key_length > 8 then
-    invalid_arg "Wire.create: key_length must be in 1..8";
-  if layout.Header.opcode_offset < 0 || layout.Header.key_offset < 0 then
-    invalid_arg "Wire.create: negative offset";
-  if
-    layout.Header.opcode_offset >= layout.Header.key_offset
-    && layout.Header.opcode_offset < layout.Header.key_offset + layout.Header.key_length
-  then invalid_arg "Wire.create: opcode overlaps key";
+  (match Header.check_layout layout with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Wire.create: " ^ m));
   let resp_layout = Header.default_response_layout in
   {
     layout;
@@ -89,11 +84,6 @@ let header_op = function
     (* The NIC header has no cluster opcode: CLUSTER_INFO frames are a
        net-layer control plane the simulated NIC never parses. *)
     invalid_arg "Wire.header_op: Cluster_info has no NIC equivalent"
-
-let op_of_header = function
-  | `Read -> Get
-  | `Write -> Set
-  | `Delete -> Delete
 
 let frame_of_body ~version:v body =
   let n = Bytes.length body in

@@ -103,8 +103,8 @@ type t
 (** [create ()] builds a codec. [max_frame] (default 1 MiB) bounds the
     length prefix a decoder will accept; [layout] (default
     {!C4_nic.Header.default_layout}) fixes the request geometry. Raises
-    [Invalid_argument] on a layout whose fields overlap or a
-    non-positive [max_frame]. *)
+    [Invalid_argument] on a layout {!C4_nic.Header.check_layout} rejects
+    or a non-positive [max_frame]. *)
 val create : ?max_frame:int -> ?layout:C4_nic.Header.layout -> unit -> t
 
 val layout : t -> C4_nic.Header.layout
@@ -124,12 +124,10 @@ val decode_request : t -> bytes -> (request, string) result
 val decode_response : t -> bytes -> (response, string) result
 
 (** NIC interop: a request body's first bytes are a {!C4_nic.Header}
-    packet, so the op enums convert both ways. [Cluster_info] is
-    net-layer-only (the NIC never parses cluster control frames) —
-    {!header_op} raises [Invalid_argument] on it. *)
+    packet, and this is the op a NIC parses from them. [Cluster_info] is
+    net-layer-only (the NIC never parses cluster control frames), so it
+    raises [Invalid_argument]. *)
 val header_op : op -> C4_nic.Header.op
-
-val op_of_header : C4_nic.Header.op -> op
 
 (** Incremental frame decoder: feed bytes as they arrive off a socket,
     pull complete frame bodies out. Torn frames — a partial length

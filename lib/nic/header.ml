@@ -4,9 +4,17 @@ let default_layout = { opcode_offset = 0; key_offset = 1; key_length = 8 }
 
 type t = { layout : layout; n_buckets : int; n_partitions : int }
 
+let check_layout { opcode_offset; key_offset; key_length } =
+  if key_length < 1 || key_length > 8 then Error "key_length must be in 1..8"
+  else if opcode_offset < 0 || key_offset < 0 then Error "negative offset"
+  else if opcode_offset >= key_offset && opcode_offset < key_offset + key_length then
+    Error "opcode overlaps key"
+  else Ok ()
+
 let register ~layout ~n_buckets ~n_partitions =
-  if layout.key_length < 1 || layout.key_length > 8 then
-    invalid_arg "Header.register: key_length must be in 1..8";
+  (match check_layout layout with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Header.register: " ^ m));
   if n_buckets <= 0 || n_partitions <= 0 then invalid_arg "Header.register";
   { layout; n_buckets; n_partitions }
 

@@ -26,9 +26,16 @@ type layout = {
 
 val default_layout : layout
 
+(** [Error] names the first fault of a layout: a [key_length] outside
+    1..8, a negative offset, or an opcode byte inside the key field
+    (where {!encode} would overwrite it with key bytes). *)
+val check_layout : layout -> (unit, string) result
+
 type t
 
-(** NIC-side parser state, configured once at setup time. *)
+(** NIC-side parser state, configured once at setup time. Raises
+    [Invalid_argument] on a layout {!check_layout} rejects, or on a
+    non-positive bucket or partition count. *)
 val register : layout:layout -> n_buckets:int -> n_partitions:int -> t
 
 type op = [ `Read | `Write | `Delete ]

@@ -185,7 +185,6 @@ let hist_count h =
   Array.fold_left (fun n -> function Some x -> n + H.count x | None -> n) 0 h.hists
 
 let counter_value c = all_shards c.c_locks (fun () -> sum c)
-let gauge_value g = all_shards g.g_locks (fun () -> g.v)
 
 let histogram_values h =
   match h.h_locks with

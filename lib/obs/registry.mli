@@ -59,7 +59,6 @@ val histogram : t -> string -> histogram
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
 
 (** A plain registry's live histogram (safe to read only quiescently);

@@ -699,8 +699,6 @@ let finish_backlog t w =
       | op -> exec t w op)
     (Channel.drain_matching w.inbox ~f:(fun _ -> true))
 
-let is_stopping t = Atomic.get t.stopped
-
 let stop t =
   Sync.with_lock t.stop_lock (fun () ->
       if not (Atomic.get t.stopped) then begin

@@ -151,9 +151,6 @@ val shed_level : t -> int
     concurrent [stop]s serialise. *)
 val stop : t -> unit
 
-(** [true] once {!stop} has begun. *)
-val is_stopping : t -> bool
-
 type stats = {
   ops_completed : int;
   writes : int;

@@ -31,7 +31,6 @@ val quantile : t -> float -> float
 val median : t -> float
 
 val p90 : t -> float
-val p95 : t -> float
 val p99 : t -> float
 val p999 : t -> float
 

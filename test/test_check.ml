@@ -189,6 +189,66 @@ let test_lint_dirs_and_mli_required () =
       Alcotest.(check bool) "text mentions file:line" true
         (contains ~needle:"bad.ml:1:" text))
 
+(* A library module that only tests name is flagged, and so is a module
+   only such a module names; a pragma, or a name in a reference-only
+   tree, keeps a module. Comments, tests and submodule paths ([A.M])
+   do not count as naming [M]. *)
+let test_lint_test_only_module () =
+  with_temp_tree (fun root ->
+      let dir path =
+        let d = Filename.concat root path in
+        if not (Sys.file_exists d) then Sys.mkdir d 0o755;
+        d
+      in
+      let lib = (ignore (dir "lib"); dir "lib/a") in
+      let put d name src = write_file (Filename.concat d name) src in
+      put lib "dune" "(library\n (name c4_a))\n";
+      put lib "used.ml" "let x = Helper_of_used.y\n";
+      put lib "helper_of_used.ml" "let y = 1\n";
+      put lib "orphan.ml" "let z = Helper_of_orphan.w\n";
+      put lib "helper_of_orphan.ml" "let w = 2\n";
+      put lib "kept.ml" "(* c4-lint: allow test-only-module: an oracle *)\nlet k = 3\n";
+      put lib "via_example.ml" "let e = 4\n";
+      put (dir "bin") "main.ml"
+        "(* Orphan.z *)\nlet () = print_int (C4_a.Used.x + Other.Orphan.z)\n";
+      put (dir "test") "t.ml" "let _ = (C4_a.Orphan.z, Kept.k, Via_example.e)\n";
+      put (dir "examples") "ex.ml" "open C4_a\nlet _ = Via_example.e\n";
+      let at = Filename.concat root in
+      let flagged =
+        (Lint.lint_dirs ~refs:[ at "examples" ] [ at "lib"; at "bin"; at "test" ])
+          .Lint.violations
+        |> List.filter (fun v -> v.Lint.rule = "test-only-module")
+        |> List.map (fun v -> Filename.basename v.Lint.file)
+        |> List.sort compare
+      in
+      Alcotest.(check (list string)) "only-test chain flagged"
+        [ "helper_of_orphan.ml"; "orphan.ml" ] flagged;
+      let flagged =
+        (Lint.lint_dirs [ at "lib"; at "bin" ]).Lint.violations
+        |> List.filter (fun v -> v.Lint.rule = "test-only-module")
+      in
+      Alcotest.(check bool) "without the reference tree, example-only is flagged" true
+        (List.exists
+           (fun v -> Filename.basename v.Lint.file = "via_example.ml")
+           flagged))
+
+(* The repo itself: every library module is named outside tests, or
+   carries a pragma saying why tests alone reach it. *)
+let test_repo_has_no_test_only_modules () =
+  (* Under dune the suite runs in test/, next to the copied trees. *)
+  let root = if Sys.file_exists "../lib" then ".." else "." in
+  let at = Filename.concat root in
+  let report =
+    Lint.lint_dirs
+      ~refs:[ at "bench"; at "examples"; at "servbench" ]
+      [ at "lib"; at "bin" ]
+  in
+  Alcotest.(check bool) "library modules found" true (report.Lint.files_scanned > 100);
+  Alcotest.(check (list string)) "test-only library modules" []
+    (report.Lint.violations
+    |> List.filter (fun v -> v.Lint.rule = "test-only-module")
+    |> List.map (fun v -> v.Lint.file))
+
 (* ---------------- vector clocks ---------------- *)
 
 let test_vclock_order () =
@@ -605,6 +665,9 @@ let tests =
     Alcotest.test_case "lint: pragma opt-out" `Quick test_lint_pragma;
     Alcotest.test_case "lint: dirs + mli-required + reports" `Quick
       test_lint_dirs_and_mli_required;
+    Alcotest.test_case "lint: test-only-module" `Quick test_lint_test_only_module;
+    Alcotest.test_case "lint: no test-only library modules in the repo" `Quick
+      test_repo_has_no_test_only_modules;
     Alcotest.test_case "vclock order" `Quick test_vclock_order;
     Alcotest.test_case "race: unordered writes" `Quick test_race_unordered_writes;
     Alcotest.test_case "race: lock orders" `Quick test_race_lock_ordered;

@@ -138,6 +138,181 @@ let test_rejects () =
   | Core.Rejected { reason = Decision.Table_full; owner = None } -> ()
   | _ -> Alcotest.fail "expected table-full reject"
 
+(* The model's central queue (lib/model/server.ml): a balanced pick with
+   every worker in range at the JBSQ bound gets No_slot and leaves no
+   trace; once a response frees a slot, the held write is handed out
+   with [`Worker w], which pins and charges that slot. *)
+let test_central_queue_handout () =
+  let record, dump = recorder () in
+  let core =
+    Core.create ~on_decision:record ~cfg:Config.default ~n_workers:2 ~n_partitions:8 ()
+  in
+  let admit partition pick =
+    match Core.admit_write core ~partition ~now:0.0 ~pick with
+    | Core.Admitted { worker; _ } -> worker
+    | Core.No_slot -> Alcotest.failf "partition %d: unexpected No_slot" partition
+    | Core.Rejected _ -> Alcotest.failf "partition %d: unexpected reject" partition
+  in
+  (* JBSQ(2) over two workers: four fresh partitions fill every slot. *)
+  List.iter (fun p -> ignore (admit p (`Balanced (0, 2)))) [ 0; 1; 2; 3 ];
+  Alcotest.(check (list int)) "both workers at the bound" [ 2; 2 ]
+    [ Core.occupancy core ~worker:0; Core.occupancy core ~worker:1 ];
+  let before = List.length (dump ()) in
+  (match Core.admit_write core ~partition:4 ~now:1.0 ~pick:(`Balanced (0, 2)) with
+  | Core.No_slot -> ()
+  | _ -> Alcotest.fail "expected No_slot with every worker at the bound");
+  Alcotest.(check int) "No_slot installs no pin" 0
+    (Core.ewt_outstanding core ~partition:4);
+  Alcotest.(check int) "No_slot emits no decision" before (List.length (dump ()));
+  Alcotest.(check (list int)) "No_slot charges no slot" [ 2; 2 ]
+    [ Core.occupancy core ~worker:0; Core.occupancy core ~worker:1 ];
+  (* A hit never waits for a slot: it follows its pin past the bound. *)
+  let owner = Core.route_owner core ~partition:0 in
+  Alcotest.(check int) "hit routes to its pin" owner (admit 0 (`Balanced (0, 2)));
+  Alcotest.(check int) "hit charged above the bound" 3
+    (Core.occupancy core ~worker:owner);
+  (* A response leaves worker 1; the held write is handed to it. *)
+  Core.complete core ~worker:1;
+  Alcotest.(check bool) "slot freed" true (Core.has_slot core ~worker:1);
+  Alcotest.(check int) "hand-out pins to the freed worker" 1 (admit 4 (`Worker 1));
+  Alcotest.(check int) "hand-out charged the slot" 2 (Core.occupancy core ~worker:1);
+  Alcotest.(check int) "held write now owns its partition" 1
+    (Core.route_owner core ~partition:4);
+  Alcotest.(check decision) "hand-out is a pin"
+    (Decision.Pin { partition = 4; worker = 1 })
+    (List.nth (dump ()) (before + 1))
+
+(* A balanced pick charges its JBSQ slot while picking; when the EWT then
+   refuses the pin, the slot must go back, or the worker looks busier
+   than it is for ever. *)
+let test_reject_refunds_slot () =
+  let record, dump = recorder () in
+  let cfg = { Config.default with Config.ewt_capacity = 1 } in
+  let core = Core.create ~on_decision:record ~cfg ~n_workers:2 ~n_partitions:4 () in
+  (match Core.admit_write core ~partition:0 ~now:0.0 ~pick:(`Balanced (0, 2)) with
+  | Core.Admitted { worker = 0; fresh = true } -> ()
+  | _ -> Alcotest.fail "expected a fresh pin on worker 0");
+  (* Worker 1 is least loaded, so JBSQ picks and charges it; the full
+     table then says no. *)
+  (match Core.admit_write core ~partition:1 ~now:1.0 ~pick:(`Balanced (0, 2)) with
+  | Core.Rejected { reason = Decision.Table_full; owner = None } -> ()
+  | _ -> Alcotest.fail "expected a table-full reject");
+  Alcotest.(check int) "refused pick refunded its slot" 0
+    (Core.occupancy core ~worker:1);
+  Alcotest.(check int) "the admitted write keeps its slot" 1
+    (Core.occupancy core ~worker:0);
+  (* An explicit pick charges only on success, so it has nothing to refund. *)
+  (match Core.admit_write core ~partition:2 ~now:2.0 ~pick:(`Worker 1) with
+  | Core.Rejected { reason = Decision.Table_full; _ } -> ()
+  | _ -> Alcotest.fail "expected a table-full reject");
+  Alcotest.(check int) "explicit pick charged nothing" 0
+    (Core.occupancy core ~worker:1);
+  Alcotest.(check (list decision)) "decisions"
+    [
+      Decision.Pin { partition = 0; worker = 0 };
+      Decision.Reject { partition = 1; reason = Decision.Table_full };
+      Decision.Reject { partition = 2; reason = Decision.Table_full };
+    ]
+    (dump ())
+
+(* Random admissions (all four picks, both pin fallbacks, a small EWT so
+   both reject kinds occur) interleaved with responses: a write to a
+   partition with outstanding writes is admitted only to that
+   partition's route owner, and Pin/Unpin decisions balance — at every
+   step as many pins stand as partitions have outstanding writes. *)
+let prop_single_writer =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 3,
+            map3
+              (fun p k w -> `Admit (p, k, w))
+              (int_bound 7) (int_bound 4) (int_bound 3) );
+          (2, map (fun p -> `Done p) (int_bound 7));
+        ])
+  in
+  let print_op = function
+    | `Admit (p, k, w) -> Printf.sprintf "admit(p%d,k%d,w%d)" p k w
+    | `Done p -> Printf.sprintf "done(p%d)" p
+  in
+  QCheck.Test.make ~name:"admission keeps one writer per partition" ~count:500
+    (QCheck.pair QCheck.bool
+       (QCheck.make ~print:(QCheck.Print.list print_op)
+          QCheck.Gen.(list_size (int_range 1 120) op)))
+    (fun (balanced, ops) ->
+      let pins = ref 0 in
+      let on_decision = function
+        | Decision.Pin _ -> incr pins
+        | Decision.Unpin _ -> decr pins
+        | _ -> ()
+      in
+      let cfg =
+        {
+          Config.default with
+          Config.ewt_capacity = 4;
+          ewt_max_outstanding = 3;
+          pin_fallback = (if balanced then Config.Balanced else Config.Static);
+        }
+      in
+      let core = Core.create ~on_decision ~cfg ~n_workers:4 ~n_partitions:8 () in
+      (* partition -> outstanding (worker, charged) writes, oldest last *)
+      let outstanding = Array.make 8 [] in
+      let ok = ref true in
+      let expect cond = if not cond then ok := false in
+      let pick k w =
+        match k with
+        | 0 -> `Balanced (0, 4)
+        | 1 -> `Balanced (2 * (w land 1), (2 * (w land 1)) + 2)
+        | 2 -> `Local w
+        | 3 -> `Static
+        | _ -> `Worker w
+      in
+      let respond p =
+        match outstanding.(p) with
+        | [] -> ()
+        | (worker, charged) :: rest ->
+          outstanding.(p) <- rest;
+          Core.write_done core ~partition:p;
+          if charged then Core.complete core ~worker
+      in
+      let step = function
+        | `Admit (p, k, w) -> (
+          let pick = pick k w in
+          let held = outstanding.(p) <> [] in
+          let owner = Core.route_owner core ~partition:p in
+          match Core.admit_write core ~partition:p ~now:0.0 ~pick with
+          | Core.Admitted { worker; fresh } ->
+            expect (fresh = not held);
+            if held then expect (worker = owner);
+            let charged =
+              match pick with `Balanced _ | `Worker _ -> true | _ -> false
+            in
+            outstanding.(p) <- (worker, charged) :: outstanding.(p);
+            expect (Core.route_owner core ~partition:p = worker)
+          | Core.Rejected { owner = Some o; _ } -> expect (held && o = owner)
+          | Core.Rejected { owner = None; _ } | Core.No_slot -> expect (not held))
+        | `Done p -> respond p
+      in
+      List.iter
+        (fun o ->
+          step o;
+          let held =
+            Array.fold_left (fun n l -> if l = [] then n else n + 1) 0 outstanding
+          in
+          expect (!pins = held);
+          Array.iteri
+            (fun p l ->
+              List.iter
+                (fun (w, _) -> expect (Core.route_owner core ~partition:p = w))
+                l)
+            outstanding)
+        ops;
+      Array.iteri (fun p l -> List.iter (fun _ -> respond p) l) outstanding;
+      !ok && !pins = 0
+      && Core.ewt_occupancy core = 0
+      && List.for_all (fun worker -> Core.occupancy core ~worker = 0) [ 0; 1; 2; 3 ])
+
 let test_pin_fallback () =
   (* Static fallback: a balanced pick degrades to the static hash. *)
   Alcotest.(check int) "static hash" 2 (Core.static_owner ~partition:6 ~lo:2 ~hi:4);
@@ -462,6 +637,10 @@ let tests =
     Alcotest.test_case "config validation" `Quick test_config_validate;
     Alcotest.test_case "pin/route/unpin lifecycle" `Quick test_pin_route_unpin;
     Alcotest.test_case "admission rejects" `Quick test_rejects;
+    Alcotest.test_case "central-queue hand-out" `Quick test_central_queue_handout;
+    Alcotest.test_case "refused balanced pick refunds its slot" `Quick
+      test_reject_refunds_slot;
+    QCheck_alcotest.to_alcotest prop_single_writer;
     Alcotest.test_case "pin fallback" `Quick test_pin_fallback;
     Alcotest.test_case "crash-recovery reassign" `Quick test_reassign;
     Alcotest.test_case "window lifecycle" `Quick test_window_lifecycle;

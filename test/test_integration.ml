@@ -6,10 +6,10 @@
       Sec. 4.3.1 argument, validated mechanically over thousands of
       interleavings.
 
-   2. The NIC pipeline end to end: packets through Header + Rpc, write
-      compaction harvesting dependent writes from the receive queue,
-      EWT bookkeeping for the d-CREW path, responses releasing
-      exclusivity — buffer-exact.
+   2. The NIC path end to end over the code both engines run: packets
+      parsed by Header, admitted by Crew.Core (EWT pin, single writer),
+      dependent writes compacted in one window and applied as one store
+      update, and the last response releasing the pin.
 
    3. Server-model cross-checks tying several modules together. *)
 
@@ -18,8 +18,9 @@ module Log = C4_kvs.Compaction_log
 module History = C4_consistency.History
 module Lin = C4_consistency.Linearizability
 module Header = C4_nic.Header
-module Rpc = C4_nic.Rpc
-module Ewt = C4_nic.Ewt
+module Core = C4_crew.Core
+module Crew_config = C4_crew.Config
+module Decision = C4_crew.Decision
 
 (* ------------------------------------------------------------------ *)
 (* 1. Compaction linearizability over random schedules.                *)
@@ -142,57 +143,106 @@ let test_final_value_is_last_buffered () =
 (* 2. NIC pipeline end to end.                                         *)
 
 let test_nic_pipeline_compaction () =
-  let header = Header.register ~layout:Header.default_layout ~n_buckets:256 ~n_partitions:16 in
-  let rpc = Rpc.create ~n_threads:4 ~n_buffers:32 ~header in
-  let ewt = Ewt.create () in
-  let store = Store.create ~n_buckets:256 ~n_partitions:16 () in
-  let key = 77 in
-  (* Client side: three dependent writes and one independent one. *)
-  let send ~thread ~sender op k v =
-    match Rpc.deliver rpc ~thread ~sender (Header.encode header ~op ~key:k ~value:v) with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "delivery failed"
+  let n_buckets = 256 and n_partitions = 16 in
+  let header = Header.register ~layout:Header.default_layout ~n_buckets ~n_partitions in
+  let decisions = ref [] in
+  let core =
+    Core.create
+      ~on_decision:(fun d -> decisions := d :: !decisions)
+      ~cfg:
+        {
+          Crew_config.default with
+          Crew_config.compaction = Some Crew_config.default_compaction;
+        }
+      ~n_workers:4 ~n_partitions ()
   in
-  let target_partition =
+  let store = Store.create ~n_buckets ~n_partitions () in
+  let partition_of key =
     match Header.parse header (Header.encode header ~op:`Write ~key ~value:Bytes.empty) with
     | Ok p -> p.Header.partition
     | Error e -> Alcotest.failf "parse: %s" e
   in
-  (* NIC: d-CREW pins the partition to thread 2 on first write. *)
-  Alcotest.(check bool) "ewt maps" true (Ewt.note_write ewt ~partition:target_partition ~thread:2 = `Ok);
-  let w1 = send ~thread:2 ~sender:10 `Write key (Bytes.of_string "v1") in
-  ignore (Ewt.note_write ewt ~partition:target_partition ~thread:2);
-  let _w2 = send ~thread:2 ~sender:11 `Write key (Bytes.of_string "v2") in
-  ignore (Ewt.note_write ewt ~partition:target_partition ~thread:2);
-  let _w3 = send ~thread:2 ~sender:12 `Write key (Bytes.of_string "v3") in
-  let other = send ~thread:2 ~sender:13 `Write (key + 1) (Bytes.of_string "zz") in
-  (* Server thread 2 polls the first write, scans for dependent ones. *)
-  let first = Option.get (Rpc.poll rpc ~thread:2) in
-  Alcotest.(check int) "first is w1" w1.Rpc.rpc_id first.Rpc.rpc_id;
-  let dependents = Rpc.take_matching_writes rpc ~thread:2 ~depth:8 ~key in
-  Alcotest.(check int) "harvested both dependents" 2 (List.length dependents);
-  Alcotest.(check int) "independent write left queued" 1 (Rpc.queue_length rpc ~thread:2);
+  let key = 77 in
+  let rec other_key k =
+    if partition_of k <> partition_of key then k else other_key (k + 1)
+  in
+  let other = other_key (key + 1) in
+  (* NIC: parse each packet, take its value from behind the header, and
+     admit it through the EWT -> JBSQ procedure. Request id = position. *)
+  let admit (id, k, v) =
+    let packet = Header.encode header ~op:`Write ~key:k ~value:(Bytes.of_string v) in
+    match Header.parse header packet with
+    | Error e -> Alcotest.failf "parse: %s" e
+    | Ok p -> (
+      Alcotest.(check int) "key parsed" k p.Header.key;
+      let off = Header.header_size header in
+      let value = Bytes.sub packet off (Bytes.length packet - off) in
+      match
+        Core.admit_write core ~partition:p.Header.partition ~now:(float_of_int id)
+          ~pick:(`Balanced (0, 4))
+      with
+      | Core.Admitted { worker; fresh } -> (id, p, value, worker, fresh)
+      | Core.No_slot | Core.Rejected _ -> Alcotest.failf "write %d not admitted" id)
+  in
+  let writes = List.map admit [ (0, key, "v1"); (1, key, "v2"); (2, key, "v3") ] in
+  let _, p, _, w, _ = List.hd writes in
+  List.iteri
+    (fun i (_, _, _, worker, fresh) ->
+      Alcotest.(check bool) "only the first write pins" (i = 0) fresh;
+      Alcotest.(check int) "single writer" w worker)
+    writes;
+  Alcotest.(check int) "EWT counts all three" 3
+    (Core.ewt_outstanding core ~partition:p.Header.partition);
+  let _, op, ov, ow, ofresh = admit (3, other, "zz") in
+  Alcotest.(check bool) "independent write pins its own partition" true ofresh;
+  Alcotest.(check bool) "JBSQ balances it off the busy worker" true (ow <> w);
+  (* Worker w: the first write opens a window on its key, the dependent
+     writes are absorbed, and the close hands back all three. *)
+  ignore
+    (Core.open_window core ~worker:w ~key ~now:3.0 ~arrival:0.0 ~mean_service:10.0);
+  List.iter
+    (fun (id, _, _, _, _) -> Core.absorb core ~worker:w ~key ~id ~now:3.0)
+    writes;
+  Alcotest.(check bool) "window refuses the other key" false
+    (Core.window_accepts core ~worker:w ~key:other);
+  let closed =
+    match Core.close_window core ~worker:w ~now:4.0 with
+    | Some c -> c
+    | None -> Alcotest.fail "no window to close"
+  in
+  let ids = List.map (fun (r : Log.pending) -> r.Log.request_id) closed.Log.writes in
+  Alcotest.(check (list int)) "absorbed in arrival order" [ 0; 1; 2 ] ids;
   (* Compact: one combined store update from the batch. *)
-  let batch = first :: dependents in
-  Store.set_batched store ~key ~values:(List.map (fun r -> r.Rpc.payload) batch);
+  Store.set_batched store ~key
+    ~values:(List.map (fun id -> let _, _, v, _, _ = List.nth writes id in v) ids);
   Alcotest.(check (option string)) "store holds final value" (Some "v3")
     (Option.map Bytes.to_string (fst (Store.get store ~key)));
   (* Respond to every compacted write; the LAST response releases the
-     EWT mapping (outstanding counter reaches zero). *)
-  List.iteri
-    (fun i r ->
-      let resp = Rpc.respond rpc r ~release_exclusive:true () in
-      Alcotest.(check bool) "addressed correctly" true (resp.Rpc.resp_to = 10 + i);
-      Ewt.note_response ewt ~partition:target_partition)
-    batch;
-  Alcotest.(check (option int)) "partition balanceable again" None
-    (Ewt.lookup ewt ~partition:target_partition);
-  (* The independent write proceeds normally. *)
-  let o = Option.get (Rpc.poll rpc ~thread:2) in
-  Alcotest.(check int) "independent write polls" other.Rpc.rpc_id o.Rpc.rpc_id;
-  Store.set store ~key:(key + 1) ~value:o.Rpc.payload;
-  ignore (Rpc.respond rpc o ~release_exclusive:false ());
-  Alcotest.(check int) "all buffers returned" 32 (Rpc.buffers_free rpc)
+     pin (outstanding counter reaches zero). *)
+  List.iter
+    (fun _ ->
+      Alcotest.(check int) "still pinned before the last response" w
+        (Core.route_owner core ~partition:p.Header.partition);
+      Core.write_done core ~partition:p.Header.partition;
+      Core.complete core ~worker:w)
+    ids;
+  (match !decisions with
+  | Decision.Unpin { partition } :: _ ->
+    Alcotest.(check int) "last response unpins" p.Header.partition partition
+  | _ -> Alcotest.fail "last write_done did not unpin");
+  Alcotest.(check int) "partition balanceable again" 0
+    (Core.ewt_outstanding core ~partition:p.Header.partition);
+  (* The independent write proceeds normally on its own worker. *)
+  Store.set store ~key:other ~value:ov;
+  Core.write_done core ~partition:op.Header.partition;
+  Core.complete core ~worker:ow;
+  Alcotest.(check (option string)) "independent value stored" (Some "zz")
+    (Option.map Bytes.to_string (fst (Store.get store ~key:other)));
+  Alcotest.(check int) "EWT empty" 0 (Core.ewt_occupancy core);
+  List.iter
+    (fun worker ->
+      Alcotest.(check int) "JBSQ slots returned" 0 (Core.occupancy core ~worker))
+    [ 0; 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* 3. Cross-module sanity: the model's partition function agrees with

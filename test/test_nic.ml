@@ -1,12 +1,11 @@
 (* NIC substrate: EWT protocol and occupancy accounting, JBSQ(k)
-   dispatch, header parse/encode round-trips, flow control, and the RPC
-   layer's buffer accounting + compaction scan hooks. *)
+   dispatch, header parse/encode round-trips and layout validation, and
+   flow control. *)
 
 module Ewt = C4_nic.Ewt
 module Jbsq = C4_nic.Jbsq
 module Header = C4_nic.Header
 module Flow = C4_nic.Flow_control
-module Rpc = C4_nic.Rpc
 
 (* ---------------- EWT ---------------- *)
 
@@ -166,13 +165,44 @@ let test_header_size () =
   let h = header () in
   Alcotest.(check int) "1B opcode + 8B key" 9 (Header.header_size h)
 
+(* The NIC header and the wire codec ([C4_net.Wire], which takes its
+   check from the header) reject the same layouts. *)
 let test_header_key_length_validation () =
-  Alcotest.check_raises "key too wide"
-    (Invalid_argument "Header.register: key_length must be in 1..8") (fun () ->
-      ignore
-        (Header.register
-           ~layout:{ Header.opcode_offset = 0; key_offset = 1; key_length = 9 }
-           ~n_buckets:16 ~n_partitions:4))
+  List.iter
+    (fun (layout, fault) ->
+      Alcotest.check_raises ("NIC: " ^ fault)
+        (Invalid_argument ("Header.register: " ^ fault))
+        (fun () -> ignore (Header.register ~layout ~n_buckets:16 ~n_partitions:4));
+      Alcotest.check_raises ("codec: " ^ fault)
+        (Invalid_argument ("Wire.create: " ^ fault))
+        (fun () -> ignore (C4_net.Wire.create ~layout ())))
+    [
+      ( { Header.opcode_offset = 0; key_offset = 1; key_length = 9 },
+        "key_length must be in 1..8" );
+      ( { Header.opcode_offset = 0; key_offset = -1; key_length = 8 },
+        "negative offset" );
+      ( { Header.opcode_offset = -2; key_offset = 1; key_length = 8 },
+        "negative offset" );
+      (* An opcode inside the key field would be overwritten by encode. *)
+      ( { Header.opcode_offset = 2; key_offset = 0; key_length = 8 },
+        "opcode overlaps key" );
+      ( { Header.opcode_offset = 8; key_offset = 1; key_length = 8 },
+        "opcode overlaps key" );
+    ];
+  (* Adjacent fields, either order, are fine and round-trip. *)
+  List.iter
+    (fun layout ->
+      let h = Header.register ~layout ~n_buckets:16 ~n_partitions:4 in
+      let packet = Header.encode h ~op:`Write ~key:0xABCD ~value:Bytes.empty in
+      match Header.parse h packet with
+      | Ok p ->
+        Alcotest.(check bool) "op survives" true (p.Header.op = `Write);
+        Alcotest.(check int) "key survives" 0xABCD p.Header.key
+      | Error e -> Alcotest.failf "adjacent layout rejected: %s" e)
+    [
+      { Header.opcode_offset = 4; key_offset = 0; key_length = 4 };
+      { Header.opcode_offset = 0; key_offset = 1; key_length = 2 };
+    ]
 
 let prop_header_roundtrip =
   QCheck.Test.make ~name:"header encode/parse round-trips" ~count:300
@@ -305,73 +335,6 @@ let test_ewt_orphan_release () =
   Alcotest.(check bool) "matched release works" true (Ewt.try_note_response e ~partition:7);
   Alcotest.(check (option int)) "freed at zero" None (Ewt.lookup e ~partition:7)
 
-(* ---------------- RPC ---------------- *)
-
-let rpc_stack () = Rpc.create ~n_threads:2 ~n_buffers:4 ~header:(header ())
-
-let deliver_write t ~thread ~key ~value =
-  let h = header () in
-  let packet = Header.encode h ~op:`Write ~key ~value:(Bytes.of_string value) in
-  match Rpc.deliver t ~thread ~sender:1 packet with
-  | Ok rpc -> rpc
-  | Error `No_buffers -> Alcotest.fail "no buffers"
-  | Error (`Bad_packet e) -> Alcotest.failf "bad packet: %s" e
-
-let test_rpc_deliver_poll () =
-  let t = rpc_stack () in
-  let rpc = deliver_write t ~thread:0 ~key:7 ~value:"hello" in
-  Alcotest.(check int) "queued" 1 (Rpc.queue_length t ~thread:0);
-  Alcotest.(check string) "payload extracted" "hello" (Bytes.to_string rpc.Rpc.payload);
-  (match Rpc.poll t ~thread:0 with
-  | Some polled -> Alcotest.(check int) "same rpc" rpc.Rpc.rpc_id polled.Rpc.rpc_id
-  | None -> Alcotest.fail "poll returned nothing");
-  Alcotest.(check (option Alcotest.reject)) "queue drained" None
-    (Option.map (fun _ -> assert false) (Rpc.poll t ~thread:0))
-
-let test_rpc_buffer_exhaustion () =
-  let t = rpc_stack () in
-  for i = 1 to 4 do
-    ignore (deliver_write t ~thread:0 ~key:i ~value:"x")
-  done;
-  Alcotest.(check int) "pool drained" 0 (Rpc.buffers_free t);
-  let h = header () in
-  let packet = Header.encode h ~op:`Read ~key:9 ~value:Bytes.empty in
-  (match Rpc.deliver t ~thread:0 ~sender:1 packet with
-  | Error `No_buffers -> ()
-  | _ -> Alcotest.fail "should exhaust buffers");
-  (* Responding frees a buffer for reuse. *)
-  let rpc = Option.get (Rpc.poll t ~thread:0) in
-  ignore (Rpc.respond t rpc ~release_exclusive:true ());
-  Alcotest.(check int) "buffer recycled" 1 (Rpc.buffers_free t)
-
-let test_rpc_double_completion () =
-  let t = rpc_stack () in
-  let rpc = deliver_write t ~thread:0 ~key:1 ~value:"v" in
-  ignore (Rpc.respond t rpc ~release_exclusive:false ());
-  Alcotest.check_raises "double completion"
-    (Invalid_argument "Rpc.respond: buffer already freed (double completion)") (fun () ->
-      ignore (Rpc.respond t rpc ~release_exclusive:false ()))
-
-let test_rpc_scan_and_extract () =
-  let t = rpc_stack () in
-  ignore (deliver_write t ~thread:0 ~key:1 ~value:"a");
-  ignore (deliver_write t ~thread:0 ~key:2 ~value:"b");
-  ignore (deliver_write t ~thread:0 ~key:1 ~value:"c");
-  let keys = ref [] in
-  Rpc.scan t ~thread:0 ~depth:(-1) ~f:(fun r -> keys := r.Rpc.parsed.Header.key :: !keys);
-  Alcotest.(check (list int)) "scan order" [ 1; 2; 1 ] (List.rev !keys);
-  let matches = Rpc.take_matching_writes t ~thread:0 ~depth:(-1) ~key:1 in
-  Alcotest.(check int) "dependent writes harvested" 2 (List.length matches);
-  Alcotest.(check int) "independent write remains" 1 (Rpc.queue_length t ~thread:0)
-
-let test_rpc_responses_recorded () =
-  let t = rpc_stack () in
-  let rpc = deliver_write t ~thread:1 ~key:5 ~value:"v" in
-  let resp = Rpc.respond t rpc ~value:(Bytes.of_string "ok") ~release_exclusive:true () in
-  Alcotest.(check bool) "release flag carried" true resp.Rpc.released_exclusive;
-  Alcotest.(check int) "addressed to sender" 1 resp.Rpc.resp_to;
-  Alcotest.(check int) "response log" 1 (List.length (Rpc.responses t))
-
 let tests =
   [
     Alcotest.test_case "EWT map/bump/release" `Quick test_ewt_map_and_release;
@@ -402,9 +365,4 @@ let tests =
     Alcotest.test_case "flow control underflow" `Quick test_flow_release_underflow;
     Alcotest.test_case "EWT stale entries expire" `Quick test_ewt_stale_expiry;
     Alcotest.test_case "EWT orphan release tolerated" `Quick test_ewt_orphan_release;
-    Alcotest.test_case "rpc deliver + poll" `Quick test_rpc_deliver_poll;
-    Alcotest.test_case "rpc buffer pool accounting" `Quick test_rpc_buffer_exhaustion;
-    Alcotest.test_case "rpc double completion detected" `Quick test_rpc_double_completion;
-    Alcotest.test_case "rpc queue scan + dependent-write harvest" `Quick test_rpc_scan_and_extract;
-    Alcotest.test_case "rpc response metadata" `Quick test_rpc_responses_recorded;
   ]

@@ -1,11 +1,9 @@
 (* Statistics substrate: Welford summaries, HDR-style histograms
-   (including bounded relative quantile error vs exact), reservoirs,
-   time-weighted series, table/CSV rendering. *)
+   (including bounded relative quantile error vs exact), table/CSV
+   rendering. *)
 
 module Summary = C4_stats.Summary
 module Histogram = C4_stats.Histogram
-module Reservoir = C4_stats.Reservoir
-module Series = C4_stats.Series
 module Table = C4_stats.Table
 module Csv = C4_stats.Csv
 
@@ -179,84 +177,6 @@ let prop_histogram_merged_p99_monotone =
       Float.min pa pb *. (1.0 -. slack) <= pm
       && pm <= Float.max pa pb *. (1.0 +. slack))
 
-(* ---------------- Reservoir ---------------- *)
-
-let test_reservoir_small_stream_exact () =
-  let r = Reservoir.create ~capacity:100 ~seed:1 in
-  List.iter (Reservoir.add r) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  feq "median exact below capacity" 3.0 (Reservoir.quantile r 0.5);
-  Alcotest.(check int) "count tracks stream" 5 (Reservoir.count r)
-
-let test_reservoir_capacity_respected () =
-  let r = Reservoir.create ~capacity:10 ~seed:2 in
-  for i = 1 to 1000 do
-    Reservoir.add r (float_of_int i)
-  done;
-  Alcotest.(check int) "retains capacity" 10 (Array.length (Reservoir.samples r));
-  Alcotest.(check int) "saw the stream" 1000 (Reservoir.count r)
-
-let test_reservoir_uniformity () =
-  (* Mean of retained samples over a long uniform stream should be near
-     the stream mean — a weak but effective uniformity check. *)
-  let r = Reservoir.create ~capacity:500 ~seed:3 in
-  for i = 1 to 50_000 do
-    Reservoir.add r (float_of_int i)
-  done;
-  let samples = Reservoir.samples r in
-  let mean = Array.fold_left ( +. ) 0.0 samples /. float_of_int (Array.length samples) in
-  if abs_float (mean -. 25_000.0) > 3_000.0 then Alcotest.failf "biased reservoir: %f" mean
-
-
-let test_reservoir_quantile_edges () =
-  let r = Reservoir.create ~capacity:8 ~seed:7 in
-  feq "empty quantile" 0.0 (Reservoir.quantile r 0.5);
-  Reservoir.add r 13.0;
-  feq "single sample: q=0" 13.0 (Reservoir.quantile r 0.0);
-  feq "single sample: q=1" 13.0 (Reservoir.quantile r 1.0);
-  feq "out-of-range q clamps" 13.0 (Reservoir.quantile r 2.0);
-  Reservoir.reset r;
-  Alcotest.(check int) "reset clears" 0 (Reservoir.count r);
-  feq "quantile after reset" 0.0 (Reservoir.quantile r 0.99)
-
-let test_reservoir_quantile_bounds () =
-  (* Under overflow the quantile is still a retained sample, so it must
-     sit inside the stream's [min, max]. *)
-  let r = Reservoir.create ~capacity:16 ~seed:11 in
-  for i = 1 to 10_000 do
-    Reservoir.add r (float_of_int i)
-  done;
-  List.iter
-    (fun q ->
-      let v = Reservoir.quantile r q in
-      if v < 1.0 || v > 10_000.0 then Alcotest.failf "quantile %f escaped: %f" q v)
-    [ 0.0; 0.5; 0.99; 1.0 ]
-
-(* ---------------- Series ---------------- *)
-
-let test_series_time_weighted_mean () =
-  let s = Series.create () in
-  Series.set s ~time:0.0 0.0;
-  Series.set s ~time:10.0 1.0;
-  (* 0 for [0,10), 1 for [10,20) -> mean 0.5 over [0,20). *)
-  feq "mean over window" 0.5 (Series.mean_over s ~start_time:0.0 ~end_time:20.0);
-  feq "second half only" 1.0 (Series.mean_over s ~start_time:10.0 ~end_time:20.0);
-  (* 0 on [5,10), 1 on [10,13): 3/8. *)
-  feq "partial overlap" 0.375 (Series.mean_over s ~start_time:5.0 ~end_time:13.0)
-
-let test_series_max () =
-  let s = Series.create () in
-  Series.set s ~time:0.0 3.0;
-  Series.set s ~time:1.0 7.0;
-  Series.set s ~time:2.0 2.0;
-  feq "max" 7.0 (Series.max_value s)
-
-let test_series_backwards_time_rejected () =
-  let s = Series.create () in
-  Series.set s ~time:5.0 1.0;
-  Alcotest.check_raises "time goes backwards"
-    (Invalid_argument "Series.set: time went backwards") (fun () ->
-      Series.set s ~time:4.0 1.0)
-
 (* ---------------- Table / CSV ---------------- *)
 
 let test_table_render () =
@@ -311,14 +231,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_histogram_p99_bounds_p50;
     Alcotest.test_case "histogram merge edge cases" `Quick test_histogram_merge_edges;
     QCheck_alcotest.to_alcotest prop_histogram_merged_p99_monotone;
-    Alcotest.test_case "reservoir exact under capacity" `Quick test_reservoir_small_stream_exact;
-    Alcotest.test_case "reservoir respects capacity" `Quick test_reservoir_capacity_respected;
-    Alcotest.test_case "reservoir unbiased" `Slow test_reservoir_uniformity;
-    Alcotest.test_case "reservoir quantile edge cases" `Quick test_reservoir_quantile_edges;
-    Alcotest.test_case "reservoir quantile within stream bounds" `Quick test_reservoir_quantile_bounds;
-    Alcotest.test_case "series time-weighted mean" `Quick test_series_time_weighted_mean;
-    Alcotest.test_case "series max" `Quick test_series_max;
-    Alcotest.test_case "series rejects time reversal" `Quick test_series_backwards_time_rejected;
     Alcotest.test_case "table rendering" `Quick test_table_render;
     Alcotest.test_case "table arity check" `Quick test_table_arity_checked;
     Alcotest.test_case "csv quoting" `Quick test_csv_roundtrip_quoting;
