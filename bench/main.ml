@@ -4,7 +4,8 @@
    with Bechamel microbenchmarks of the core primitives.
 
    Usage: main.exe [smoke|quick|full] [--csv DIR] [only ...]
-   Default scale: quick (a few minutes). *)
+   Default scale: quick (a few minutes). [micro] among the names runs
+   the microbenchmarks, which otherwise run only when no name is given. *)
 
 module Figures = C4.Figures
 module Config = C4.Config
@@ -538,10 +539,71 @@ let ablation scale =
    the model — notably T_c (private-log append) versus T_b (a full
    store write), the ratio Eqn. (1) feeds on. *)
 
+let measure ?stabilize tests =
+  let open Bechamel in
+  let open Toolkit in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  let instances = Instance.[ monotonic_clock ] in
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ?stabilize ()
+  in
+  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"c4" ~fmt:"%s %s" tests) in
+  let results = List.map (fun i -> Analyze.all ols i raw) instances in
+  let merged = Analyze.merge ols instances results in
+  let estimates = ref [] in
+  Hashtbl.iter
+    (fun _metric tbl ->
+      let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) tbl [] in
+      List.iter
+        (fun (name, result) ->
+          match Analyze.OLS.estimates result with
+          | Some [ est ] ->
+            estimates := (name, est) :: !estimates;
+            Printf.printf "  %-50s %10.1f ns/op\n" name est
+          | _ -> Printf.printf "  %-50s (no estimate)\n" name)
+        (List.sort compare rows))
+    merged;
+  List.sort compare !estimates
+
+(* The store at uniform-read's scale: 400k keys of 512 B in serve's
+   partitioning (4096 buckets over 64 partitions), read and overwritten
+   at uniformly random keys so the index's cache behaviour shows, plus
+   the cost of inserting a key the store has never held (growth
+   included). Measured after the other rows, so their heap stays small,
+   and without Bechamel's per-sample [Gc.compact]: compacting a 200 MB
+   heap before every sample leaves each one too short and cache-cold. *)
+let store_at_scale ~value =
+  let open Bechamel in
+  let n_keys = 400_000 in
+  let store = C4_kvs.Store.create ~n_buckets:4096 ~n_partitions:64 () in
+  for key = 0 to n_keys - 1 do
+    C4_kvs.Store.set store ~key ~value
+  done;
+  let uniform =
+    let rng = C4_dsim.Rng.create 7 in
+    Array.init (1 lsl 20) (fun _ -> C4_dsim.Rng.int rng n_keys)
+  in
+  let i = ref 0 in
+  let next_key () =
+    i := (!i + 1) land (Array.length uniform - 1);
+    uniform.(!i)
+  in
+  let fresh = C4_kvs.Store.create ~n_buckets:4096 ~n_partitions:64 () in
+  let fresh_key = ref 0 and small = Bytes.make 8 'f' in
+  [
+    Test.make ~name:"store.get (400k uniform keys)"
+      (Staged.stage (fun () -> ignore (C4_kvs.Store.get store ~key:(next_key ()))));
+    Test.make ~name:"store.set (400k uniform keys)"
+      (Staged.stage (fun () -> C4_kvs.Store.set store ~key:(next_key ()) ~value));
+    Test.make ~name:"store.set (insert a fresh key)"
+      (Staged.stage (fun () ->
+           incr fresh_key;
+           C4_kvs.Store.set fresh ~key:!fresh_key ~value:small));
+  ]
+
 let microbench () =
   section "Microbenchmarks (Bechamel)";
   let open Bechamel in
-  let open Toolkit in
   let store = C4_kvs.Store.create ~n_buckets:4096 ~n_partitions:256 () in
   let value = Bytes.make 512 'v' in
   for key = 0 to 999 do
@@ -626,26 +688,8 @@ let microbench () =
               | `Awaiting | `Corrupt _ -> assert false)));
     ]
   in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) () in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"c4" ~fmt:"%s %s" tests) in
-  let results = List.map (fun i -> Analyze.all ols i raw) instances in
-  let merged = Analyze.merge ols instances results in
-  let estimates = ref [] in
-  Hashtbl.iter
-    (fun _metric tbl ->
-      let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) tbl [] in
-      List.iter
-        (fun (name, result) ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            estimates := (name, est) :: !estimates;
-            Printf.printf "  %-50s %10.1f ns/op\n" name est
-          | _ -> Printf.printf "  %-50s (no estimate)\n" name)
-        (List.sort compare rows))
-    merged;
-  List.sort compare !estimates
+  let core = measure tests in
+  core @ measure ~stabilize:false (store_at_scale ~value)
 
 (* Append the microbench estimates to the perf-trajectory log (JSON
    Lines, same envelope as netbench's --bench-json records). *)
@@ -714,7 +758,7 @@ let () =
   Printf.printf "C-4 evaluation reproduction — scale: %s\n"
     (match !scale with `Smoke -> "smoke" | `Quick -> "quick" | `Full -> "full");
   List.iter (fun (_, f) -> f !scale) selected;
-  if !only = [] then begin
+  if !only = [] || List.mem "micro" !only then begin
     let estimates = microbench () in
     Option.iter (fun path -> append_microbench_json ~path estimates) !json_path
   end;

@@ -1,7 +1,7 @@
-(* Exhaustively explore every protocol model (seqlock, EWT, flow
-   control, channel, promise, compaction window) plus their seeded-bug
-   variants, and replay one counterexample end-to-end through the
-   linearizability checker. This is the quick "is the correctness
+(* Exhaustively explore every protocol model (seqlock, store-table
+   grow, EWT, flow control, channel, promise, compaction window) plus
+   their seeded-bug variants, and replay one counterexample end-to-end
+   through the linearizability checker. This is the quick "is the correctness
    tooling alive" demo; the full assertions live in test/test_check.ml. *)
 
 module Models = C4_check.Models
@@ -31,6 +31,7 @@ let () =
     (fun p -> ignore (run ~expect_violation:false p))
     [
       Models.seqlock ();
+      Models.store_grow ();
       Models.ewt ();
       Models.flow_control ();
       Models.channel ();
@@ -44,6 +45,7 @@ let () =
       Models.seqlock ~broken:Models.No_write_end ();
       Models.seqlock ~broken:Models.Unlocked_writer ();
       Models.seqlock ~broken:Models.Second_writer ();
+      Models.store_grow ~broken:Models.Split_publish ();
       Models.ewt ~broken:Models.Raising_response ();
       Models.flow_control ~broken:Models.Unmatched_release ();
       Models.channel ~broken:Models.Pop_ignores_close ();

@@ -153,6 +153,168 @@ let seqlock ?broken () =
           else Ok ());
     }
 
+(* ---------------- Store table grow vs an optimistic reader -------- *)
+
+type grow_broken = Split_publish
+
+(* One partition of [Store]: slot [i] is ([keys.(i)], [vals.(i)]), a free
+   slot holds 0 in [vals]. The stable key [grow_key] (value
+   [grow_value]) sits at slot [grow_hash land (capacity - 1)]: slot 1 of
+   the initial 2-slot table, slot 3 after the writer doubles it. *)
+type grow_state = {
+  gsl : Seqlock.t;
+  mutable keys : int array;
+  mutable vals : int array;
+  (* reader scratch *)
+  mutable g_v0 : int;
+  mutable g_keys : int array;
+  mutable g_vals : int array;
+  mutable g_found : int option;
+  mutable faults : int;
+  mutable validated : int option list;
+}
+
+let grow_key = 5
+let grow_value = 42
+let grow_hash = 7
+
+(* The writer mirrors [Store.set] inserting a fresh key into a full
+   table: the grow builds the doubled table privately, publishes it
+   (one step for [Store]'s one-record write; two for the seeded split
+   variant), then the insert writes a slot of the new table. *)
+let grow_writer ?broken () =
+  let step = Sched.step in
+  let write_end =
+    step ~touches:[ "ver" ] "write_end" (fun st ->
+        Seqlock.write_end st.gsl;
+        Sched.stop)
+  in
+  let insert =
+    step ~touches:[ "slots" ] "insert" (fun st ->
+        st.keys.(1) <- 9;
+        st.vals.(1) <- 99;
+        Sched.Continue write_end)
+  in
+  let write_begin next =
+    step ~touches:[ "ver" ] "write_begin" (fun st ->
+        Seqlock.write_begin st.gsl;
+        Sched.Continue next)
+  in
+  let doubled () =
+    let keys = Array.make 4 0 and vals = Array.make 4 0 in
+    keys.(grow_hash land 3) <- grow_key;
+    vals.(grow_hash land 3) <- grow_value;
+    (keys, vals)
+  in
+  match broken with
+  | None ->
+    write_begin
+      (step ~touches:[ "keys"; "vals" ] "publish" (fun st ->
+           let keys, vals = doubled () in
+           st.keys <- keys;
+           st.vals <- vals;
+           Sched.Continue insert))
+  | Some Split_publish ->
+    write_begin
+      (step ~touches:[ "keys" ] "publish_keys" (fun st ->
+           let keys, vals = doubled () in
+           st.keys <- keys;
+           Sched.Continue
+             (step ~touches:[ "vals" ] "publish_vals" (fun st ->
+                  st.vals <- vals;
+                  Sched.Continue insert))))
+
+(* The reader mirrors [Store.get]: version poll, table load(s), a probe
+   of its snapshot, version validation. A probe that indexes [vals] out
+   of bounds is a fault: inside [Seqlock.read] it would raise before
+   validation could discard it. *)
+let grow_reader ~split =
+  let rec read_v0 () =
+    Sched.step ~touches:[ "ver" ] "read_v0"
+      ~enabled:(fun st -> not (Seqlock.write_in_flight st.gsl))
+      (fun st ->
+        st.g_v0 <- Seqlock.version st.gsl;
+        Sched.Continue (if split then load_keys () else load_table ()))
+  and load_table () =
+    Sched.step ~touches:[ "keys"; "vals" ] "load_table" (fun st ->
+        st.g_keys <- st.keys;
+        st.g_vals <- st.vals;
+        Sched.Continue (probe ()))
+  and load_keys () =
+    Sched.step ~touches:[ "keys" ] "load_keys" (fun st ->
+        st.g_keys <- st.keys;
+        Sched.Continue
+          (Sched.step ~touches:[ "vals" ] "load_vals" (fun st ->
+               st.g_vals <- st.vals;
+               Sched.Continue (probe ()))))
+  and probe () =
+    Sched.step ~touches:[ "slots" ] "probe" (fun st ->
+        let i = grow_hash land (Array.length st.g_keys - 1) in
+        if i >= Array.length st.g_vals then begin
+          st.faults <- st.faults + 1;
+          Sched.stop
+        end
+        else begin
+          st.g_found <-
+            (if st.g_vals.(i) <> 0 && st.g_keys.(i) = grow_key then Some st.g_vals.(i)
+             else None);
+          Sched.Continue
+            (Sched.step ~touches:[ "ver" ] "validate" (fun st ->
+                 if Seqlock.version st.gsl = st.g_v0 then begin
+                   st.validated <- st.g_found :: st.validated;
+                   Sched.stop
+                 end
+                 else Sched.Continue (read_v0 ())))
+        end)
+  in
+  read_v0 ()
+
+let store_grow ?broken () =
+  let model_name =
+    match broken with
+    | None -> "store-grow"
+    | Some Split_publish -> "store-grow/split-publish"
+  in
+  Pack
+    {
+      Sched.model_name;
+      init =
+        (fun () ->
+          {
+            gsl = Seqlock.create ();
+            keys = [| 0; grow_key |];
+            vals = [| 0; grow_value |];
+            g_v0 = 0;
+            g_keys = [||];
+            g_vals = [||];
+            g_found = None;
+            faults = 0;
+            validated = [];
+          });
+      threads =
+        [
+          { Sched.name = "writer"; entry = grow_writer ?broken () };
+          { Sched.name = "reader"; entry = grow_reader ~split:(broken <> None) };
+        ];
+      invariant =
+        (fun st ->
+          if st.faults > 0 then
+            Error "reader probed a mismatched table: index out of bounds"
+          else
+            match List.find_opt (fun r -> r <> Some grow_value) st.validated with
+            | Some r ->
+              Error
+                (Printf.sprintf "stable key validated as %s"
+                   (match r with None -> "missing" | Some v -> string_of_int v))
+            | None -> Ok ());
+      final =
+        (fun st ->
+          if st.validated = [] then Error "reader never validated a read"
+          else if Array.length st.keys <> Array.length st.vals then
+            Error "published table arrays differ in length"
+          else Ok ());
+    }
+
 (* ---------------- EWT acquire / note_response / expire_stale -------- *)
 
 type ewt_broken = Raising_response

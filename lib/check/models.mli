@@ -5,6 +5,9 @@
 
     - {!seqlock}: CREW (one writer per partition) and no torn validated
       read, against the real [C4_kvs.Seqlock].
+    - {!store_grow}: a reader racing the growth of a partition's
+      table never faults and never validates a wrong value for a key
+      that stays put, against the real [C4_kvs.Seqlock].
     - {!ewt}: exclusive-writer mapping stability while writes are
       outstanding, credit conservation across responses and stale
       expiry, against the real [C4_nic.Ewt].
@@ -40,6 +43,14 @@ type seqlock_broken =
   | Second_writer  (** concurrent writer: CREW violation, seqlock raises *)
 
 val seqlock : ?broken:seqlock_broken -> unit -> packed
+
+type grow_broken =
+  | Split_publish
+      (** keys and values published by two writes, even inside the
+          write section: a reader loading one of each faults out of
+          bounds before its version check can discard the read *)
+
+val store_grow : ?broken:grow_broken -> unit -> packed
 
 type ewt_broken =
   | Raising_response

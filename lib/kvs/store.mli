@@ -1,11 +1,18 @@
 (** MICA-like in-memory key-value store.
 
-    A fixed-size array of hash buckets, each holding a chain of items;
-    buckets are grouped into partitions, each protected by a {!Seqlock}.
-    Readers run the optimistic protocol (read, version-check, retry);
-    writers follow the CREW discipline — whoever calls [set] must hold
-    the exclusive write right for the key's partition, which is exactly
-    what the NIC-side policies guarantee.
+    Keys map to partitions through the f() shared with the NIC
+    ({!Hash.partition_of_key}: [n_buckets] buckets grouped into
+    [n_partitions] partitions). Each partition holds its own
+    open-addressing table (linear probing, keys unboxed in an [int
+    array], values in a parallel array) that doubles at a load factor
+    of 3/4 and deletes by backward shift, so the index grows with the
+    keys and a lookup touches O(1) cache lines. Each partition is
+    protected by a {!Seqlock}: readers run the optimistic protocol
+    (read, version-check, retry); writers follow the CREW discipline —
+    whoever calls [set] must hold the exclusive write right for the
+    key's partition, which is exactly what the NIC-side policies
+    guarantee. Only that writer grows the table, inside its write
+    section, by publishing a complete new table with one field write.
 
     Keys are 63-bit integers (the workload's key ids); values are byte
     strings mutated in place so concurrent readers genuinely need the
@@ -28,6 +35,7 @@ val create :
   unit ->
   t
 
+(** Granularity of the partition function (not a table size). *)
 val n_buckets : t -> int
 val n_partitions : t -> int
 
@@ -69,19 +77,24 @@ val remove : t -> key:int -> bool
     final value becomes visible; one version bump covers the batch. *)
 val set_batched : t -> key:int -> values:bytes list -> unit
 
-(** Number of items stored. *)
+(** Number of items stored: the sum of the partitions' counts, exact
+    when no write is in flight. *)
 val size : t -> int
 
 (** Partition version, for tests asserting update counts. *)
 val partition_version : t -> partition:int -> int
 
+(** Write-side counters, kept per partition by its single writer and
+    summed here. Reads and read retries are counted by the caller
+    ([C4_runtime.Server.stats] counts them per worker). *)
 type stats = {
-  reads : int;
   writes : int;
-  read_retries : int;
   duplicate_writes : int;
   tokens_evicted : int;  (** idempotency tokens dropped by the FIFO bound *)
 }
 
 val stats : t -> stats
+
+(** Zero [writes] and [duplicate_writes]. Call only while no writer
+    runs. *)
 val reset_stats : t -> unit

@@ -93,11 +93,11 @@ let frame_of_body ~version:v body =
   Bytes.blit body 0 frame 5 n;
   frame
 
-let check_frame_size t body =
-  if 1 + Bytes.length body > t.max_frame then
+let check_frame_size t ~body_len =
+  if 1 + body_len > t.max_frame then
     invalid_arg
-      (Printf.sprintf "Wire: frame of %d bytes exceeds max_frame %d"
-         (1 + Bytes.length body) t.max_frame)
+      (Printf.sprintf "Wire: frame of %d bytes exceeds max_frame %d" (1 + body_len)
+         t.max_frame)
 
 let encode_request t r =
   if r.id < 0 then invalid_arg "Wire.encode_request: negative id";
@@ -138,7 +138,7 @@ let encode_request t r =
   Bytes.blit r.value 0 body
     (t.header_size + 9 + token_bytes + trace_bytes)
     (Bytes.length r.value);
-  check_frame_size t body;
+  check_frame_size t ~body_len:(Bytes.length body);
   (* Trace-context-free requests still frame as version 1 — byte-
      identical to what a v1 encoder produces, so old decoders keep
      working until a frame actually carries the new field. *)
@@ -209,23 +209,22 @@ let status_of_header = function
 let encode_response t r =
   if r.resp_id < 0 then invalid_arg "Wire.encode_response: negative id";
   if r.timing_ns < 0 then invalid_arg "Wire.encode_response: negative timing";
-  (* Fixed response header via the NIC-registered geometry, then the
-     net-layer trailer (request id, timing) and the value. *)
-  let head = Header.encode_response t.resp_layout ~status:(header_status r.status) ~value:Bytes.empty in
-  let body =
-    Bytes.make (t.resp_size + 16 + Bytes.length r.resp_value) '\000'
-  in
-  Bytes.blit head 0 body 0 t.resp_size;
-  put_le body
-    ~off:t.resp_layout.Header.value_len_offset
-    ~len:t.resp_layout.Header.value_len_bytes
-    (Bytes.length r.resp_value);
-  put_le body ~off:t.resp_size ~len:8 r.resp_id;
-  put_le body ~off:(t.resp_size + 8) ~len:8 r.timing_ns;
-  Bytes.blit r.resp_value 0 body (t.resp_size + 16) (Bytes.length r.resp_value);
-  check_frame_size t body;
-  (* Responses carry nothing v2 added; keep them decodable by v1 peers. *)
-  frame_of_body ~version:min_version body
+  (* One buffer: frame prefix, the fixed response header in the
+     NIC-registered geometry, the net-layer trailer (request id,
+     timing), then the value. Responses carry nothing v2 added, so they
+     stay decodable by v1 peers. *)
+  let len = Bytes.length r.resp_value in
+  let body_len = t.resp_size + 16 + len in
+  check_frame_size t ~body_len;
+  let frame = Bytes.create (5 + body_len) in
+  put_le frame ~off:0 ~len:4 (body_len + 1);
+  Bytes.set frame 4 (Char.chr min_version);
+  Header.write_response_header t.resp_layout frame ~off:5
+    ~status:(header_status r.status) ~value_len:len;
+  put_le frame ~off:(5 + t.resp_size) ~len:8 r.resp_id;
+  put_le frame ~off:(5 + t.resp_size + 8) ~len:8 r.timing_ns;
+  Bytes.blit r.resp_value 0 frame (5 + t.resp_size + 16) len;
+  frame
 
 let decode_response t body =
   let fixed = t.resp_size + 16 in

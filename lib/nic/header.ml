@@ -108,16 +108,21 @@ let status_byte = function
   | `Wrong_shard -> '\003'
   | `Cluster_ok -> '\004'
 
-let encode_response rl ~status ~value =
+let write_response_header rl packet ~off ~status ~value_len =
   if rl.value_len_bytes < 1 || rl.value_len_bytes > 4 then
     invalid_arg "Header.encode_response: value_len_bytes must be in 1..4";
-  let len = Bytes.length value in
-  if rl.value_len_bytes < 4 && len >= 1 lsl (8 * rl.value_len_bytes) then
+  if rl.value_len_bytes < 4 && value_len >= 1 lsl (8 * rl.value_len_bytes) then
     invalid_arg "Header.encode_response: value too long for value_len_bytes";
+  Bytes.fill packet off (response_size rl) '\000';
+  Bytes.set packet (off + rl.status_offset) (status_byte status);
+  write_key_le packet ~offset:(off + rl.value_len_offset) ~length:rl.value_len_bytes
+    value_len
+
+let encode_response rl ~status ~value =
+  let len = Bytes.length value in
   let header_end = response_size rl in
-  let packet = Bytes.make (header_end + len) '\000' in
-  Bytes.set packet rl.status_offset (status_byte status);
-  write_key_le packet ~offset:rl.value_len_offset ~length:rl.value_len_bytes len;
+  let packet = Bytes.create (header_end + len) in
+  write_response_header rl packet ~off:0 ~status ~value_len:len;
   Bytes.blit value 0 packet header_end len;
   packet
 

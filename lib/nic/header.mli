@@ -97,6 +97,14 @@ val response_size : response_layout -> int
     [value_len_bytes]. *)
 val encode_response : response_layout -> status:status -> value:bytes -> bytes
 
+(** Write the fixed response header for a value of [value_len] bytes
+    into [packet] at [off] (the {!response_size} bytes from [off], gaps
+    zeroed), as {!encode_response} lays it out. Lets a framing layer
+    build header, trailer and value in one buffer. Raises
+    [Invalid_argument] as {!encode_response} does. *)
+val write_response_header :
+  response_layout -> bytes -> off:int -> status:status -> value_len:int -> unit
+
 (** Parse a response packet; [Error] on short packets, unknown status
     bytes, or a declared value length exceeding the bytes present. *)
 val parse_response :

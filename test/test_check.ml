@@ -581,6 +581,7 @@ let check_complete name packed =
 
 let test_models_hold () =
   check_complete "seqlock" (Models.seqlock ());
+  check_complete "store-grow" (Models.store_grow ());
   check_complete "ewt" (Models.ewt ());
   check_complete "flow" (Models.flow_control ());
   check_complete "channel" (Models.channel ());
@@ -610,6 +611,11 @@ let test_seqlock_broken_variants () =
   ignore
     (expect_violation ~substring:"CREW" "second-writer"
        (Models.seqlock ~broken:Models.Second_writer ()))
+
+let test_store_grow_broken_variant () =
+  ignore
+    (expect_violation ~substring:"out of bounds" "split-publish"
+       (Models.store_grow ~broken:Models.Split_publish ()))
 
 let test_ewt_broken_variant () =
   ignore
@@ -687,6 +693,8 @@ let tests =
     Alcotest.test_case "explore: deadlock + replay" `Quick test_explore_deadlock_detected;
     Alcotest.test_case "models: all protocols hold" `Slow test_models_hold;
     Alcotest.test_case "models: seqlock seeded bugs" `Quick test_seqlock_broken_variants;
+    Alcotest.test_case "models: store-grow seeded bug" `Quick
+      test_store_grow_broken_variant;
     Alcotest.test_case "models: ewt seeded bug" `Quick test_ewt_broken_variant;
     Alcotest.test_case "models: flow-control seeded bug" `Quick test_flow_broken_variant;
     Alcotest.test_case "models: channel seeded bug" `Quick test_channel_broken_variant;

@@ -244,16 +244,44 @@ let test_store_batched_single_version_bump () =
   Store.set_batched s ~key ~values:[];
   Alcotest.(check int) "empty batch is free" 2 (Store.partition_version s ~partition:p)
 
+(* Write counters live in each partition and are summed by [stats]:
+   writes spread over every partition must all be counted. *)
 let test_store_stats () =
-  let s = Store.create () in
-  Store.set s ~key:1 ~value:(bytes_of "v");
+  let s = Store.create ~n_partitions:4 () in
+  for key = 0 to 99 do
+    Store.set s ~key ~value:(bytes_of "v")
+  done;
+  Store.set_batched s ~key:1 ~values:[ bytes_of "a"; bytes_of "b" ];
+  ignore (Store.set_idempotent s ~key:2 ~value:(bytes_of "w") ~token:5);
+  ignore (Store.set_idempotent s ~key:2 ~value:(bytes_of "w") ~token:5);
   ignore (Store.get s ~key:1);
-  ignore (Store.get s ~key:2);
   let st = Store.stats s in
-  Alcotest.(check int) "writes" 1 st.Store.writes;
-  Alcotest.(check int) "reads" 2 st.Store.reads;
+  Alcotest.(check int) "writes" 102 st.Store.writes;
+  Alcotest.(check int) "duplicates" 1 st.Store.duplicate_writes;
+  Alcotest.(check int) "size" 100 (Store.size s);
   Store.reset_stats s;
-  Alcotest.(check int) "reset" 0 (Store.stats s).Store.reads
+  Alcotest.(check int) "writes reset" 0 (Store.stats s).Store.writes;
+  Alcotest.(check int) "duplicates reset" 0 (Store.stats s).Store.duplicate_writes
+
+(* Two writer domains on disjoint partitions (CREW holds) must not lose
+   each other's counts: a store-wide counter would. *)
+let test_store_stats_concurrent_writers () =
+  let s = Store.create ~n_partitions:8 () in
+  let keys parity =
+    List.filter (fun k -> Store.partition_of_key s k mod 2 = parity) (List.init 4000 Fun.id)
+  in
+  let writer parity () =
+    let ks = keys parity in
+    for round = 1 to 10 do
+      List.iter (fun k -> Store.set s ~key:k ~value:(bytes_of (string_of_int round))) ks
+    done;
+    List.length ks
+  in
+  let a = Domain.spawn (writer 0) and b = Domain.spawn (writer 1) in
+  let n = Domain.join a + Domain.join b in
+  Alcotest.(check int) "keys" 4000 n;
+  Alcotest.(check int) "every write counted" (10 * n) (Store.stats s).Store.writes;
+  Alcotest.(check int) "every insert counted" n (Store.size s)
 
 let test_store_token_dedup () =
   let s = Store.create () in
@@ -302,8 +330,8 @@ let test_store_token_eviction_bounds_memory () =
       = `Duplicate)
   done
 
-let test_store_many_keys_chaining () =
-  (* Force chains: more keys than buckets. *)
+let test_store_many_keys_small_index () =
+  (* More keys than buckets: the partitions' tables outgrow n_buckets. *)
   let s = Store.create ~n_buckets:16 ~n_partitions:4 () in
   for key = 0 to 499 do
     Store.set s ~key ~value:(bytes_of (string_of_int key))
@@ -344,6 +372,173 @@ let prop_store_models_map =
             let got = Option.map Bytes.to_string (fst (Store.get s ~key:k)) in
             got = Hashtbl.find_opt model k)
         ops)
+
+(* The open-addressing tables against a map model, over enough keys that
+   every partition's table doubles several times. The key pool mixes
+   plain keys with groups that share a partition and a home slot at every
+   capacity up to 4096: with [n_buckets] = 4096 the slot hash is the
+   [Hash.mix_int] bits above the low 12, so keys agreeing on the next 12
+   bits probe the same run, and removing them exercises backward shift
+   over long runs. *)
+let collision_groups ~n_partitions ~n_groups ~group_size =
+  let seen = Hashtbl.create 4096 in
+  let groups = ref [] in
+  let key = ref 1_000_000 in
+  while List.length !groups < n_groups do
+    let k = !key in
+    incr key;
+    let home =
+      ( Hash.partition_of_key ~n_buckets:4096 ~n_partitions k,
+        (Hash.mix_int k lsr 12) land 4095 )
+    in
+    let members = k :: Option.value ~default:[] (Hashtbl.find_opt seen home) in
+    if List.length members = group_size then begin
+      groups := Array.of_list (List.rev members) :: !groups;
+      Hashtbl.remove seen home
+    end
+    else Hashtbl.replace seen home members
+  done;
+  Array.of_list !groups
+
+let prop_store_tables_model_map =
+  let n_plain = 2500 in
+  (* Indices past [n_plain] pick the 8 groups' 6 keys each. *)
+  let last = n_plain + 47 in
+  let groups =
+    Array.map
+      (fun n_partitions -> collision_groups ~n_partitions ~n_groups:8 ~group_size:6)
+      [| 1; 4 |]
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun k v -> `Set (k, v)) (int_bound last) (int_bound 1000));
+          (2, map (fun k -> `Remove k) (int_bound last));
+          (1, map (fun g -> `Remove_run g) (int_bound 7));
+          (1, map2 (fun k n -> `Batched (k, n)) (int_bound last) (int_range 1 3));
+          ( 1,
+            map3
+              (fun k v tok -> `Idempotent (k, v, tok))
+              (int_bound last) (int_bound 1000) (int_bound 200) );
+        ])
+  in
+  QCheck.Test.make ~name:"store tables grow and shift like a map" ~count:12
+    QCheck.(
+      pair (int_bound 1)
+        (make ~print:(fun l -> Printf.sprintf "<%d ops>" (List.length l))
+           Gen.(list_size (return 4000) op)))
+    (fun (which, ops) ->
+      let n_partitions = if which = 0 then 1 else 4 in
+      let groups = groups.(which) in
+      let key_of i =
+        if i < n_plain then i else groups.((i - n_plain) / 6).((i - n_plain) mod 6)
+      in
+      let s = Store.create ~n_buckets:4096 ~n_partitions () in
+      let model = Hashtbl.create 4096 in
+      let tokens = Hashtbl.create 256 in
+      let value v = bytes_of (string_of_int v) in
+      let agrees k =
+        Option.map Bytes.to_string (fst (Store.get s ~key:k))
+        = Option.map (fun v -> Bytes.to_string (value v)) (Hashtbl.find_opt model k)
+      in
+      let step = function
+        | `Set (i, v) ->
+          let k = key_of i in
+          Store.set s ~key:k ~value:(value v);
+          Hashtbl.replace model k v;
+          agrees k
+        | `Remove i ->
+          let k = key_of i in
+          let expected = Hashtbl.mem model k in
+          Hashtbl.remove model k;
+          Store.remove s ~key:k = expected && agrees k
+        | `Remove_run g ->
+          (* Fill the whole colliding run, then empty it from the front
+             so every removal shifts the rest of the run back. *)
+          Array.iteri
+            (fun j k ->
+              Store.set s ~key:k ~value:(value j);
+              Hashtbl.replace model k j)
+            groups.(g);
+          Array.for_all
+            (fun k ->
+              Hashtbl.remove model k;
+              Store.remove s ~key:k && Array.for_all agrees groups.(g))
+            groups.(g)
+        | `Batched (i, n) ->
+          let k = key_of i in
+          Store.set_batched s ~key:k ~values:(List.init n (fun j -> value (j + 1)));
+          Hashtbl.replace model k n;
+          agrees k
+        | `Idempotent (i, v, tok) ->
+          let k = key_of i in
+          let seen = (Store.partition_of_key s k, tok) in
+          let expected = if Hashtbl.mem tokens seen then `Duplicate else `Applied in
+          if expected = `Applied then begin
+            Hashtbl.replace tokens seen ();
+            Hashtbl.replace model k v
+          end;
+          Store.set_idempotent s ~key:k ~value:(value v) ~token:tok = expected
+          && agrees k
+      in
+      List.for_all step ops
+      && Store.size s = Hashtbl.length model
+      && List.for_all agrees (List.init (last + 1) key_of))
+
+(* A writer domain grows one partition's table from its initial size,
+   again and again on fresh stores, and deletes half of what it inserts
+   (backward shifts); a reader domain meanwhile gets a fixed set of
+   stable keys. Every get must return the exact stable value: a reader
+   that saw a table mid-grow or mid-shift and was not sent round again
+   by the version check shows up as [None], a wrong value or an
+   exception. This runs the real code on real domains; a fault whose
+   window is a few instructions wide (keys and values published by two
+   writes) it hits only by luck, and [C4_check.Models.store_grow]
+   explores that interleaving exhaustively instead. *)
+let test_store_grow_concurrent_reader () =
+  let stable = Array.init 4 (fun i -> max_int - i) in
+  let stable_value k = Bytes.init 64 (fun j -> Char.chr ((k + j) land 0xff)) in
+  let current = Atomic.make None in
+  let finished = Atomic.make false in
+  let missing = Atomic.make 0 and wrong = Atomic.make 0 and raised = Atomic.make 0 in
+  let reads = Atomic.make 0 in
+  let reader () =
+    while not (Atomic.get finished) do
+      match Atomic.get current with
+      | None -> Domain.cpu_relax ()
+      | Some s ->
+        Array.iter
+          (fun k ->
+            (match fst (Store.get s ~key:k) with
+            | None -> Atomic.incr missing
+            | Some v -> if not (Bytes.equal v (stable_value k)) then Atomic.incr wrong
+            | exception _ -> Atomic.incr raised);
+            Atomic.incr reads)
+          stable
+    done
+  in
+  let writer () =
+    for round = 1 to 300 do
+      let s = Store.create ~n_partitions:1 () in
+      Array.iter (fun k -> Store.set s ~key:k ~value:(stable_value k)) stable;
+      Atomic.set current (Some s);
+      let base = round * 100_000 in
+      for i = 0 to 1999 do
+        Store.set s ~key:(base + i) ~value:(bytes_of "fresh");
+        if i land 1 = 1 then ignore (Store.remove s ~key:(base + i - 3))
+      done
+    done;
+    Atomic.set finished true
+  in
+  let rd = Domain.spawn reader in
+  let wd = Domain.spawn writer in
+  Domain.join wd;
+  Domain.join rd;
+  Alcotest.(check bool) "reader ran" true (Atomic.get reads > 0);
+  Alcotest.(check int) "no stable key missing" 0 (Atomic.get missing);
+  Alcotest.(check int) "no wrong or torn value" 0 (Atomic.get wrong);
+  Alcotest.(check int) "no reader exception" 0 (Atomic.get raised)
 
 (* ---------------- Compaction log ---------------- *)
 
@@ -447,10 +642,16 @@ let tests =
     Alcotest.test_case "store versions count updates" `Quick test_store_versions_count_updates;
     Alcotest.test_case "batched write = one version bump" `Quick test_store_batched_single_version_bump;
     Alcotest.test_case "store stats" `Quick test_store_stats;
+    Alcotest.test_case "store stats under concurrent writers" `Quick
+      test_store_stats_concurrent_writers;
     Alcotest.test_case "store token dedup" `Quick test_store_token_dedup;
     Alcotest.test_case "store token FIFO eviction" `Quick test_store_token_fifo_eviction;
     Alcotest.test_case "store token retention is bounded" `Quick test_store_token_eviction_bounds_memory;
-    Alcotest.test_case "store chains under small index" `Quick test_store_many_keys_chaining;
+    Alcotest.test_case "store grows past a small index" `Quick
+      test_store_many_keys_small_index;
+    QCheck_alcotest.to_alcotest prop_store_tables_model_map;
+    Alcotest.test_case "store grow/shift vs concurrent reader" `Slow
+      test_store_grow_concurrent_reader;
     QCheck_alcotest.to_alcotest prop_store_models_map;
     Alcotest.test_case "compaction log lifecycle" `Quick test_log_lifecycle;
     Alcotest.test_case "compaction log: single window" `Quick test_log_double_open_rejected;

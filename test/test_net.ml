@@ -90,6 +90,47 @@ let prop_response_roundtrip =
         && Bytes.equal r.Wire.resp_value resp.Wire.resp_value
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
+(* Response frames are built in one buffer; these are the exact bytes
+   the header-then-body-then-frame encoder produced, for every status,
+   with an empty and a 512 B value: the 26 bytes before the value (length
+   prefix, version, status, value length, request id, timing) in hex,
+   then the value itself. *)
+let test_response_golden_bytes () =
+  let hex b =
+    String.concat ""
+      (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+  in
+  let golden =
+    [
+      (Wire.Ok, 0, "160000000100000000000504030201000000b168de3a00000000");
+      (Wire.Ok, 512, "160200000100000200000504030201000000b168de3a00000000");
+      (Wire.Not_found, 0, "160000000101000000000504030201000000b168de3a00000000");
+      (Wire.Not_found, 512, "160200000101000200000504030201000000b168de3a00000000");
+      (Wire.Err, 0, "160000000102000000000504030201000000b168de3a00000000");
+      (Wire.Err, 512, "160200000102000200000504030201000000b168de3a00000000");
+      (Wire.Wrong_shard, 0, "160000000103000000000504030201000000b168de3a00000000");
+      (Wire.Wrong_shard, 512, "160200000103000200000504030201000000b168de3a00000000");
+      (Wire.Cluster_ok, 0, "160000000104000000000504030201000000b168de3a00000000");
+      (Wire.Cluster_ok, 512, "160200000104000200000504030201000000b168de3a00000000");
+    ]
+  in
+  List.iter
+    (fun (status, len, prefix) ->
+      let value = Bytes.init len (fun i -> Char.chr ((i * 7 + 3) land 0xff)) in
+      let frame =
+        Wire.encode_response wire
+          {
+            Wire.resp_id = 0x0102030405;
+            status;
+            timing_ns = 987654321;
+            resp_value = value;
+          }
+      in
+      Alcotest.(check int) "frame length" (26 + len) (Bytes.length frame);
+      Alcotest.(check string) "header bytes" prefix (hex (Bytes.sub frame 0 26));
+      Alcotest.(check bool) "value bytes" true (Bytes.equal value (Bytes.sub frame 26 len)))
+    golden
+
 (* ---------------- codec: decoder resilience ---------------- *)
 
 let test_torn_frames () =
@@ -1345,6 +1386,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
     QCheck_alcotest.to_alcotest prop_traced_request_roundtrip;
     QCheck_alcotest.to_alcotest prop_response_roundtrip;
+    Alcotest.test_case "response frames keep their golden bytes" `Quick
+      test_response_golden_bytes;
     Alcotest.test_case "torn frames reassemble byte-by-byte" `Quick test_torn_frames;
     Alcotest.test_case "oversized frame is sticky-fatal" `Quick
       test_oversized_frame_rejected;
