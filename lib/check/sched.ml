@@ -35,10 +35,6 @@ type outcome = {
   violation : violation option;
 }
 
-let pp_violation ppf v =
-  Format.fprintf ppf "%s@.schedule:" v.reason;
-  List.iter (fun (tid, label) -> Format.fprintf ppf "@.  T%d: %s" tid label) v.trace
-
 (* Mutable per-execution cursors: [None] = thread finished. *)
 type 'st cursors = 'st step option array
 

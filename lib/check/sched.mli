@@ -65,8 +65,6 @@ type outcome = {
   violation : violation option;
 }
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val explore : ?preemption_bound:int -> ?max_schedules:int -> 'st model -> outcome
 
 (** Re-execute one schedule; [Error] reproduces the violation (including

@@ -4,7 +4,6 @@ module Summary = C4_stats.Summary
 type t = {
   n_workers : int;
   lat_all : Histogram.t;
-  lat_read : Histogram.t;
   lat_write : Histogram.t;
   lat_small : Histogram.t;
   lat_large : Histogram.t;
@@ -27,7 +26,6 @@ let create ~n_workers =
   {
     n_workers;
     lat_all = Histogram.create ();
-    lat_read = Histogram.create ();
     lat_write = Histogram.create ();
     lat_small = Histogram.create ();
     lat_large = Histogram.create ();
@@ -71,7 +69,7 @@ let record_latency t ~op ~latency ~compacted ~value_size =
   if t.on then begin
     Histogram.add t.lat_all latency;
     (match op with
-    | C4_workload.Request.Read -> Histogram.add t.lat_read latency
+    | C4_workload.Request.Read -> ()
     | C4_workload.Request.Write -> Histogram.add t.lat_write latency);
     Histogram.add
       (if value_size >= size_class_boundary then t.lat_large else t.lat_small)
@@ -82,13 +80,6 @@ let record_latency t ~op ~latency ~compacted ~value_size =
 let add_busy t ~worker ns = if t.on then t.busy_ns.(worker) <- t.busy_ns.(worker) +. ns
 
 type drop_reason = Queue_full | Ewt_exhausted | Slo_expired | Bad_packet | Shed
-
-let drop_reason_name = function
-  | Queue_full -> "queue_full"
-  | Ewt_exhausted -> "ewt_exhausted"
-  | Slo_expired -> "slo_expired"
-  | Bad_packet -> "bad_packet"
-  | Shed -> "shed"
 
 let note_drop t ~reason =
   if t.on then
@@ -117,7 +108,6 @@ let throughput t =
 
 let throughput_mrps t = throughput t *. 1e3
 let latency t = t.lat_all
-let read_latency t = t.lat_read
 let write_latency t = t.lat_write
 let small_latency t = t.lat_small
 let large_latency t = t.lat_large
@@ -127,7 +117,6 @@ let drops t =
   t.drops_queue_full_n + t.drops_ewt_n + t.drops_slo_n + t.drops_bad_packet_n
   + t.drops_shed_n
 let compacted_count t = t.compacted_n
-let worker_completed t = Array.copy t.completed_n
 
 let worker_throughput_mrps t =
   let d = duration t in

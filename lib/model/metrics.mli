@@ -52,7 +52,6 @@ val add_busy : t -> worker:int -> float -> unit
     it to protect the SLO of admitted work. *)
 type drop_reason = Queue_full | Ewt_exhausted | Slo_expired | Bad_packet | Shed
 
-val drop_reason_name : drop_reason -> string
 val note_drop : t -> reason:drop_reason -> unit
 
 (* -- Results ---------------------------------------------------------- *)
@@ -70,7 +69,6 @@ val throughput : t -> float
 val throughput_mrps : t -> float
 
 val latency : t -> C4_stats.Histogram.t
-val read_latency : t -> C4_stats.Histogram.t
 val write_latency : t -> C4_stats.Histogram.t
 
 (** Latency of requests below / at-or-above the size boundary. *)
@@ -87,8 +85,6 @@ val drops_by_reason : t -> reason:drop_reason -> int
 val compacted_count : t -> int
 
 (** Per-worker views (length [n_workers]). *)
-val worker_completed : t -> int array
-
 val worker_throughput_mrps : t -> float array
 val worker_utilization : t -> float array
 val worker_mean_service : t -> float array

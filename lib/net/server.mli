@@ -1,30 +1,53 @@
-(** TCP front-end for the multicore runtime KVS: an acceptor thread
-    hands each connection to one of the {!C4_runtime.Server} workers,
-    which serve it as event loops (see {!Evloop}) — CREW routing, write
+(** TCP front-end for the multicore runtime KVS: one module owns a
+    connection from [accept] to [close]. An acceptor thread hands
+    connection [i] to runtime worker [i mod n_workers]; each worker
+    serves its connections in its I/O round, multiplexing them with
+    poll(2) (see {!Poll}) alongside its self-pipe — CREW routing, write
     compaction and crash recovery apply to network traffic unchanged.
-    No domain of its own: {!start} attaches to the runtime's workers,
-    {!stop} detaches.
+    No domain of its own: {!start} attaches the round to the runtime's
+    workers ({!C4_runtime.Server.attach}), {!stop} detaches it.
 
     A request runs to completion on the worker that decoded it: decode
-    → admit → apply → park → flush. A GET reads the store inline; a
-    SET/DELETE is applied inline when its partition is free or pinned
-    to this worker (with nothing queued there), and forwarded to the
-    pin holder's inbox otherwise. Whichever thread completes a request
+    → admit → apply → park → flush. The worker reads its connections
+    with nonblocking batched reads into a per-worker scratch buffer and
+    feeds each connection's incremental {!Wire.Decoder}. A GET reads the
+    store inline; a SET/DELETE is applied inline when its partition is
+    free or pinned to this worker (with nothing queued there), and
+    forwarded to the pin holder's inbox otherwise. SET acks follow the
+    store apply, so an acknowledged write survives worker crashes.
+
+    Reorder slots: each accepted request gets a slot, its place in the
+    connection's response order. Whichever thread completes a request
     — usually this worker; else the pin holder, the WAL sync domain or
-    a replication-ack reader — parks its response in the connection's
-    reorder slot, and the worker sends the contiguous ready prefix, so
-    per-connection pipelining order holds while connections and keys
-    proceed in parallel. SET acks follow the store apply, so an
-    acknowledged write survives worker crashes.
+    a replication-ack reader — parks its response in the slot and wakes
+    the owning worker unless it is that worker. At the end of its round
+    the worker encodes the contiguous prefix of parked responses and
+    flushes it with one coalesced write, so responses leave in request
+    arrival order however their completions interleave, while
+    connections and keys proceed in parallel.
+
+    Protocol errors (a corrupt or undecodable frame, a completion that
+    raised) are connection-fatal, but responses already owed still
+    flush. A dead peer's requests still complete — an acknowledged
+    write is applied whether or not the ack is deliverable — and their
+    response spans still close.
+
+    Slow clients: a connection whose pending-response count (accepted
+    but not yet written, parked slots included) reaches
+    {!config.max_pending} is dropped — counted in
+    [net.slow_client_drops] and [net.protocol_errors], its buffered
+    output abandoned; operations it already submitted still apply.
 
     Shutdown ({!stop}) drains gracefully: the listening socket closes
     first (no new connections), every live connection is half-closed and
-    its already-received requests submitted, all pending responses are
-    flushed, and only then does [stop] return. The runtime server is
-    {e not} stopped — it is owned by the caller, who should call
-    {!C4_runtime.Server.stop} after this returns (that order, plus the
-    runtime's reject-then-drain stop, is what guarantees no
-    accepted-but-unanswered request is ever dropped).
+    its already-received requests decoded and submitted, all pending
+    responses are flushed, every connection is closed, and only then
+    does [stop] return; the workers keep running their rounds
+    meanwhile. The runtime server is {e not} stopped — it is owned by
+    the caller, who should call {!C4_runtime.Server.stop} after this
+    returns (that order, plus the runtime's reject-then-drain stop, is
+    what guarantees no accepted-but-unanswered request is ever
+    dropped).
 
     Metrics (all in [registry], which must be thread-safe):
     [net.conns_accepted], [net.conns_active], [net.bytes_in],
@@ -105,8 +128,8 @@ type t
     (created with [~thread_safe:true] when supplied) receives the
     metrics; a private thread-safe registry is used when omitted.
     Raises [Unix.Unix_error] when the address cannot be bound, and
-    [Invalid_argument] when another front-end is attached to
-    [runtime]. *)
+    [Invalid_argument] when [backlog] or [max_pending] is below 1 or
+    another front-end is attached to [runtime]. *)
 val start : ?registry:C4_obs.Registry.t -> config -> runtime:C4_runtime.Server.t -> t
 
 (** The port actually bound (resolves port 0). *)
@@ -114,7 +137,8 @@ val port : t -> int
 
 val registry : t -> C4_obs.Registry.t
 
-(** Graceful drain as described above. Idempotent. *)
+(** Graceful drain as described above. Idempotent: a concurrent call
+    returns once the first call's drain has finished. *)
 val stop : t -> unit
 
 type stats = {

@@ -89,7 +89,6 @@ let quantile t q =
   end
 
 let median t = quantile t 0.5
-let p90 t = quantile t 0.90
 let p99 t = quantile t 0.99
 let p999 t = quantile t 0.999
 let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total

@@ -30,7 +30,6 @@ val quantile : t -> float -> float
 (** Convenience accessors. *)
 val median : t -> float
 
-val p90 : t -> float
 val p99 : t -> float
 val p999 : t -> float
 

@@ -1,16 +1,11 @@
 (* Concurrency-correctness tooling: the lint rules (each seeded in a
    scratch source and asserted rejected, plus negatives for the things
-   they must NOT flag), the vector-clock race detector (hand-built
-   traces and real multi-domain instrumented runs), and the DPOR-lite
-   explorer (exhaustive on every protocol model, counterexamples from
-   every seeded-bug variant, schedules replayable, and the
-   compaction-window bridge into the linearizability checker). *)
+   they must NOT flag) and the DPOR-lite explorer (exhaustive on every
+   protocol model, counterexamples from every seeded-bug variant,
+   schedules replayable, and the compaction-window bridge into the
+   linearizability checker). *)
 
 module Lint = C4_check.Lint
-module Vclock = C4_check.Vclock
-module Event = C4_check.Event
-module Race = C4_check.Race
-module Instrument = C4_check.Instrument
 module Sched = C4_check.Sched
 module Models = C4_check.Models
 module History = C4_consistency.History
@@ -249,208 +244,6 @@ let test_repo_has_no_test_only_modules () =
     |> List.filter (fun v -> v.Lint.rule = "test-only-module")
     |> List.map (fun v -> v.Lint.file))
 
-(* ---------------- vector clocks ---------------- *)
-
-let test_vclock_order () =
-  let a = Vclock.create 3 and b = Vclock.create 3 in
-  Alcotest.(check bool) "zero <= zero" true (Vclock.leq a b);
-  Vclock.tick a 0;
-  Alcotest.(check bool) "a after tick not <= b" false (Vclock.leq a b);
-  Alcotest.(check bool) "b <= a" true (Vclock.leq b a);
-  Vclock.tick b 1;
-  Alcotest.(check bool) "incomparable 1" false (Vclock.leq a b);
-  Alcotest.(check bool) "incomparable 2" false (Vclock.leq b a);
-  Vclock.join b a;
-  Alcotest.(check bool) "after join a <= b" true (Vclock.leq a b);
-  Alcotest.(check int) "join is pointwise max" 1 (Vclock.get b 0)
-
-(* ---------------- race detector: hand-built traces ---------------- *)
-
-let test_race_unordered_writes () =
-  let names = Event.names () in
-  let x = Event.loc_id names "x" in
-  let report =
-    Race.analyze ~names
-      [
-        Event.Fork { parent = 0; child = 1 };
-        Event.Plain { thread = 0; loc = x; access = Event.Write };
-        Event.Plain { thread = 1; loc = x; access = Event.Write };
-      ]
-  in
-  Alcotest.(check int) "one race" 1 (List.length report.Race.races);
-  let r = List.hd report.Race.races in
-  Alcotest.(check string) "location named" "x" r.Race.loc_name
-
-let test_race_lock_ordered () =
-  let names = Event.names () in
-  let x = Event.loc_id names "x" in
-  let m = Event.lock_id names "m" in
-  let report =
-    Race.analyze ~names
-      [
-        Event.Fork { parent = 0; child = 1 };
-        Event.Acquire { thread = 0; lock = m };
-        Event.Plain { thread = 0; loc = x; access = Event.Write };
-        Event.Release { thread = 0; lock = m };
-        Event.Acquire { thread = 1; lock = m };
-        Event.Plain { thread = 1; loc = x; access = Event.Write };
-        Event.Release { thread = 1; lock = m };
-      ]
-  in
-  Alcotest.(check bool) "lock orders the writes" true (Race.is_race_free report)
-
-let test_race_join_ordered () =
-  let names = Event.names () in
-  let x = Event.loc_id names "x" in
-  let report =
-    Race.analyze ~names
-      [
-        Event.Fork { parent = 0; child = 1 };
-        Event.Plain { thread = 1; loc = x; access = Event.Write };
-        Event.Join { parent = 0; child = 1 };
-        Event.Plain { thread = 0; loc = x; access = Event.Read };
-      ]
-  in
-  Alcotest.(check bool) "join orders child write before parent read" true
-    (Race.is_race_free report)
-
-let test_race_read_read_not_a_race () =
-  let names = Event.names () in
-  let x = Event.loc_id names "x" in
-  let report =
-    Race.analyze ~names
-      [
-        Event.Fork { parent = 0; child = 1 };
-        Event.Plain { thread = 0; loc = x; access = Event.Read };
-        Event.Plain { thread = 1; loc = x; access = Event.Read };
-      ]
-  in
-  Alcotest.(check bool) "concurrent reads are fine" true (Race.is_race_free report)
-
-(* ---------------- race detector: instrumented runs ---------------- *)
-
-let test_traced_racy_counter () =
-  (* The seeded bug: two domains bump a plain ref with no
-     synchronisation. The detector must flag it (happens-before has no
-     edge between the accesses however the timing went). *)
-  let r = Instrument.Recorder.create () in
-  let module T = Instrument.Traced (struct
-    let recorder = r
-  end) in
-  let counter = T.Ref.make ~name:"counter" 0 in
-  let bump () =
-    for _ = 1 to 3 do
-      T.Ref.set counter (T.Ref.get counter + 1)
-    done
-  in
-  let d1 = T.Domain_.spawn bump and d2 = T.Domain_.spawn bump in
-  ignore (T.Domain_.join d1);
-  ignore (T.Domain_.join d2);
-  let report = Instrument.Recorder.analyze r in
-  Alcotest.(check bool) "counter race detected" false (Race.is_race_free report);
-  let r0 = List.hd report.Race.races in
-  Alcotest.(check string) "race is on the counter" "counter" r0.Race.loc_name
-
-let test_traced_locked_counter () =
-  let r = Instrument.Recorder.create () in
-  let module T = Instrument.Traced (struct
-    let recorder = r
-  end) in
-  let counter = T.Ref.make ~name:"counter" 0 in
-  let m = T.Mutex.create ~name:"m" () in
-  let bump () =
-    for _ = 1 to 3 do
-      T.Mutex.with_lock m (fun () -> T.Ref.set counter (T.Ref.get counter + 1))
-    done
-  in
-  let d1 = T.Domain_.spawn bump and d2 = T.Domain_.spawn bump in
-  ignore (T.Domain_.join d1);
-  ignore (T.Domain_.join d2);
-  let report = Instrument.Recorder.analyze r in
-  Alcotest.(check bool) "no race under the lock" true (Race.is_race_free report);
-  Alcotest.(check int) "final count" 6 (T.Ref.get counter)
-
-let test_traced_atomic_counter () =
-  let r = Instrument.Recorder.create () in
-  let module T = Instrument.Traced (struct
-    let recorder = r
-  end) in
-  let counter = T.Atomic.make ~name:"counter" 0 in
-  let bump () =
-    for _ = 1 to 5 do
-      T.Atomic.incr counter
-    done
-  in
-  let d1 = T.Domain_.spawn bump and d2 = T.Domain_.spawn bump in
-  ignore (T.Domain_.join d1);
-  ignore (T.Domain_.join d2);
-  Alcotest.(check int) "atomic count exact" 10 (T.Atomic.get counter);
-  Alcotest.(check bool) "atomics never race" true
-    (Race.is_race_free (Instrument.Recorder.analyze r))
-
-let test_traced_server_path_race_free () =
-  (* The runtime server's submit -> channel -> worker -> apply shape:
-     producers hand requests over a channel; the single owning worker
-     applies them to its partition state (plain ref — CREW, no lock);
-     stats are updated under a mutex. The channel transfer and the
-     final join must order everything: zero races expected. *)
-  let r = Instrument.Recorder.create () in
-  let module T = Instrument.Traced (struct
-    let recorder = r
-  end) in
-  let queue = T.Channel.create ~name:"worker.queue" () in
-  let store = T.Ref.make ~name:"partition.store" 0 in
-  let stats = T.Ref.make ~name:"stats.writes" 0 in
-  let stats_mu = T.Mutex.create ~name:"stats.mu" () in
-  let n = 8 in
-  let producer () =
-    for i = 1 to n do
-      while not (T.Channel.try_push queue i) do
-        Domain.cpu_relax ()
-      done;
-      T.Mutex.with_lock stats_mu (fun () -> T.Ref.set stats (T.Ref.get stats + 1))
-    done
-  in
-  let worker () =
-    let applied = ref 0 in
-    while !applied < 2 * n do
-      match T.Channel.try_pop queue with
-      | Some v ->
-        T.Ref.set store (T.Ref.get store + v);
-        incr applied
-      | None -> Domain.cpu_relax ()
-    done
-  in
-  let w = T.Domain_.spawn worker in
-  let p1 = T.Domain_.spawn producer and p2 = T.Domain_.spawn producer in
-  ignore (T.Domain_.join p1);
-  ignore (T.Domain_.join p2);
-  ignore (T.Domain_.join w);
-  Alcotest.(check int) "all writes applied" (2 * (n * (n + 1) / 2)) (T.Ref.get store);
-  Alcotest.(check int) "stats counted" (2 * n) (T.Ref.get stats);
-  let report = Instrument.Recorder.analyze r in
-  if not (Race.is_race_free report) then
-    Alcotest.failf "unexpected race: %s"
-      (Format.asprintf "%a" Race.pp_race (List.hd report.Race.races));
-  Alcotest.(check bool) "events recorded" true (report.Race.events_analyzed > 0)
-
-let test_bare_prims_behave () =
-  let module B = Instrument.Bare in
-  let a = B.Atomic.make 0 in
-  B.Atomic.incr a;
-  Alcotest.(check int) "bare atomic" 1 (B.Atomic.get a);
-  Alcotest.(check bool) "bare cas" true (B.Atomic.compare_and_set a 1 5);
-  let c = B.Channel.create () in
-  Alcotest.(check bool) "bare push" true (B.Channel.try_push c 1);
-  Alcotest.(check (option int)) "bare pop" (Some 1) (B.Channel.try_pop c);
-  let m = B.Mutex.create () in
-  Alcotest.(check int) "bare with_lock" 7 (B.Mutex.with_lock m (fun () -> 7));
-  let r = B.Ref.make 1 in
-  B.Ref.set r 2;
-  Alcotest.(check int) "bare ref" 2 (B.Ref.get r);
-  let h = B.Domain_.spawn (fun () -> 41 + 1) in
-  Alcotest.(check int) "bare spawn/join" 42 (B.Domain_.join h)
-
 (* ---------------- explorer: generic machinery ---------------- *)
 
 (* Tiny two-thread model over a plain int: exhaustive = 2 orders. *)
@@ -674,17 +467,6 @@ let tests =
     Alcotest.test_case "lint: test-only-module" `Quick test_lint_test_only_module;
     Alcotest.test_case "lint: no test-only library modules in the repo" `Quick
       test_repo_has_no_test_only_modules;
-    Alcotest.test_case "vclock order" `Quick test_vclock_order;
-    Alcotest.test_case "race: unordered writes" `Quick test_race_unordered_writes;
-    Alcotest.test_case "race: lock orders" `Quick test_race_lock_ordered;
-    Alcotest.test_case "race: join orders" `Quick test_race_join_ordered;
-    Alcotest.test_case "race: reads don't race" `Quick test_race_read_read_not_a_race;
-    Alcotest.test_case "traced: racy counter flagged" `Quick test_traced_racy_counter;
-    Alcotest.test_case "traced: locked counter clean" `Quick test_traced_locked_counter;
-    Alcotest.test_case "traced: atomic counter clean" `Quick test_traced_atomic_counter;
-    Alcotest.test_case "traced: server path race-free" `Quick
-      test_traced_server_path_race_free;
-    Alcotest.test_case "bare primitives behave" `Quick test_bare_prims_behave;
     Alcotest.test_case "explore: tiny exhaustive" `Quick test_explore_tiny_exhaustive;
     Alcotest.test_case "explore: sleep sets prune" `Quick
       test_explore_sleep_sets_prune_independent;

@@ -1381,6 +1381,84 @@ let test_raising_apply_releases_pin () =
             (NetClient.set client ~key:3 ~value:(Bytes.of_string "ok") = Ok ()
             && NetClient.get client ~key:3 = Ok (Some (Bytes.of_string "ok")))))
 
+(* Connection accounting, from accept to close: three raw connections
+   each send one SET and one GET. All three count as accepted and
+   active (in [stats] and in the /metrics gauge), and bytes in/out
+   equal the exact encoded frame lengths. Closing one connection drops
+   the active count to 2; [stop] closes the rest and keeps the
+   accepted total. *)
+let test_connection_accounting () =
+  let runtime = Runtime.start { Runtime.default_config with Runtime.n_workers = 2 } in
+  Fun.protect ~finally:(fun () -> Runtime.stop runtime) @@ fun () ->
+  let srv = NetServer.start NetServer.default_config ~runtime in
+  let fds = List.init 3 (fun _ -> raw_connect srv) in
+  Fun.protect
+    ~finally:(fun () ->
+      NetServer.stop srv;
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds)
+  @@ fun () ->
+  let tel =
+    C4_obs.Telemetry.start ~port:0 ~registry:(NetServer.registry srv)
+      ~health:(fun () -> C4_obs.Json.Obj []) ()
+  in
+  Fun.protect ~finally:(fun () -> C4_obs.Telemetry.stop tel) @@ fun () ->
+  let gauge () =
+    let _, body = Test_obs.http_get ~port:(C4_obs.Telemetry.port tel) "/metrics" in
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "net_conns_active"; v ] -> Some (int_of_float (float_of_string v))
+        | _ -> None)
+      (String.split_on_char '\n' body)
+  in
+  let stats () = NetServer.stats srv in
+  let value = Bytes.of_string "accounted" in
+  let sent = ref 0 and expected_out = ref 0 in
+  List.iteri
+    (fun i fd ->
+      let key = 300 + i in
+      let send id op value =
+        let frame =
+          Wire.encode_request wire { Wire.id; op; key; token = None; trace = None; value }
+        in
+        sent := !sent + Bytes.length frame;
+        write_all fd frame
+      in
+      send 0 Wire.Set value;
+      send 1 Wire.Get Bytes.empty;
+      let dec = Wire.Decoder.create wire in
+      List.iter
+        (fun (id, resp_value) ->
+          let r = read_response fd dec in
+          Alcotest.(check int) "response in order" id r.Wire.resp_id;
+          Alcotest.(check bool) "answered Ok" true (r.Wire.status = Wire.Ok);
+          Alcotest.(check bool) "value" true (Bytes.equal resp_value r.Wire.resp_value);
+          expected_out :=
+            !expected_out
+            + Bytes.length
+                (Wire.encode_response wire
+                   { Wire.resp_id = id; status = Wire.Ok; timing_ns = 0; resp_value }))
+        [ (0, Bytes.empty); (1, value) ])
+    fds;
+  Alcotest.(check int) "accepted" 3 (stats ()).NetServer.conns_accepted;
+  Alcotest.(check int) "active" 3 (stats ()).NetServer.conns_active;
+  Alcotest.(check (option int)) "/metrics net_conns_active" (Some 3) (gauge ());
+  Alcotest.(check int) "bytes in = request frames" !sent (stats ()).NetServer.bytes_in;
+  (* The counter follows the write(2) that the client's read can
+     overtake. *)
+  await_true ~what:"bytes out counted" (fun () ->
+      (stats ()).NetServer.bytes_out >= !expected_out);
+  Alcotest.(check int) "bytes out = response frames" !expected_out
+    (stats ()).NetServer.bytes_out;
+  Unix.close (List.hd fds);
+  await_true ~what:"one connection closed" (fun () ->
+      (stats ()).NetServer.conns_active = 2);
+  Alcotest.(check (option int)) "/metrics after one close" (Some 2) (gauge ());
+  NetServer.stop srv;
+  Alcotest.(check int) "none active after stop" 0 (stats ()).NetServer.conns_active;
+  Alcotest.(check (option int)) "/metrics after stop" (Some 0) (gauge ());
+  Alcotest.(check int) "accepted total kept" 3 (stats ()).NetServer.conns_accepted
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
@@ -1429,4 +1507,6 @@ let tests =
       test_thread_on_worker_domain_submits_from_outside;
     Alcotest.test_case "raising completion kills only its connection" `Quick
       test_raising_completion_kills_only_its_conn;
+    Alcotest.test_case "connection accounting from accept to close" `Quick
+      test_connection_accounting;
   ]
