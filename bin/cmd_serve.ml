@@ -7,7 +7,7 @@ open Cmd_common
 module Json = C4_obs.Json
 
 (* The /healthz document: liveness plus the load-visible runtime state
-   (shed level, inflight, per-worker ownership census, durability). *)
+   (inflight, per-worker ownership census, durability). *)
 let health_doc ~t0 ~runtime ~srv ~wal_enabled ~member () =
   let sstats = C4_net.Server.stats srv in
   let rstats = C4_runtime.Server.stats runtime in
@@ -30,7 +30,6 @@ let health_doc ~t0 ~runtime ~srv ~wal_enabled ~member () =
       ("requests", Json.Int sstats.C4_net.Server.requests);
       ("inflight", Json.Int sstats.C4_net.Server.inflight);
       ("protocol_errors", Json.Int sstats.C4_net.Server.protocol_errors);
-      ("shed_level", Json.Int (C4_runtime.Server.shed_level runtime));
       ("alive_workers", Json.Int (C4_runtime.Server.alive_workers runtime));
       ("recoveries", Json.Int rstats.C4_runtime.Server.recoveries);
       ("wal_enabled", Json.Bool wal_enabled);

@@ -1,5 +1,6 @@
 (* Exhaustively explore every protocol model (seqlock, store-table
-   grow, EWT, flow control, channel, promise, compaction window) plus
+   grow, EWT, flow control, channel, promise, crew core, pin words,
+   compaction window) plus
    their seeded-bug variants, and replay one counterexample end-to-end
    through the linearizability checker. This is the quick "is the correctness
    tooling alive" demo; the full assertions live in test/test_check.ml. *)
@@ -37,6 +38,7 @@ let () =
       Models.channel ();
       Models.promise ();
       Models.crew_core ();
+      Models.pin_words ();
       fst (Models.compaction ());
     ];
   List.iter
@@ -51,6 +53,8 @@ let () =
       Models.channel ~broken:Models.Pop_ignores_close ();
       Models.promise ~broken:Models.Two_resolvers ();
       Models.crew_core ~broken:Models.Strict_release ();
+      Models.pin_words ~broken:Models.Unstamped_release ();
+      Models.pin_words ~broken:Models.Split_admit ();
     ];
   (* Counterexample -> replay -> linearizability checker, end to end. *)
   let packed, history = Models.compaction ~broken:Models.Early_ack () in

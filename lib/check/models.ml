@@ -324,7 +324,7 @@ type ewt_state = {
   mutable now : float;
   shadow_out : (int, int) Hashtbl.t;
   shadow_thread : (int, int) Hashtbl.t;
-  mutable pending_acks : int list;
+  mutable pending_acks : (int * Ewt.stamp) list;
   mutable oks : int;
   mutable acks : int;
   mutable orphans : int;
@@ -336,8 +336,20 @@ let shadow_get h p = Option.value ~default:0 (Hashtbl.find_opt h p)
 
 let ewt_ttl = 1.5
 
-(* One NIC dispatch = lookup + note_write as a single atomic step, the
-   way the serial NIC pipeline executes it. *)
+(* One NIC dispatch: read the partition's pin word, ride it or pin the
+   partition to [preferred] — a single atomic step, the way the serial
+   NIC pipeline executes it. Returns the holder and the write's stamp. *)
+let ewt_claim ~now ewt ~partition ~preferred =
+  let seen = Ewt.word ewt ~partition in
+  if Ewt.is_free seen then
+    match Ewt.pin ~now ewt ~partition ~holder:preferred ~incarnation:0 with
+    | `Ok -> Some (preferred, Ewt.stamp ~holder:preferred ~incarnation:0)
+    | `Full | `Moved -> None
+  else
+    match Ewt.route ~now ewt ~partition ~seen with
+    | `Ok -> Some (Ewt.holder seen, Ewt.stamp_of seen)
+    | `Counter_saturated | `Moved -> None
+
 let ewt_nic dispatches =
   let rec go = function
     | [] -> assert false
@@ -346,20 +358,15 @@ let ewt_nic dispatches =
         (Printf.sprintf "dispatch p%d" partition)
         (fun st ->
           st.now <- st.now +. 1.0;
-          let thread =
-            match Ewt.lookup st.ewt ~partition with
-            | Some t -> t
-            | None -> preferred
-          in
-          (match Ewt.note_write ~now:st.now st.ewt ~partition ~thread with
-          | `Ok ->
+          (match ewt_claim ~now:st.now st.ewt ~partition ~preferred with
+          | Some (thread, stamp) ->
             if shadow_get st.shadow_out partition = 0 then
               Hashtbl.replace st.shadow_thread partition thread;
             Hashtbl.replace st.shadow_out partition
               (shadow_get st.shadow_out partition + 1);
-            st.pending_acks <- st.pending_acks @ [ partition ];
+            st.pending_acks <- st.pending_acks @ [ (partition, stamp) ];
             st.oks <- st.oks + 1
-          | `Full | `Counter_saturated -> ());
+          | None -> ());
           if rest = [] then begin
             st.nic_done <- true;
             Sched.stop
@@ -376,16 +383,16 @@ let ewt_responder ~raising =
         st.now <- st.now +. 1.0;
         match st.pending_acks with
         | [] -> Sched.stop
-        | partition :: rest ->
+        | (partition, stamp) :: rest ->
           st.pending_acks <- rest;
           let acked =
-            if raising then begin
-              (* The pre-resilience protocol: assumes the mapping still
-                 exists. An expiry sweep racing the response kills it. *)
-              Ewt.note_response st.ewt ~partition;
-              true
-            end
-            else Ewt.try_note_response st.ewt ~partition
+            match Ewt.release st.ewt ~partition ~stamp with
+            | `Held | `Freed -> true
+            | `Stale ->
+              (* The pre-resilience protocol assumed the mapping still
+                 exists: an expiry sweep racing the response kills it. *)
+              if raising then failwith "Ewt.release: release of an unpinned partition";
+              false
           in
           if acked then begin
             st.acks <- st.acks + 1;
@@ -438,7 +445,7 @@ let ewt ?broken () =
       init =
         (fun () ->
           {
-            ewt = Ewt.create ~capacity ~max_outstanding:64 ();
+            ewt = Ewt.create ~capacity ~max_outstanding:64 ~n_partitions:16 ();
             now = 0.0;
             shadow_out = Hashtbl.create 8;
             shadow_thread = Hashtbl.create 8;
@@ -740,7 +747,7 @@ let crew_admitter partitions =
           (match
              Crew_core.admit_write st.core ~partition ~now:st.crew_now ~pick:`Static
            with
-          | Crew_core.Admitted { worker; fresh } ->
+          | Crew_core.Admitted { worker; fresh; _ } ->
             if fresh then Hashtbl.replace st.crew_owner partition worker;
             Hashtbl.replace st.crew_out partition
               (shadow_get st.crew_out partition + 1);
@@ -915,6 +922,195 @@ let crew_core ?broken () =
                    (String.concat "," (List.map string_of_int ids))
                    (String.concat "," (List.map string_of_int st.crew_absorbed)))
             | Some _ -> Ok ());
+    }
+
+(* ---------------- Pin words: lock-free admission ---------------- *)
+
+type pin_broken = Unstamped_release | Split_admit
+
+type pin_state = {
+  words : Ewt.t; (* partition 0 only *)
+  incarnation : int array; (* per worker, as [Crew.Core] keeps it *)
+  outstanding : (Ewt.stamp, int) Hashtbl.t; (* live writes per stamp (shadow) *)
+  mutable writing : int list; (* workers inside an apply, with repeats *)
+}
+
+let pin_partition = 0
+let pin_live st stamp =
+  Ewt.stamp ~holder:(Ewt.stamp_holder stamp)
+    ~incarnation:st.incarnation.(Ewt.stamp_holder stamp)
+  = stamp
+
+let pin_note st stamp d =
+  Hashtbl.replace st.outstanding stamp
+    (Option.value ~default:0 (Hashtbl.find_opt st.outstanding stamp) + d)
+
+(* The seeded bug's plain store: whatever the word holds by now is
+   overwritten with a fresh pin. *)
+let pin_store st ~holder ~incarnation =
+  let cur = Ewt.word st.words ~partition:pin_partition in
+  if not (Ewt.is_free cur) then
+    ignore (Ewt.evict_holder st.words ~holder:(Ewt.holder cur));
+  ignore (Ewt.pin st.words ~partition:pin_partition ~holder ~incarnation)
+
+(* One write admitted by [worker] itself ([`Local]), mirroring
+   [Crew.Core.admit_write]'s claim loop split at its atomic accesses:
+   load the word, then one CAS — pin the free word, ride a live pin, or
+   free a pin a retired incarnation left. The write is applied by its
+   stamp's worker, which first checks the stamp is still live (the
+   runtime's check when it pops a forwarded write) and otherwise admits
+   it again; the release carries the stamp. *)
+let pin_admitter ~split worker =
+  let rec load () =
+    Sched.step ~touches:[ "word"; "inc" ]
+      (Printf.sprintf "w%d load" worker)
+      (fun st ->
+        let seen = Ewt.word st.words ~partition:pin_partition in
+        Sched.Continue (claim seen st.incarnation.(worker)))
+  and claim seen incarnation =
+    Sched.step ~touches:[ "word"; "inc" ]
+      (Printf.sprintf "w%d claim" worker)
+      (fun st ->
+        let partition = pin_partition in
+        if Ewt.is_free seen then
+          if split then begin
+            pin_store st ~holder:worker ~incarnation;
+            let stamp = Ewt.stamp ~holder:worker ~incarnation in
+            pin_note st stamp 1;
+            Sched.Continue (apply stamp)
+          end
+          else
+            match Ewt.pin st.words ~partition ~holder:worker ~incarnation with
+            | `Ok ->
+              let stamp = Ewt.stamp ~holder:worker ~incarnation in
+              pin_note st stamp 1;
+              Sched.Continue (apply stamp)
+            | `Full | `Moved -> Sched.Continue (load ())
+        else if not (pin_live st (Ewt.stamp_of seen)) then begin
+          ignore (Ewt.release st.words ~partition ~stamp:(Ewt.stamp_of seen));
+          Sched.Continue (load ())
+        end
+        else
+          match Ewt.route st.words ~partition ~seen with
+          | `Ok ->
+            let stamp = Ewt.stamp_of seen in
+            pin_note st stamp 1;
+            Sched.Continue (apply stamp)
+          | `Counter_saturated | `Moved -> Sched.Continue (load ()))
+  and apply stamp =
+    let writer = Ewt.stamp_holder stamp in
+    Sched.step ~touches:[ "inc"; "data" ]
+      (Printf.sprintf "w%d apply" worker)
+      (fun st ->
+        if pin_live st stamp then begin
+          st.writing <- writer :: st.writing;
+          Sched.Continue (release stamp)
+        end
+        else Sched.Continue (load ()))
+  and release stamp =
+    let writer = Ewt.stamp_holder stamp in
+    Sched.step ~touches:[ "word"; "data" ]
+      (Printf.sprintf "w%d release" worker)
+      (fun st ->
+        let rec drop = function
+          | [] -> []
+          | w :: rest -> if w = writer then rest else w :: drop rest
+        in
+        st.writing <- drop st.writing;
+        (match Ewt.release st.words ~partition:pin_partition ~stamp with
+        | `Held | `Freed -> pin_note st stamp (-1)
+        | `Stale -> ());
+        Sched.stop)
+  in
+  load ()
+
+(* A write of worker 1's first incarnation, applied before the run
+   began: its response is late and may arrive after the recovery. *)
+let pin_stale_stamp = Ewt.stamp ~holder:1 ~incarnation:0
+
+let pin_late_release ~unstamped =
+  Sched.step ~touches:[ "word" ] "late release" (fun st ->
+      let stamp =
+        if unstamped then Ewt.stamp_of (Ewt.word st.words ~partition:pin_partition)
+        else pin_stale_stamp
+      in
+      (* The shadow follows the late write, whatever the release hit. *)
+      (match Ewt.release st.words ~partition:pin_partition ~stamp with
+      | (`Held | `Freed) when stamp = pin_stale_stamp -> pin_note st stamp (-1)
+      | `Held | `Freed | `Stale -> ());
+      Sched.stop)
+
+(* Worker 1 died: retire its incarnation, then free its words — what
+   [Crew.Core.reassign] does — and only then does the response of its
+   last write arrive. The runtime joins the dead domain first, so
+   worker 1 is never inside an apply when the remap runs. *)
+let pin_recovery ~unstamped =
+  Sched.step ~touches:[ "word"; "inc"; "data" ] "recovery remap"
+    ~enabled:(fun st -> not (List.mem 1 st.writing))
+    (fun st ->
+      st.incarnation.(1) <- st.incarnation.(1) + 1;
+      ignore (Ewt.evict_holder st.words ~holder:1);
+      Sched.Continue (pin_late_release ~unstamped))
+
+let pin_words ?broken () =
+  let unstamped = broken = Some Unstamped_release in
+  let split = broken = Some Split_admit in
+  Pack
+    {
+      Sched.model_name =
+        (match broken with
+        | None -> "pin-words"
+        | Some Unstamped_release -> "pin-words/unstamped-release"
+        | Some Split_admit -> "pin-words/split-admit");
+      init =
+        (fun () ->
+          let words = Ewt.create ~n_partitions:1 () in
+          let st =
+            {
+              words;
+              incarnation = [| 0; 0 |];
+              outstanding = Hashtbl.create 8;
+              writing = [];
+            }
+          in
+          ignore (Ewt.pin words ~partition:pin_partition ~holder:1 ~incarnation:0);
+          pin_note st pin_stale_stamp 1;
+          st);
+      threads =
+        [
+          { Sched.name = "w0"; entry = pin_admitter ~split 0 };
+          { Sched.name = "w1"; entry = pin_admitter ~split 1 };
+          { Sched.name = "recovery"; entry = pin_recovery ~unstamped };
+        ];
+      invariant =
+        (fun st ->
+          let w = Ewt.word st.words ~partition:pin_partition in
+          let bad = ref None in
+          (match List.sort_uniq compare st.writing with
+          | _ :: _ :: _ -> bad := Some "two workers write partition 0"
+          | _ -> ());
+          Hashtbl.iter
+            (fun stamp n ->
+              if !bad = None && n > 0 && pin_live st stamp then
+                if Ewt.is_free w || Ewt.stamp_of w <> stamp then
+                  bad :=
+                    Some
+                      (Printf.sprintf
+                         "the pin of worker %d was freed under %d live writes"
+                         (Ewt.stamp_holder stamp) n)
+                else if Ewt.count w <> n then
+                  bad :=
+                    Some
+                      (Printf.sprintf "count %d under %d live writes: a release would take it negative"
+                         (Ewt.count w) n))
+            st.outstanding;
+          match !bad with Some msg -> Error msg | None -> Ok ());
+      final =
+        (fun st ->
+          if st.writing <> [] then Error "a write never finished"
+          else if not (Ewt.is_free (Ewt.word st.words ~partition:pin_partition)) then
+            Error "the word is still pinned with every write released"
+          else Ok ());
     }
 
 (* ---------------- Compaction window ---------------- *)

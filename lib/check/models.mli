@@ -10,7 +10,7 @@
       that stays put, against the real [C4_kvs.Seqlock].
     - {!ewt}: exclusive-writer mapping stability while writes are
       outstanding, credit conservation across responses and stale
-      expiry, against the real [C4_nic.Ewt].
+      expiry, against the real [C4_nic.Ewt] pin words.
     - {!flow_control}: window credits conserved, never negative, never
       above the cap, against the real [C4_nic.Flow_control].
     - {!channel}: FIFO delivery, nothing lost across [close], no lost
@@ -23,6 +23,13 @@
       CREW routing stability, occupancy/credit conservation and
       close-answers-exactly-the-absorbed-writes asserted in every
       interleaving.
+    - {!pin_words}: the lock-free pin-word admission of
+      [C4_crew.Core] over the real [C4_nic.Ewt] words — two admitters
+      claiming one partition with a load and a CAS, a late release
+      holding a retired stamp, and a recovery remap that retires an
+      incarnation — with at most one writer per partition, no late
+      release freeing a newer pin, and no count below its live writes
+      asserted in every interleaving.
     - {!compaction}: deferred responses only after the window closes;
       every schedule's recorded history is fed to the
       [C4_consistency.Linearizability] checker.
@@ -54,8 +61,9 @@ val store_grow : ?broken:grow_broken -> unit -> packed
 
 type ewt_broken =
   | Raising_response
-      (** respond via [note_response] (pre-resilience protocol): an
-          expiry sweep racing the response makes it raise *)
+      (** respond assuming the pin still exists (pre-resilience
+          protocol): an expiry sweep racing the response makes it
+          raise *)
 
 val ewt : ?broken:ewt_broken -> unit -> packed
 
@@ -78,6 +86,16 @@ type crew_broken =
           configured: a sweep racing the release makes it raise *)
 
 val crew_core : ?broken:crew_broken -> unit -> packed
+
+type pin_broken =
+  | Unstamped_release
+      (** release by partition alone: a response that arrives after a
+          recovery decrements the pin a later write installed *)
+  | Split_admit
+      (** claim a free word with a load and a plain store instead of
+          one CAS: two admitters both pin it *)
+
+val pin_words : ?broken:pin_broken -> unit -> packed
 
 type compaction_broken =
   | Early_ack  (** acknowledge at enqueue instead of window close *)

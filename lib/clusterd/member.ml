@@ -271,7 +271,12 @@ let sender_loop t sn () =
     | Ok (Repl.Accept wms) ->
       (* Ack reader rides the same socket and dies with it. It must
          only start now — after [read_welcome] — or it would race the
-         handshake read and swallow the welcome bytes as acks. *)
+         handshake read and swallow the welcome bytes as acks. When the
+         replica drops the session (an epoch install cuts it), the
+         reader wakes the live loop to reconnect: a sender blocked
+         between records would otherwise write the next record into the
+         dead socket and its quorum ack would never come. *)
+      let dropped = ref false in
       acker :=
         Some
           (Thread.create
@@ -281,7 +286,10 @@ let sender_loop t sn () =
                  | Ok (shard, sseq) ->
                    note_ack t ~node:sn.sn_node ~shard ~sseq;
                    loop ()
-                 | Error _ -> ()
+                 | Error _ ->
+                   Sync.with_lock sn.sn_lock (fun () ->
+                       dropped := true;
+                       Condition.broadcast sn.sn_cond)
                in
                loop ())
              ());
@@ -299,18 +307,19 @@ let sender_loop t sn () =
               last_sent.(shard) <- r.Record.seqno))
         shards;
       (* Live loop: drain the queue in arrival (= per-shard seqno)
-         order, skipping anything the catch-up already sent. *)
+         order, skipping anything the catch-up already sent. A dropped
+         session returns, and the next one's catch-up covers the batch. *)
       let rec live () =
-        let batch =
+        let batch, gone =
           Sync.with_lock sn.sn_lock (fun () ->
-              while sn.sn_queue = [] && not sn.sn_stop do
+              while sn.sn_queue = [] && (not sn.sn_stop) && not !dropped do
                 Condition.wait sn.sn_cond sn.sn_lock
               done;
               let b = List.rev sn.sn_queue in
               sn.sn_queue <- [];
-              b)
+              (b, !dropped))
         in
-        if not (stop ()) then begin
+        if not (gone || stop ()) then begin
           List.iter
             (fun (shard, r) ->
               if r.Record.seqno > last_sent.(shard) then begin

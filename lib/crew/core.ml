@@ -16,12 +16,14 @@ type t = {
   n_partitions : int;
   owners : int array; (* durable partition -> worker assignment *)
   ewt : Ewt.t;
+  incarnations : int Atomic.t array; (* per worker; bumped by [reassign] *)
   jbsq : Jbsq.t;
   logs : Compaction_log.t array; (* empty when compaction is off *)
   mutable shed : int;
   mutable win_arrivals : int;
   mutable win_drops : int;
   on_decision : (Decision.t -> unit) option;
+  hook_lock : Mutex.t; (* taken only when [on_decision] is set; see [ordered] *)
   pin_c : Registry.counter;
   route_c : Registry.counter;
   unpin_c : Registry.counter;
@@ -37,14 +39,21 @@ let emit t counter d =
   Registry.incr counter;
   match t.on_decision with None -> () | Some f -> f d
 
+(* With a hook, a pin-word transition and its decision happen under one
+   lock, so the hook sees the decisions in the order the transitions
+   took effect; without one, admission and release take no lock. *)
+let ordered t f =
+  match t.on_decision with None -> f () | Some _ -> Mutex.protect t.hook_lock f
+
 let create ?registry ?on_decision ~cfg ~n_workers ~n_partitions () =
   Config.validate cfg;
-  if n_workers < 1 then invalid_arg "Crew.Core.create: n_workers";
+  if n_workers < 1 || n_workers > Ewt.max_holders then
+    invalid_arg "Crew.Core.create: n_workers";
   if n_partitions < 1 then invalid_arg "Crew.Core.create: n_partitions";
   let reg = match registry with Some r -> r | None -> Registry.create () in
   let ewt =
     Ewt.create ~registry:reg ~capacity:cfg.Config.ewt_capacity
-      ~max_outstanding:cfg.Config.ewt_max_outstanding ()
+      ~max_outstanding:cfg.Config.ewt_max_outstanding ~n_partitions ()
   in
   let logs =
     match cfg.Config.compaction with
@@ -59,12 +68,14 @@ let create ?registry ?on_decision ~cfg ~n_workers ~n_partitions () =
     n_partitions;
     owners = Array.init n_partitions (fun p -> p mod n_workers);
     ewt;
+    incarnations = Array.init n_workers (fun _ -> Atomic.make 0);
     jbsq = Jbsq.create ~n_workers ~bound:cfg.Config.jbsq_bound;
     logs;
     shed = 0;
     win_arrivals = 0;
     win_drops = 0;
     on_decision;
+    hook_lock = Mutex.create ();
     pin_c = Registry.counter reg "crew.pin";
     route_c = Registry.counter reg "crew.route";
     unpin_c = Registry.counter reg "crew.unpin";
@@ -94,25 +105,35 @@ let route_owner t ~partition =
   | Some owner -> owner
   | None -> t.owners.(partition)
 
+type stamp = Ewt.stamp
+
+let stamp_worker = Ewt.stamp_holder
+
+let stamp_live t stamp =
+  let worker = Ewt.stamp_holder stamp in
+  Ewt.stamp ~holder:worker ~incarnation:(Atomic.get t.incarnations.(worker)) = stamp
+
 let reassign t ~from_worker ~to_worker =
-  if from_worker = to_worker then 0
-  else begin
-  (* Transient pins first: a pin left pointing at the dead worker would
-     keep routing writes onto its channel after the durable map moved. *)
+  ordered t @@ fun () ->
+  (* Retire the incarnation before freeing its words: a write that rode
+     one of them a moment ago now carries a dead stamp, so it is
+     admitted again rather than applied, and its release frees nothing. *)
+  Atomic.incr t.incarnations.(from_worker);
   List.iter
     (fun partition -> emit t t.unpin_c (Decision.Unpin { partition }))
-    (Ewt.evict_thread t.ewt ~thread:from_worker);
-  let moved = ref 0 in
-  Array.iteri
-    (fun partition owner ->
-      if owner = from_worker then begin
-        t.owners.(partition) <- to_worker;
-        incr moved;
-        emit t t.remap_c
-          (Decision.Remap { partition; from_worker; to_worker })
-      end)
-    t.owners;
-  !moved
+    (Ewt.evict_holder t.ewt ~holder:from_worker);
+  if from_worker = to_worker then 0
+  else begin
+    let moved = ref 0 in
+    Array.iteri
+      (fun partition owner ->
+        if owner = from_worker then begin
+          t.owners.(partition) <- to_worker;
+          incr moved;
+          emit t t.remap_c (Decision.Remap { partition; from_worker; to_worker })
+        end)
+      t.owners;
+    !moved
   end
 
 let static_owner ~partition ~lo ~hi = lo + (partition mod (hi - lo))
@@ -128,86 +149,125 @@ let occupancy t ~worker = Jbsq.occupancy t.jbsq worker
 (* ---------------- EWT admission ---------------- *)
 
 type admit =
-  | Admitted of { worker : int; fresh : bool }
+  | Admitted of { worker : int; fresh : bool; stamp : stamp }
   | No_slot
   | Rejected of { reason : Decision.reject_reason; owner : int option }
 
-let admit_write t ~partition ~now ~pick =
+let reject t ~partition ~reason ~owner =
+  emit t t.reject_c (Decision.Reject { partition; reason });
+  Rejected { reason; owner }
+
+(* The hot transitions build their decision only for a hook. *)
+let admitted t ~partition ~worker ~fresh ~stamp =
+  if fresh then begin
+    Registry.incr t.pin_c;
+    match t.on_decision with
+    | None -> ()
+    | Some f -> f (Decision.Pin { partition; worker })
+  end
+  else begin
+    Registry.incr t.route_c;
+    match t.on_decision with
+    | None -> ()
+    | Some f -> f (Decision.Route { partition; worker })
+  end;
+  Admitted { worker; fresh; stamp }
+
+let unpinned t ~partition =
+  Registry.incr t.unpin_c;
+  match t.on_decision with
+  | None -> ()
+  | Some f -> f (Decision.Unpin { partition })
+
+let admit_write ?now t ~partition ~pick =
+  let now = match t.cfg.Config.ewt_ttl with None -> None | Some _ -> now in
   (* JBSQ occupancy is the NIC's queue accounting; the runtime's
      [`Static] and [`Local] picks account for its own inboxes instead. *)
   let charge =
     match pick with `Static | `Local _ -> false | `Balanced _ | `Worker _ -> true
   in
-  match Ewt.lookup t.ewt ~partition with
-  | Some owner -> (
-    match Ewt.note_write ~now t.ewt ~partition ~thread:owner with
-    | `Ok ->
-      if charge then Jbsq.dispatch_to t.jbsq owner;
-      emit t t.route_c (Decision.Route { partition; worker = owner });
-      Admitted { worker = owner; fresh = false }
-    | `Counter_saturated ->
-      emit t t.reject_c
-        (Decision.Reject { partition; reason = Decision.Counter_saturated });
-      Rejected { reason = Decision.Counter_saturated; owner = Some owner }
-    | `Full ->
-      (* note_write on an existing entry never reports a full table *)
-      assert false)
-  | None -> (
-    (* Unowned: pick the pinning worker. Only a genuinely balanced JBSQ
-       pick charges a slot as a side effect of picking. *)
-    let chosen =
-      match pick with
-      | `Worker w -> Some (w, charge)
-      | `Local w -> Some (w, false)
-      | `Static -> Some (t.owners.(partition), false)
-      | `Balanced (lo, hi) -> (
-        match t.cfg.Config.pin_fallback with
-        | Config.Static -> Some (static_owner ~partition ~lo ~hi, charge)
-        | Config.Balanced -> (
-          match Jbsq.try_dispatch_range t.jbsq ~lo ~hi with
-          | None -> None
-          | Some w -> Some (w, false) (* try_dispatch already charged *)))
-    in
-    match chosen with
-    | None -> No_slot
-    | Some (w, charge_now) -> (
-      match Ewt.note_write ~now t.ewt ~partition ~thread:w with
-      | `Ok ->
-        if charge_now then Jbsq.dispatch_to t.jbsq w;
-        emit t t.pin_c (Decision.Pin { partition; worker = w });
-        Admitted { worker = w; fresh = true }
-      | (`Full | `Counter_saturated) as r ->
-        (* Undo the slot a balanced pick charged before the table said no. *)
-        (match pick with
-        | `Balanced _ when t.cfg.Config.pin_fallback = Config.Balanced ->
-          Jbsq.complete t.jbsq w
-        | _ -> ());
-        let reason =
-          match r with
-          | `Full -> Decision.Table_full
-          | `Counter_saturated -> Decision.Counter_saturated
-        in
-        emit t t.reject_c (Decision.Reject { partition; reason });
-        Rejected { reason; owner = None }))
-
-let write_done ?strict t ~partition =
-  let strict =
-    match strict with Some s -> s | None -> t.cfg.Config.ewt_ttl = None
+  (* A balanced JBSQ pick charges its slot as a side effect of picking;
+     a pin that does not happen hands the slot back. *)
+  let refund w =
+    match pick with
+    | `Balanced _ when t.cfg.Config.pin_fallback = Config.Balanced -> Jbsq.complete t.jbsq w
+    | _ -> ()
   in
-  let released =
-    if strict then begin
-      Ewt.note_response t.ewt ~partition;
-      true
+  let rec claim () =
+    let seen = Ewt.word t.ewt ~partition in
+    if not (Ewt.is_free seen) then begin
+      let owner = Ewt.holder seen in
+      let stamp = Ewt.stamp_of seen in
+      if not (stamp_live t stamp) then begin
+        (* Left by a retired incarnation: whatever it counts will be
+           admitted again, so free it rather than ride it. *)
+        (match Ewt.release t.ewt ~partition ~stamp with
+        | `Freed -> unpinned t ~partition
+        | `Held | `Stale -> ());
+        claim ()
+      end
+      else
+        match Ewt.route ?now t.ewt ~partition ~seen with
+        | `Ok ->
+          if charge then Jbsq.dispatch_to t.jbsq owner;
+          admitted t ~partition ~worker:owner ~fresh:false ~stamp
+        | `Counter_saturated ->
+          reject t ~partition ~reason:Decision.Counter_saturated ~owner:(Some owner)
+        | `Moved -> claim ()
     end
-    else Ewt.try_note_response t.ewt ~partition
+    else
+      let chosen =
+        match pick with
+        | `Worker w -> Some (w, charge)
+        | `Local w -> Some (w, false)
+        | `Static -> Some (t.owners.(partition), false)
+        | `Balanced (lo, hi) -> (
+          match t.cfg.Config.pin_fallback with
+          | Config.Static -> Some (static_owner ~partition ~lo ~hi, charge)
+          | Config.Balanced -> (
+            match Jbsq.try_dispatch_range t.jbsq ~lo ~hi with
+            | None -> None
+            | Some w -> Some (w, false) (* try_dispatch already charged *)))
+      in
+      match chosen with
+      | None -> No_slot
+      | Some (w, charge_now) -> (
+        let incarnation = Atomic.get t.incarnations.(w) in
+        match Ewt.pin ?now t.ewt ~partition ~holder:w ~incarnation with
+        | `Ok ->
+          if charge_now then Jbsq.dispatch_to t.jbsq w;
+          admitted t ~partition ~worker:w ~fresh:true
+            ~stamp:(Ewt.stamp ~holder:w ~incarnation)
+        | `Full ->
+          refund w;
+          reject t ~partition ~reason:Decision.Table_full ~owner:None
+        | `Moved ->
+          refund w;
+          claim ())
   in
-  if released && Ewt.outstanding t.ewt ~partition = 0 then
-    emit t t.unpin_c (Decision.Unpin { partition })
+  ordered t claim
+
+let write_done ?strict ?stamp t ~partition =
+  ordered t @@ fun () ->
+  let stamp =
+    match stamp with
+    | Some s -> s
+    | None -> Ewt.stamp_of (Ewt.word t.ewt ~partition)
+  in
+  match Ewt.release t.ewt ~partition ~stamp with
+  | `Held -> ()
+  | `Freed -> unpinned t ~partition
+  | `Stale ->
+    let strict =
+      match strict with Some s -> s | None -> t.cfg.Config.ewt_ttl = None
+    in
+    if strict then invalid_arg "Crew.Core.write_done: release of an unpinned partition"
 
 let sweep_stale t ~now =
   match t.cfg.Config.ewt_ttl with
   | None -> []
   | Some { Config.ttl; _ } ->
+    ordered t @@ fun () ->
     let evicted = Ewt.expire_stale_partitions t.ewt ~now ~ttl in
     List.iter
       (fun partition -> emit t t.stale_c (Decision.Stale_evict { partition }))

@@ -48,9 +48,13 @@ end
 
 type t
 
+(** A write's admission stamp: the worker whose pin counted it and that
+    worker's incarnation. Release the write with it ({!write_done}). *)
+type stamp = C4_nic.Ewt.stamp
+
 (** The admission verdict for one write. *)
 type admit =
-  | Admitted of { worker : int; fresh : bool }
+  | Admitted of { worker : int; fresh : bool; stamp : stamp }
       (** route to [worker]; [fresh] means this write created the pin
           (an EWT miss), otherwise it rode an existing one (a hit) *)
   | No_slot
@@ -67,12 +71,21 @@ type admit =
     ownership assigns partition [p] to worker [p mod n_workers], the
     EWT is empty, no windows are open, shed level 0.
 
+    Admission ({!admit_write}) with a [`Local] or [`Static] pick,
+    release ({!write_done}) and {!route_owner} may be called by workers
+    on several domains at once, and take no lock unless [on_decision]
+    is set. Every other transition expects one caller at a time (the
+    engine's own lock, or its single thread).
+
     @param registry receives the EWT / compaction metrics plus one
     [crew.*] counter per decision kind; private when omitted. Pass a
     thread-safe registry when workers on several domains drive the
     core.
-    @param on_decision called synchronously with every decision, in
-    decision order — the parity recorder. *)
+    @param on_decision called synchronously with every decision, on the
+    thread that took it — the parity recorder. Decisions are built only
+    when it is set, and then admission, release, {!reassign} and
+    {!sweep_stale} each run with their decisions under one lock, so the
+    hook sees pin decisions in the order they took effect. *)
 val create :
   ?registry:C4_obs.Registry.t ->
   ?on_decision:(Decision.t -> unit) ->
@@ -109,11 +122,22 @@ val ownership_counts : t -> int array
     through. *)
 val route_owner : t -> partition:int -> int
 
-(** Move every durable assignment (and evict every EWT pin) of
-    [from_worker] to [to_worker], emitting one [Remap] per moved
-    partition; returns how many moved. Crash recovery. No-op when
-    [from_worker = to_worker] (sole-survivor recovery). *)
+(** Crash recovery: retire [from_worker]'s incarnation, free every pin
+    word it holds (emitting [Unpin] per partition, ascending), then move
+    its durable assignments to [to_worker], emitting one [Remap] per
+    moved partition; returns how many moved. A write admitted under the
+    retired incarnation is no longer {!stamp_live}, and its release
+    frees nothing. Nothing moves when [from_worker = to_worker]
+    (sole-survivor recovery), but the incarnation still retires. *)
 val reassign : t -> from_worker:int -> to_worker:int -> int
+
+(** The worker a stamp routes to. *)
+val stamp_worker : stamp -> int
+
+(** Was [stamp] issued to its worker's current incarnation? A write
+    whose stamp is not live must be admitted again before it is
+    applied: its pin was evicted by a {!reassign}. *)
+val stamp_live : t -> stamp -> bool
 
 (** The static hash fallback for unowned writes confined to the worker
     range [lo, hi) — pure, shared by both engines so they cannot
@@ -133,29 +157,37 @@ val occupancy : t -> worker:int -> int
 
 (** {2 EWT write admission}
 
-    [admit_write] runs the paper's d-CREW dispatch for one write:
-    consult the EWT; on a hit bump the pin's counter and route to the
-    owner; on a miss pick a worker — [`Balanced (lo, hi)] asks JBSQ
-    (or the static hash, per {!Config.pin_fallback}), [`Worker w] pins
-    to a given worker (central-queue hand-out), [`Local w] pins to the
-    engine worker [w] that is admitting the write itself, [`Static] uses
-    the durable assignment — and install the pin. JBSQ occupancy is
-    charged for every admission except [`Static] and [`Local] picks,
-    whose engine owns its own queue accounting (the runtime's inboxes). *)
+    [admit_write] runs the paper's d-CREW dispatch for one write with
+    one compare-and-set on the partition's pin word: on a hit bump the
+    pin's counter and route to the holder; on a miss pick a worker —
+    [`Balanced (lo, hi)] asks JBSQ (or the static hash, per
+    {!Config.pin_fallback}), [`Worker w] pins to a given worker
+    (central-queue hand-out), [`Local w] pins to the engine worker [w]
+    that is admitting the write itself, [`Static] uses the durable
+    assignment — and install the pin. A lost race re-reads the word and
+    tries again; a pin left by a retired incarnation is freed, never
+    ridden. JBSQ occupancy is charged for every admission except
+    [`Static] and [`Local] picks, whose engine owns its own queue
+    accounting (the runtime's inboxes). [now] stamps the pin for the
+    TTL sweep and is ignored when no TTL is configured. *)
 val admit_write :
+  ?now:float ->
   t ->
   partition:int ->
-  now:float ->
   pick:[ `Balanced of int * int | `Local of int | `Static | `Worker of int ] ->
   admit
 
-(** The write's response left: decrement the pin's counter, emitting
-    [Unpin] when it frees. [strict] defaults to [true] exactly when no
-    TTL is configured: then a missing pin is a protocol violation and
-    raises; with a TTL (or [~strict:false]) a missing pin counts an
+(** The write's response left: one compare-and-set decrements the
+    pin's counter, emitting [Unpin] when it frees — but only while the
+    word still carries [stamp], so a late release never touches a pin a
+    later write installed. Without [stamp] the release takes the word's
+    current stamp: enough for an engine that drives the core from one
+    thread and never reassigns. [strict] defaults to [true] exactly
+    when no TTL is configured: then a missing pin is a protocol
+    violation and raises; with a TTL (or [~strict:false]) it counts an
     orphan release instead — the sweep may legitimately have reclaimed
     the mapping. *)
-val write_done : ?strict:bool -> t -> partition:int -> unit
+val write_done : ?strict:bool -> ?stamp:stamp -> t -> partition:int -> unit
 
 (** Evict pins idle past the TTL, emitting [Stale_evict] per partition
     (ascending); no-op returning [[]] when no TTL is configured. *)

@@ -478,7 +478,7 @@ and route_from_central st ~free_worker (r : Request.t) =
   in
   if Policy.uses_ewt st.cfg.policy && r.op = Request.Write then begin
     match Core.admit_write st.core ~partition:r.partition ~now ~pick:(`Worker free_worker) with
-    | Core.Admitted { worker; fresh } ->
+    | Core.Admitted { worker; fresh; _ } ->
       if fresh then Trace.request_event st.tr ~id:r.id ~name:"ewt_miss" ~ts:now ()
       else
         Trace.request_event st.tr ~id:r.id ~name:"ewt_hit"
@@ -583,7 +583,7 @@ and on_arrival st (r : Request.t) =
     if Policy.uses_ewt policy && op = Request.Write then begin
       let lo, hi = class_range st cls in
       match Core.admit_write st.core ~partition:r.partition ~now ~pick:(`Balanced (lo, hi)) with
-      | Core.Admitted { worker; fresh } ->
+      | Core.Admitted { worker; fresh; _ } ->
         if fresh then Trace.request_event st.tr ~id:r.id ~name:"ewt_miss" ~ts:now ()
         else
           Trace.request_event st.tr ~id:r.id ~name:"ewt_hit"

@@ -12,18 +12,16 @@ exception Stopped
    never loses an acknowledged write. *)
 exception Crash_injected
 
-(* A write's admission stamp: the worker whose pin counted it, and that
-   worker's incarnation. A recovery evicts the dead worker's pins and
-   bumps its incarnation, so a release with the old stamp is dropped
-   instead of decrementing a pin a later write installed. *)
-type pin = { p_worker : int; p_epoch : int }
-
-(* Each op carries its completion, run once by whoever completes it. *)
+(* Each op carries its completion, run once by whoever completes it. A
+   write carries its admission stamp (its pin holder and that worker's
+   incarnation): a recovery retires the incarnation and frees its pins,
+   so a release with the old stamp frees nothing, and a popped write
+   with the old stamp is admitted again. *)
 type op =
   | Get of int * (bytes option -> unit)
-  | Set of int * bytes * int option * pin * (unit -> unit)
+  | Set of int * bytes * int option * Core.stamp * (unit -> unit)
       (** key, value, idempotency token, admission stamp, ack *)
-  | Delete of int * pin * (bool -> unit)
+  | Delete of int * Core.stamp * (bool -> unit)
   | Gate of unit Promise.t * unit Promise.t
       (** park the worker: fulfil [entered], block on [release] —
           deterministic-replay support (see [pause_worker]) *)
@@ -33,7 +31,6 @@ type worker_state = {
   id : int;
   inbox : op Channel.t;
   alive : bool Atomic.t;
-  mutable epoch : int;  (* incarnation; bumped by recovery under route_lock *)
   (* Self-pipe wakeup: only the caller that sets [wake_pending] writes
      the pipe. The worker clears the flag before it looks at its inbox
      or connections, so whatever a waker published before finding the
@@ -42,15 +39,13 @@ type worker_state = {
   wake_w : Unix.file_descr;
   wake_pending : bool Atomic.t;
   mutable domain : unit Domain.t option;
-  (* Domain-private counters, read racily by [stats] and [shed_check]. *)
+  (* Domain-private counters, read racily by [stats]. *)
   mutable ops : int;
   mutable writes_n : int;
   mutable batches : int;
   mutable batched_writes : int;
   mutable retries : int;
   mutable dups : int;
-  mutable arrivals : int;
-  mutable arrivals_folded : int;  (* under route_lock *)
   mutable doomed : exn option;  (* an inbox op raised mid-round; see [catch_up] *)
 }
 
@@ -82,17 +77,23 @@ let default_config =
 
 type io = worker:int -> wake:Unix.file_descr -> bool
 
-(* The runtime's half of the {!C4_crew.Core.ENGINE} contract. Core
-   transitions on shared routing state (admission, releases, sweeps,
-   remaps) run under [route_lock]; window transitions are per worker. *)
+(* The runtime's half of the {!C4_crew.Core.ENGINE} contract. Admission
+   and release are one CAS each on the partition's pin word, taken by
+   any thread without a lock; window transitions are per worker. *)
 type t = {
   cfg : config;
   store : Store.t;
   workers : worker_state array;
   core : Core.t;
-  (* Also guards the reader cursor and every inbox push, so a recovery
-     remap never races a push along a stale route. *)
+  (* Orders recovery remaps, the durable-owner reads and pushes of
+     threads outside the workers, and the reader cursor against each
+     other and against [stop] closing the inboxes. Workers never take
+     it: a push of theirs that a recovery outruns carries a dead stamp,
+     which the popping worker admits again. *)
   route_lock : Mutex.t;
+  (* Writes a worker re-admitted while [stop] was closing the inboxes:
+     [stop] runs them once every domain is joined. *)
+  stray : op Channel.t;
   mutable next_reader : int;
   stopped : bool Atomic.t;
   stop_lock : Mutex.t;
@@ -165,29 +166,20 @@ let owner_of_key t key =
   Sync.with_lock t.route_lock (fun () ->
       Core.route_owner t.core ~partition:(Store.partition_of_key t.store key))
 
-(* CREW admission, [route_lock] held: ride an existing pin, else pin
-   where [pick] says — [`Local w] for a worker admitting its own
-   request, [`Static] (the durable owner) for anyone else. A reject is
-   unreachable with the queued profile's unbounded counters; if one
-   fires, route to the pin holder or the durable owner anyway. *)
-let admit_locked t ~key ~pick =
-  let partition = Store.partition_of_key t.store key in
-  let worker =
-    match Core.admit_write t.core ~partition ~now:(t.cfg.clock ()) ~pick with
-    | Core.Admitted { worker; _ } | Core.Rejected { owner = Some worker; _ } -> worker
-    | Core.Rejected { owner = None; _ } -> Core.assigned_owner t.core ~partition
-    | Core.No_slot -> assert false
-  in
-  { p_worker = worker; p_epoch = t.workers.(worker).epoch }
+(* CREW admission, one CAS on the partition's pin word: ride a pin, else
+   pin where [pick] says — [`Local w] for a worker admitting its own
+   request, [`Static] (the durable owner, under [route_lock]) for anyone
+   else. A pin refuses a write only at a million outstanding writes
+   (see [start]). *)
+let admit t ~key ~pick =
+  match Core.admit_write t.core ~partition:(Store.partition_of_key t.store key) ~pick with
+  | Core.Admitted { stamp; _ } -> stamp
+  | Core.Rejected _ | Core.No_slot -> failwith "Server: pin word saturated"
 
-(* The write's response left. Non-strict: a TTL sweep may have reclaimed
-   the pin (the core counts the orphan). A stale stamp releases nothing:
-   the recovery evicted that pin, counts and all. *)
-let release_write t key pin =
-  Sync.with_lock t.route_lock (fun () ->
-      if t.workers.(pin.p_worker).epoch = pin.p_epoch then
-        Core.write_done ~strict:false t.core
-          ~partition:(Store.partition_of_key t.store key))
+(* The write's response left. A stale stamp releases nothing: the
+   recovery evicted that pin, counts and all. *)
+let release_write t key stamp =
+  Core.write_done ~strict:false ~stamp t.core ~partition:(Store.partition_of_key t.store key)
 
 (* Only token-free writes are harvested into a compaction batch: a
    tokened (retried) write must go through [Store.set_idempotent]'s
@@ -252,10 +244,10 @@ let apply_delete t w ~key ~release k =
       k present)
 
 (* The compaction fast path: [key]'s popped write plus the [dependents]
-   harvested behind it, as (value, pin, ack), form one window. With no
+   harvested behind it, as (value, stamp, ack), form one window. With no
    SLO budget the window closes as soon as the harvest is absorbed —
    the adaptive-close limit of the model's policy. *)
-let apply_window t w ~key ~value ~pin k dependents =
+let apply_window t w ~key ~value ~stamp k dependents =
   let now = t.cfg.clock () in
   ignore
     (Core.open_window t.core ~worker:w.id ~key ~now ~arrival:now ~mean_service:0.0);
@@ -281,38 +273,63 @@ let apply_window t w ~key ~value ~pin k dependents =
         ignore (Wal.append wal ~partition ~op:(Record.Set { key; value; token = None })))
       values);
   log_then_ack t ~key ~record:None ~group:true (fun () ->
-      release_write t key pin;
+      release_write t key stamp;
       k ();
       List.iter
-        (fun (_, dep_pin, dep_k) ->
-          release_write t key dep_pin;
+        (fun (_, dep_stamp, dep_k) ->
+          release_write t key dep_stamp;
           dep_k ())
         dependents)
 
-(* One inbox op. A popped plain write harvests the queued writes to the
-   same key (up to the batch cap; later ones keep their place) into a
-   window. An exception here kills the worker. *)
-let exec t w op =
-  let released key pin () = release_write t key pin in
+(* A worker's push onto a pin holder's inbox, taking only the channel's
+   own mutex; [false] once [stop] has closed it. *)
+let forward t ~stamp op =
+  let dst = Core.stamp_worker stamp in
+  let pushed = Channel.try_push t.workers.(dst).inbox op in
+  if pushed then wake t ~worker:dst;
+  pushed
+
+let restamp stamp = function
+  | Set (key, value, token, _, k) -> Set (key, value, token, stamp, k)
+  | Delete (key, _, k) -> Delete (key, stamp, k)
+  | (Get _ | Gate _ | Crash) as op -> op
+
+(* One inbox op. A popped write whose stamp a recovery retired (a push
+   that raced the recovery) lost its pin: admit it again — it heads this
+   inbox, so it may run here at once — or forward it. A popped plain
+   write harvests the queued writes to the same key (up to the batch
+   cap; later ones keep their place) into a window. An exception here
+   kills the worker. *)
+let rec exec t w op =
+  let released key stamp () = release_write t key stamp in
   match op with
   | Crash -> raise Crash_injected
   | Gate (entered, release) ->
     Promise.fulfil entered ();
     Promise.await release
   | Get (key, k) -> k (read t w ~key)
-  | Delete (key, pin, k) -> apply_delete t w ~key ~release:(released key pin) k
-  | Set (key, value, token, pin, k) -> (
+  | (Set (key, _, _, stamp, _) | Delete (key, stamp, _))
+    when not (Core.stamp_live t.core stamp) ->
+    let stamp = admit t ~key ~pick:(`Local w.id) in
+    let op = restamp stamp op in
+    if Core.stamp_worker stamp = w.id then exec t w op
+    else if not (forward t ~stamp op) then
+      (* [stop] closed the inboxes: it runs strays once it is alone,
+         and the write keeps its pin until then. *)
+      Channel.push t.stray op
+  | Delete (key, stamp, k) -> apply_delete t w ~key ~release:(released key stamp) k
+  | Set (key, value, token, stamp, k) -> (
     let dependents =
       if token = None && Core.compaction_enabled t.core then
         List.map
-          (function Set (_, v, _, pin, k) -> (v, pin, k) | _ -> assert false)
+          (function Set (_, v, _, stamp, k) -> (v, stamp, k) | _ -> assert false)
           (Channel.drain_matching ~limit:(Core.max_batch t.core - 1) w.inbox
              ~f:(is_plain_set_to key))
       else []
     in
     match dependents with
-    | [] -> apply_set t w ~key ~value ~token ~release:(released key pin) k
-    | _ :: _ -> apply_window t w ~key ~value ~pin k dependents)
+    | [] -> apply_set t w ~key ~value ~token ~release:(released key stamp) k
+    | _ :: _ -> apply_window t w ~key ~value ~stamp k dependents)
 
 (* Run up to [n] queued ops, in order, while [f] accepts the oldest. *)
 let rec run_queued t w ~f n =
@@ -369,15 +386,16 @@ let spawn_worker t w =
 (* ---------------- crash recovery ---------------- *)
 
 (* With [route_lock] held: join the corpse (so it provably writes no
-   more), remap its partitions to a survivor (evicting its pins),
-   restart it — it resumes serving its connections — and requeue its
-   backlog along the new routes, admitting every write afresh so its
-   pin lives where it will be applied. Ownership stays with the
-   survivor. Returns the workers to wake once the lock is released. *)
+   more), retire its incarnation and remap its partitions to a survivor
+   (freeing its pin words), restart it — it resumes serving its
+   connections — and requeue its backlog along the new routes,
+   admitting every write afresh so its pin lives where it will be
+   applied. A worker's push that lands after the drain is admitted
+   again when popped. Ownership stays with the survivor. Returns the
+   workers to wake once the lock is released. *)
 let recover_locked t w =
   (match w.domain with Some d -> Domain.join d | None -> ());
   w.domain <- None;
-  w.epoch <- w.epoch + 1;
   let survivor =
     let rec find i =
       if i >= t.cfg.n_workers then w.id
@@ -403,12 +421,9 @@ let recover_locked t w =
              let it chase the backlog onto the survivor. *)
           None
         | Get _ | Gate _ -> requeue op survivor
-        | Set (key, value, token, _, k) ->
-          let pin = admit_locked t ~key ~pick:`Static in
-          requeue (Set (key, value, token, pin, k)) pin.p_worker
-        | Delete (key, _, k) ->
-          let pin = admit_locked t ~key ~pick:`Static in
-          requeue (Delete (key, pin, k)) pin.p_worker)
+        | Set (key, _, _, _, _) | Delete (key, _, _) ->
+          let stamp = admit t ~key ~pick:`Static in
+          requeue (restamp stamp op) (Core.stamp_worker stamp))
       backlog
   in
   t.recoveries_n <- t.recoveries_n + 1;
@@ -484,7 +499,6 @@ let start cfg =
           id;
           inbox = Channel.create ();
           alive = Atomic.make false;
-          epoch = 0;
           wake_r;
           wake_w;
           wake_pending = Atomic.make false;
@@ -495,23 +509,22 @@ let start cfg =
           batched_writes = 0;
           retries = 0;
           dups = 0;
-          arrivals = 0;
-          arrivals_folded = 0;
           doomed = None;
         })
   in
   (* The runtime's EWT is bookkeeping, not a scarce CAM: fit every
-     partition. *)
-  let crew_cfg =
-    {
-      cfg.crew with
-      Crew_config.ewt_capacity =
-        max cfg.crew.Crew_config.ewt_capacity cfg.n_partitions;
-    }
-  in
+     partition. The inboxes hold the backlog, so a pin's counter must
+     not refuse a write either (see [Crew_config.queued]). *)
+  let crew = cfg.crew and queued = Crew_config.queued in
   let core =
     Core.create ~registry ?on_decision:cfg.on_decision
-      ~cfg:crew_cfg ~n_workers:cfg.n_workers ~n_partitions:cfg.n_partitions ()
+      ~cfg:
+        {
+          crew with
+          ewt_capacity = max crew.ewt_capacity cfg.n_partitions;
+          ewt_max_outstanding = max crew.ewt_max_outstanding queued.ewt_max_outstanding;
+        }
+      ~n_workers:cfg.n_workers ~n_partitions:cfg.n_partitions ()
   in
   let t =
     {
@@ -520,6 +533,7 @@ let start cfg =
       workers;
       core;
       route_lock = Mutex.create ();
+      stray = Channel.create ();
       next_reader = 0;
       stopped = Atomic.make false;
       stop_lock = Mutex.create ();
@@ -564,7 +578,6 @@ let submit_get ?(admitted = ignore) t ~key k =
   match on_worker t with
   | Some w ->
     if Atomic.get t.stopped then raise Stopped;
-    w.arrivals <- w.arrivals + 1;
     catch_up t w;
     admitted ();
     k (read t w ~key)
@@ -572,7 +585,6 @@ let submit_get ?(admitted = ignore) t ~key k =
     let dst =
       Sync.with_lock t.route_lock (fun () ->
           if Atomic.get t.stopped then raise Stopped;
-          Core.note_arrival t.core;
           let dst = pick_reader t in
           admitted ();
           push_locked t dst (Get (key, k));
@@ -581,59 +593,61 @@ let submit_get ?(admitted = ignore) t ~key k =
     wake t ~worker:dst
 
 (* CREW: a partition is written only by its pin holder. A worker
-   admitting its own request pins a free partition to itself and
-   applies the write inline, unless its inbox still holds work (maybe
-   an earlier write to the same partition); a partition pinned
-   elsewhere gets the write forwarded to the holder. Threads outside
-   the workers pin at the durable owner and always go through its
-   inbox. Returns the executing worker. An exception from an inline
-   apply releases the pin (unless the ack did) and reaches the caller. *)
+   admitting its own request takes no lock: one CAS pins a free
+   partition to itself (it then applies the write inline, unless its
+   inbox still holds work, maybe an earlier write to the same
+   partition) or rides the holder's pin, and the write goes onto the
+   holder's inbox under the channel's own mutex. A push that [stop]
+   refuses hands the pin back and raises [Stopped]. Threads outside the
+   workers admit under [route_lock], pinning at the durable owner, and
+   always go through its inbox. Returns the executing worker. An
+   exception from an inline apply releases the pin (unless the ack did)
+   and reaches the caller. *)
 let submit_write t ~admitted ~key ~queued ~inline =
-  let self = on_worker t in
-  Option.iter (fun w -> w.arrivals <- w.arrivals + 1; catch_up t w) self;
-  let pin, here =
-    Sync.with_lock t.route_lock (fun () ->
-        if Atomic.get t.stopped then raise Stopped;
-        let pick =
-          match self with
-          | Some w -> `Local w.id
-          | None ->
-            Core.note_arrival t.core;
-            `Static
-        in
-        let pin = admit_locked t ~key ~pick in
-        let here =
-          match self with
-          | Some w -> pin.p_worker = w.id && Channel.is_empty w.inbox
-          | None -> false
-        in
-        admitted ();
-        if not here then push_locked t pin.p_worker (queued pin);
-        (pin, here))
-  in
-  (match self with
-  | Some w when here -> (
-    let released = ref false in
-    let release () =
-      released := true;
-      release_write t key pin
+  match on_worker t with
+  | Some w ->
+    if Atomic.get t.stopped then raise Stopped;
+    catch_up t w;
+    let stamp = admit t ~key ~pick:(`Local w.id) in
+    admitted ();
+    if Core.stamp_worker stamp = w.id && Channel.is_empty w.inbox then begin
+      let released = ref false in
+      let release () =
+        released := true;
+        release_write t key stamp
+      in
+      try inline w ~release
+      with e ->
+        if not !released then release_write t key stamp;
+        raise e
+    end
+    else if not (forward t ~stamp (queued stamp)) then begin
+      release_write t key stamp;
+      raise Stopped
+    end;
+    Core.stamp_worker stamp
+  | None ->
+    let stamp =
+      Sync.with_lock t.route_lock (fun () ->
+          if Atomic.get t.stopped then raise Stopped;
+          let stamp = admit t ~key ~pick:`Static in
+          admitted ();
+          push_locked t (Core.stamp_worker stamp) (queued stamp);
+          stamp)
     in
-    try inline w ~release
-    with e ->
-      if not !released then release_write t key pin;
-      raise e)
-  | Some _ | None -> wake t ~worker:pin.p_worker);
-  pin.p_worker
+    let dst = Core.stamp_worker stamp in
+    wake t ~worker:dst;
+    dst
 
 let submit_set ?(admitted = ignore) ?token t ~key ~value k =
   submit_write t ~admitted ~key
-    ~queued:(fun pin -> Set (key, value, token, pin, k))
+    ~queued:(fun stamp -> Set (key, value, token, stamp, k))
     ~inline:(fun w ~release -> apply_set t w ~key ~value ~token ~release k)
 
 (* Deletes mutate the partition, so CREW routes them like writes. *)
 let submit_delete ?(admitted = ignore) t ~key k =
   submit_write t ~admitted ~key
-    ~queued:(fun pin -> Delete (key, pin, k))
+    ~queued:(fun stamp -> Delete (key, stamp, k))
     ~inline:(fun w ~release -> apply_delete t w ~key ~release k)
 
 (* Promise wrappers for blocking callers. *)
@@ -669,27 +683,9 @@ let pause_worker t ~worker =
   Promise.await entered;
   fun () -> Promise.fulfil release ()
 
-let sweep_stale t ~now =
-  Sync.with_lock t.route_lock (fun () -> Core.sweep_stale t.core ~now)
-
-(* Workers count their own arrivals without a lock; fold what they
-   counted since the last check into the core's window first. A racy
-   read of a counter only defers arrivals to the next check. *)
-let shed_check t ~now =
-  Sync.with_lock t.route_lock (fun () ->
-      Array.iter
-        (fun w ->
-          let n = w.arrivals in
-          Core.note_arrival ~n:(n - w.arrivals_folded) t.core;
-          w.arrivals_folded <- n)
-        t.workers;
-      Core.shed_check t.core ~now)
-
-let shed_level t = Core.shed_level t.core
-
 (* [stop]'s last sweep over an inbox, once every domain is joined: the
    single remaining thread trivially satisfies CREW. *)
-let finish_backlog t w =
+let finish_backlog t w inbox =
   List.iter
     (function
       | Crash -> ()
@@ -697,7 +693,7 @@ let finish_backlog t w =
         (* Unblock a waiting [pause_worker]; nobody is left to park. *)
         if Promise.peek entered = None then Promise.fulfil entered ()
       | op -> exec t w op)
-    (Channel.drain_matching w.inbox ~f:(fun _ -> true))
+    (Channel.drain_matching inbox ~f:(fun _ -> true))
 
 let stop t =
   Sync.with_lock t.stop_lock (fun () ->
@@ -718,7 +714,9 @@ let stop t =
         t.monitor <- None;
         (* Whatever is left (a crashed worker's backlog, a push that
            raced the close) still completes. *)
-        Array.iter (finish_backlog t) t.workers;
+        Array.iter (fun w -> finish_backlog t w w.inbox) t.workers;
+        (* Re-admitted writes the closing inboxes refused, last. *)
+        finish_backlog t t.workers.(0) t.stray;
         (* Drain the sync domain's acks, fsync and close every log. *)
         Option.iter Wal.close t.wal;
         (* Last, once no thread that could wake a worker is left. *)

@@ -13,14 +13,15 @@
     runs the requests it decodes to completion on the spot:
 
     - a read runs inline, lock-free, under the store's seqlock;
-    - a write is admitted by [Core.admit_write]: a free partition (or
-      one pinned here, with the inbox empty) is pinned here and written
-      inline, a partition pinned elsewhere gets the write forwarded to
-      the holder's inbox — so only the pin holder ever writes a
-      partition (CREW). The holder runs forwarded work before each
-      request it admits itself. Threads outside the workers (tests, a
-      replica's apply loop) pin at the durable owner and go through its
-      inbox;
+    - a write is admitted by [Core.admit_write], one CAS on the
+      partition's pin word and no lock: a free partition (or one pinned
+      here, with the inbox empty) is pinned here and written inline, a
+      partition pinned elsewhere gets the write forwarded to the
+      holder's inbox — so only the pin holder ever writes a partition
+      (CREW). The holder runs forwarded work before each request it
+      admits itself. Threads outside the workers (tests, a replica's
+      apply loop) pin at the durable owner under the routing lock and
+      go through its inbox;
     - with compaction on ({!config.crew}), a worker that pops a write
       harvests the queued writes to the same key (up to the batch cap),
       applies ONE batched update and only then answers them all — C-4's
@@ -28,10 +29,13 @@
     - a tokened write whose first attempt was applied is not applied
       twice;
     - a monitor thread sleeps until a worker dies (an injected crash or
-      any escaping exception), re-owns its partitions on a survivor
-      through [Core.reassign] (evicting its pins), requeues its inbox
-      along the new routes and restarts it; the restarted domain
-      resumes serving its connections. No acknowledged write is lost;
+      any escaping exception), retires its incarnation and re-owns its
+      partitions on a survivor through [Core.reassign] (freeing its
+      pins), requeues its inbox along the new routes and restarts it;
+      the restarted domain resumes serving its connections. A write
+      that rode a pin of the retired incarnation is admitted again when
+      popped, never applied on its old stamp. No acknowledged write is
+      lost;
     - with a WAL ({!config.wal}) every mutation is appended before its
       ack, and the ack goes through [C4_wal.Wal.commit], so fsync-gated
       policies acknowledge from the WAL's sync domain. {!start} replays
@@ -50,17 +54,22 @@ type config = {
   crew : C4_crew.Config.t;
       (** the policy configuration shared with the model server
           (compaction, batch cap, thresholds). The EWT capacity is
-          raised to [n_partitions]: here the table is bookkeeping, not
-          a scarce CAM *)
+          raised to [n_partitions] and the per-pin write limit to the
+          [queued] profile's: here the table is one pin word per
+          partition, not a scarce CAM, and the inboxes hold the
+          backlog. The runtime runs no TTL sweep and no load shedding *)
   recovery : bool;  (** run the crash-monitor thread (default true) *)
   clock : unit -> float;
       (** the policy core's time source, in ns (wall clock by default;
           the parity test injects a logical one) *)
   on_decision : (C4_crew.Decision.t -> unit) option;
-      (** every policy decision, in decision order — the parity
-          recorder and the tracing hook (admission decisions fire on
-          the submitting thread). Called with the routing lock held;
-          keep it cheap *)
+      (** every policy decision — the parity recorder and the tracing
+          hook. It runs on the thread that took the decision (admission
+          decisions on the submitting thread), from several workers at
+          once: make it thread-safe and cheap. Decisions are built only
+          when it is set, and then admission and release serialise on
+          one lock so the hook sees them in the order they took
+          effect *)
   registry : C4_obs.Registry.t option;
       (** receives the crew.* metrics; must be thread-safe. Private
           when [None] *)
@@ -131,17 +140,6 @@ val inject_crash : t -> worker:int -> unit
     so ops submitted to it queue in its inbox — the parity test's way
     to force a harvest batch. Release before {!stop}. *)
 val pause_worker : t -> worker:int -> unit -> unit
-
-(** The core's EWT TTL sweep at logical time [now]; returns the evicted
-    partitions. For harnesses: the server never ticks it. *)
-val sweep_stale : t -> now:float -> int list
-
-(** The core's load-shed check at logical time [now], after folding in
-    the arrivals the workers counted since the last check; returns the
-    level. For harnesses: the server never sheds on its own. *)
-val shed_check : t -> now:float -> int
-
-val shed_level : t -> int
 
 (** Reject new submissions, let the workers drain their inboxes, join
     them, then complete whatever a crashed worker left queued — every

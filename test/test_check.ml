@@ -380,6 +380,7 @@ let test_models_hold () =
   check_complete "channel" (Models.channel ());
   check_complete "promise" (Models.promise ());
   check_complete "crew-core" (Models.crew_core ());
+  check_complete "pin-words" (Models.pin_words ());
   check_complete "compaction" (fst (Models.compaction ()))
 
 let expect_violation ?(substring = "") name packed =
@@ -412,7 +413,7 @@ let test_store_grow_broken_variant () =
 
 let test_ewt_broken_variant () =
   ignore
-    (expect_violation ~substring:"note_response" "raising-response"
+    (expect_violation ~substring:"unpinned partition" "raising-response"
        (Models.ewt ~broken:Models.Raising_response ()))
 
 let test_flow_broken_variant () =
@@ -434,8 +435,20 @@ let test_crew_core_broken_variant () =
   (* The policy core's pre-resilience release protocol: a TTL sweep
      racing [write_done ~strict:true] makes the core raise. *)
   ignore
-    (expect_violation ~substring:"note_response" "strict-release"
+    (expect_violation ~substring:"unpinned partition" "strict-release"
        (Models.crew_core ~broken:Models.Strict_release ()))
+
+let test_pin_words_broken_variants () =
+  (* A release by partition alone lets a response that arrives after a
+     recovery free the pin a later write installed. *)
+  ignore
+    (expect_violation ~substring:"freed under" "unstamped-release"
+       (Models.pin_words ~broken:Models.Unstamped_release ()));
+  (* Load-then-store admission: the second store overwrites the first
+     admitter's pin. *)
+  ignore
+    (expect_violation ~substring:"freed under" "split-admit"
+       (Models.pin_words ~broken:Models.Split_admit ()))
 
 let test_compaction_bridge_to_linearizability () =
   (* The tentpole bridge: the early-ack compaction counterexample's
@@ -482,6 +495,7 @@ let tests =
     Alcotest.test_case "models: channel seeded bug" `Quick test_channel_broken_variant;
     Alcotest.test_case "models: promise seeded bug" `Quick test_promise_broken_variant;
     Alcotest.test_case "models: crew core seeded bug" `Quick test_crew_core_broken_variant;
+    Alcotest.test_case "models: pin-words seeded bugs" `Quick test_pin_words_broken_variants;
     Alcotest.test_case "models: compaction -> linearizability" `Quick
       test_compaction_bridge_to_linearizability;
   ]

@@ -91,12 +91,12 @@ let test_pin_route_unpin () =
   in
   Alcotest.(check int) "durable owner" 2 (Core.assigned_owner core ~partition:6);
   (match Core.admit_write core ~partition:6 ~now:0.0 ~pick:`Static with
-  | Core.Admitted { worker; fresh } ->
+  | Core.Admitted { worker; fresh; _ } ->
     Alcotest.(check int) "pinned at durable owner" 2 worker;
     Alcotest.(check bool) "first write is a miss" true fresh
   | _ -> Alcotest.fail "expected Admitted");
   (match Core.admit_write core ~partition:6 ~now:1.0 ~pick:`Static with
-  | Core.Admitted { worker; fresh } ->
+  | Core.Admitted { worker; fresh; _ } ->
     Alcotest.(check int) "routed to pin" 2 worker;
     Alcotest.(check bool) "second write is a hit" false fresh
   | _ -> Alcotest.fail "expected Admitted");
@@ -190,7 +190,7 @@ let test_reject_refunds_slot () =
   let cfg = { Config.default with Config.ewt_capacity = 1 } in
   let core = Core.create ~on_decision:record ~cfg ~n_workers:2 ~n_partitions:4 () in
   (match Core.admit_write core ~partition:0 ~now:0.0 ~pick:(`Balanced (0, 2)) with
-  | Core.Admitted { worker = 0; fresh = true } -> ()
+  | Core.Admitted { worker = 0; fresh = true; _ } -> ()
   | _ -> Alcotest.fail "expected a fresh pin on worker 0");
   (* Worker 1 is least loaded, so JBSQ picks and charges it; the full
      table then says no. *)
@@ -282,7 +282,7 @@ let prop_single_writer =
           let held = outstanding.(p) <> [] in
           let owner = Core.route_owner core ~partition:p in
           match Core.admit_write core ~partition:p ~now:0.0 ~pick with
-          | Core.Admitted { worker; fresh } ->
+          | Core.Admitted { worker; fresh; _ } ->
             expect (fresh = not held);
             if held then expect (worker = owner);
             let charged =
@@ -481,7 +481,7 @@ let test_ttl_sweep_during_open_window () =
     Core.create ~registry:reg ~on_decision:record ~cfg ~n_workers:2 ~n_partitions:4 ()
   in
   (match Core.admit_write core ~partition:1 ~now:0.0 ~pick:`Static with
-  | Core.Admitted { worker = 1; fresh = true } -> ()
+  | Core.Admitted { worker = 1; fresh = true; _ } -> ()
   | _ -> Alcotest.fail "expected a fresh pin at worker 1");
   ignore (Core.open_window core ~worker:1 ~key:42 ~now:0.0 ~arrival:0.0 ~mean_service:100.0);
   Core.absorb core ~worker:1 ~key:42 ~id:10 ~now:0.0;

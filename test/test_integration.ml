@@ -181,7 +181,7 @@ let test_nic_pipeline_compaction () =
         Core.admit_write core ~partition:p.Header.partition ~now:(float_of_int id)
           ~pick:(`Balanced (0, 4))
       with
-      | Core.Admitted { worker; fresh } -> (id, p, value, worker, fresh)
+      | Core.Admitted { worker; fresh; _ } -> (id, p, value, worker, fresh)
       | Core.No_slot | Core.Rejected _ -> Alcotest.failf "write %d not admitted" id)
   in
   let writes = List.map admit [ (0, key, "v1"); (1, key, "v2"); (2, key, "v3") ] in

@@ -1304,6 +1304,57 @@ let test_hot_key_follows_the_pin () =
           Alcotest.(check int) "every pin released" 0 (Hashtbl.length pinned);
           Alcotest.(check int) "no worker died" 0 (Runtime.stats runtime).Runtime.recoveries))
 
+(* Both workers' connections pipeline writes to one hot key. Every
+   write is admitted lock-free on the key's pin word, so the pin passes
+   between the workers as it frees and is taken again (whether a write
+   ever finds it held by the other worker depends on timing). The
+   store's seqlock raises on a second concurrent writer, which would
+   kill a worker: none may die. The key then reads back the last
+   acknowledged value, and once quiet every pin taken has been
+   released. *)
+let test_hot_key_two_workers () =
+  let registry = C4_obs.Registry.create ~thread_safe:true () in
+  let runtime_cfg =
+    { Runtime.default_config with Runtime.n_workers = 2; registry = Some registry }
+  in
+  with_net ~runtime_cfg (fun runtime srv _ ->
+      let key = 11 and rounds = 150 and depth = 8 in
+      let counter name =
+        C4_obs.Registry.counter_value (C4_obs.Registry.counter registry name)
+      in
+      let fds = [| raw_connect srv; raw_connect srv |] in
+      let decs = Array.map (fun _ -> Wire.Decoder.create wire) fds in
+      let failed = Atomic.make 0 in
+      let client c =
+        for r = 1 to rounds do
+          let value i = Bytes.of_string (Printf.sprintf "%d-%d-%d" c r i) in
+          write_all fds.(c)
+            (Bytes.concat Bytes.empty
+               (List.init depth (fun i -> frame i Wire.Set key (value i))));
+          for _ = 1 to depth do
+            if (read_response fds.(c) decs.(c)).Wire.status <> Wire.Ok then
+              Atomic.incr failed
+          done
+        done
+      in
+      Fun.protect
+        ~finally:(fun () -> Array.iter Unix.close fds)
+        (fun () ->
+          let threads = List.init 2 (fun c -> Thread.create client c) in
+          List.iter Thread.join threads;
+          Alcotest.(check int) "every write acknowledged" 0 (Atomic.get failed);
+          write_all fds.(0) (frame 0 Wire.Set key (Bytes.of_string "last"));
+          Alcotest.(check bool) "last write acknowledged" true
+            ((read_response fds.(0) decs.(0)).Wire.status = Wire.Ok);
+          write_all fds.(1) (frame 1 Wire.Get key Bytes.empty);
+          Alcotest.(check string) "read-back on the other worker" "last"
+            (Bytes.to_string (read_response fds.(1) decs.(1)).Wire.resp_value));
+      Alcotest.(check int) "no worker died" 0 (Runtime.stats runtime).Runtime.recoveries;
+      Alcotest.(check int) "both workers alive" 2 (Runtime.alive_workers runtime);
+      await_true ~what:"every pin released" (fun () ->
+          counter "crew.pin" = counter "crew.unpin");
+      Alcotest.(check int) "every word free" (counter "ewt.insert") (counter "ewt.evict"))
+
 (* Only the worker's own loop thread runs requests inline: another
    thread started on a worker's domain (as a cluster hook may start a
    replication sender) submits from outside, so each write goes to its
@@ -1499,6 +1550,7 @@ let tests =
       test_reorder_slots_hold_arrival_order;
     Alcotest.test_case "requests run on their own worker" `Quick
       test_inline_on_own_worker;
+    Alcotest.test_case "hot key written from both workers" `Quick test_hot_key_two_workers;
     Alcotest.test_case "hot-key writes follow the pin" `Quick
       test_hot_key_follows_the_pin;
     Alcotest.test_case "raising apply releases its pin" `Quick

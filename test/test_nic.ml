@@ -9,49 +9,78 @@ module Flow = C4_nic.Flow_control
 
 (* ---------------- EWT ---------------- *)
 
+(* A table of 1024 pin words: more partitions than the default 128
+   entries, so it behaves as the NIC's CAM (census, capacity). *)
+let ewt ?capacity ?max_outstanding () =
+  Ewt.create ?capacity ?max_outstanding ~n_partitions:1024 ()
+
+(* One dispatch: ride the partition's pin, or pin it to [thread]. *)
+let rec note_write ?now e ~partition ~thread =
+  let seen = Ewt.word e ~partition in
+  if Ewt.is_free seen then
+    match Ewt.pin ?now e ~partition ~holder:thread ~incarnation:0 with
+    | `Moved -> note_write ?now e ~partition ~thread
+    | (`Ok | `Full) as r -> r
+  else
+    match Ewt.route ?now e ~partition ~seen with
+    | `Moved -> note_write ?now e ~partition ~thread
+    | (`Ok | `Counter_saturated) as r -> r
+
+let release e ~partition =
+  Ewt.release e ~partition ~stamp:(Ewt.stamp_of (Ewt.word e ~partition))
+
 let test_ewt_map_and_release () =
-  let e = Ewt.create () in
+  let e = ewt () in
   Alcotest.(check (option int)) "initially unmapped" None (Ewt.lookup e ~partition:5);
-  Alcotest.(check bool) "first write maps" true (Ewt.note_write e ~partition:5 ~thread:3 = `Ok);
+  Alcotest.(check bool) "first write maps" true (note_write e ~partition:5 ~thread:3 = `Ok);
   Alcotest.(check (option int)) "mapped to thread" (Some 3) (Ewt.lookup e ~partition:5);
   Alcotest.(check int) "one outstanding" 1 (Ewt.outstanding e ~partition:5);
-  Alcotest.(check bool) "second write bumps" true (Ewt.note_write e ~partition:5 ~thread:3 = `Ok);
+  Alcotest.(check bool) "second write bumps" true (note_write e ~partition:5 ~thread:3 = `Ok);
   Alcotest.(check int) "two outstanding" 2 (Ewt.outstanding e ~partition:5);
-  Ewt.note_response e ~partition:5;
+  ignore (release e ~partition:5);
   Alcotest.(check (option int)) "still mapped at one" (Some 3) (Ewt.lookup e ~partition:5);
-  Ewt.note_response e ~partition:5;
+  ignore (release e ~partition:5);
   Alcotest.(check (option int)) "freed at zero" None (Ewt.lookup e ~partition:5);
   Alcotest.(check int) "occupancy zero" 0 (Ewt.occupancy e)
 
 let test_ewt_capacity_full () =
-  let e = Ewt.create ~capacity:2 () in
-  Alcotest.(check bool) "p1" true (Ewt.note_write e ~partition:1 ~thread:0 = `Ok);
-  Alcotest.(check bool) "p2" true (Ewt.note_write e ~partition:2 ~thread:1 = `Ok);
-  Alcotest.(check bool) "p3 rejected" true (Ewt.note_write e ~partition:3 ~thread:2 = `Full);
-  (* Existing mappings still work when the table is full. *)
+  let e = ewt ~capacity:2 () in
+  Alcotest.(check bool) "p1" true (note_write e ~partition:1 ~thread:0 = `Ok);
+  Alcotest.(check bool) "p2" true (note_write e ~partition:2 ~thread:1 = `Ok);
+  Alcotest.(check bool) "p3 rejected" true (note_write e ~partition:3 ~thread:2 = `Full);
   Alcotest.(check bool) "existing entry still bumps" true
-    (Ewt.note_write e ~partition:1 ~thread:0 = `Ok)
+    (note_write e ~partition:1 ~thread:0 = `Ok)
 
 let test_ewt_counter_saturation () =
-  let e = Ewt.create ~max_outstanding:3 () in
+  let e = ewt ~max_outstanding:3 () in
   for _ = 1 to 3 do
-    Alcotest.(check bool) "ok" true (Ewt.note_write e ~partition:9 ~thread:1 = `Ok)
+    Alcotest.(check bool) "ok" true (note_write e ~partition:9 ~thread:1 = `Ok)
   done;
   Alcotest.(check bool) "saturated" true
-    (Ewt.note_write e ~partition:9 ~thread:1 = `Counter_saturated)
+    (note_write e ~partition:9 ~thread:1 = `Counter_saturated)
 
+(* A release must carry the stamp the word holds: one for a free word,
+   or for a pin of another holder or incarnation, changes nothing. *)
 let test_ewt_response_without_mapping () =
-  let e = Ewt.create () in
-  Alcotest.check_raises "protocol violation"
-    (Invalid_argument "Ewt.note_response: partition not mapped") (fun () ->
-      Ewt.note_response e ~partition:42)
+  let e = ewt () in
+  let stamp = Ewt.stamp ~holder:2 ~incarnation:0 in
+  Alcotest.(check bool) "unmapped release is stale" true
+    (Ewt.release e ~partition:42 ~stamp = `Stale);
+  ignore (note_write e ~partition:42 ~thread:2);
+  Alcotest.(check bool) "retired incarnation is stale" true
+    (Ewt.release e ~partition:42 ~stamp:(Ewt.stamp ~holder:2 ~incarnation:1) = `Stale);
+  Alcotest.(check bool) "other holder is stale" true
+    (Ewt.release e ~partition:42 ~stamp:(Ewt.stamp ~holder:3 ~incarnation:0) = `Stale);
+  Alcotest.(check int) "pin untouched" 1 (Ewt.outstanding e ~partition:42);
+  Alcotest.(check bool) "matching stamp frees" true (Ewt.release e ~partition:42 ~stamp = `Freed);
+  Alcotest.(check int) "orphans counted" 3 (Ewt.orphan_releases e)
 
 let test_ewt_occupancy_stats () =
-  let e = Ewt.create () in
-  ignore (Ewt.note_write e ~partition:1 ~thread:0);
-  ignore (Ewt.note_write e ~partition:2 ~thread:1);
-  ignore (Ewt.note_write e ~partition:3 ~thread:2);
-  Ewt.note_response e ~partition:1;
+  let e = ewt () in
+  ignore (note_write e ~partition:1 ~thread:0);
+  ignore (note_write e ~partition:2 ~thread:1);
+  ignore (note_write e ~partition:3 ~thread:2);
+  ignore (release e ~partition:1);
   let st = Ewt.occupancy_stats e in
   Alcotest.(check int) "peak" 3 st.Ewt.peak;
   Alcotest.(check int) "samples" 4 st.Ewt.samples;
@@ -65,7 +94,7 @@ let prop_ewt_single_writer_invariant =
   QCheck.Test.make ~name:"EWT single-writer invariant" ~count:200
     QCheck.(list (pair (int_range 0 5) (int_range 0 7)))
     (fun writes ->
-      let e = Ewt.create () in
+      let e = ewt () in
       let owners = Hashtbl.create 8 in
       let outstanding = Hashtbl.create 8 in
       List.for_all
@@ -73,7 +102,7 @@ let prop_ewt_single_writer_invariant =
           let routed_thread =
             match Ewt.lookup e ~partition with Some t -> t | None -> thread
           in
-          match Ewt.note_write e ~partition ~thread:routed_thread with
+          match note_write e ~partition ~thread:routed_thread with
           | `Ok ->
             let prev = Hashtbl.find_opt owners partition in
             Hashtbl.replace owners partition routed_thread;
@@ -89,7 +118,7 @@ let prop_ewt_single_writer_invariant =
                if i = 0 then Ewt.lookup e ~partition = None
                else begin
                  let still = Ewt.lookup e ~partition <> None in
-                 Ewt.note_response e ~partition;
+                 ignore (release e ~partition);
                  still && drain (i - 1)
                end
              in
@@ -308,12 +337,12 @@ let test_flow_release_underflow () =
 (* ---------------- EWT staleness ---------------- *)
 
 let test_ewt_stale_expiry () =
-  let e = Ewt.create () in
-  ignore (Ewt.note_write ~now:0.0 e ~partition:1 ~thread:0);
-  ignore (Ewt.note_write ~now:50.0 e ~partition:2 ~thread:1);
+  let e = ewt () in
+  ignore (note_write ~now:0.0 e ~partition:1 ~thread:0);
+  ignore (note_write ~now:50.0 e ~partition:2 ~thread:1);
   (* Partition 1's release leaks; partition 2 stays fresh via a later
      write. The sweep reclaims only the stale entry. *)
-  ignore (Ewt.note_write ~now:900.0 e ~partition:2 ~thread:1);
+  ignore (note_write ~now:900.0 e ~partition:2 ~thread:1);
   let evicted = Ewt.expire_stale e ~now:1000.0 ~ttl:500.0 in
   Alcotest.(check int) "one stale entry evicted" 1 evicted;
   Alcotest.(check (option int)) "leaked mapping reclaimed" None (Ewt.lookup e ~partition:1);
@@ -324,15 +353,16 @@ let test_ewt_stale_expiry () =
       ignore (Ewt.expire_stale e ~now:0.0 ~ttl:0.0))
 
 let test_ewt_orphan_release () =
-  let e = Ewt.create () in
-  ignore (Ewt.note_write ~now:0.0 e ~partition:7 ~thread:2);
+  let e = ewt () in
+  ignore (note_write ~now:0.0 e ~partition:7 ~thread:2);
+  let stamp = Ewt.stamp_of (Ewt.word e ~partition:7) in
   ignore (Ewt.expire_stale e ~now:1000.0 ~ttl:100.0);
   (* The response of the write whose entry was swept arrives late: the
-     tolerant release reports the orphan instead of raising. *)
-  Alcotest.(check bool) "orphan tolerated" false (Ewt.try_note_response e ~partition:7);
+     release reports the orphan instead of raising. *)
+  Alcotest.(check bool) "orphan tolerated" true (Ewt.release e ~partition:7 ~stamp = `Stale);
   Alcotest.(check int) "orphan counted" 1 (Ewt.orphan_releases e);
-  ignore (Ewt.note_write ~now:2000.0 e ~partition:7 ~thread:2);
-  Alcotest.(check bool) "matched release works" true (Ewt.try_note_response e ~partition:7);
+  ignore (note_write ~now:2000.0 e ~partition:7 ~thread:2);
+  Alcotest.(check bool) "matched release works" true (Ewt.release e ~partition:7 ~stamp = `Freed);
   Alcotest.(check (option int)) "freed at zero" None (Ewt.lookup e ~partition:7)
 
 let tests =

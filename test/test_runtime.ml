@@ -446,6 +446,101 @@ let test_server_crash_history_linearizable () =
       Alcotest.(check bool) "the crash actually happened" true
         ((Server.stats t).Server.recoveries >= 1))
 
+(* A worker forwards a write with no lock held: one CAS counts it on the
+   holder's pin, then the push. Here the holder crashes and is recovered
+   between the two, so the write lands in the restarted worker's inbox
+   stamped with the retired incarnation, whose pin the recovery freed.
+   The restarted worker must admit it again, not apply it: the
+   partition's admissions number four — the first write and its
+   recovery requeue, the forwarded write and its re-admission. *)
+let test_server_stale_stamp_readmitted () =
+  let lock = Mutex.create () and log = ref [] in
+  let record d = C4_runtime.Sync.with_lock lock (fun () -> log := d :: !log) in
+  let registry = C4_obs.Registry.create ~thread_safe:true () in
+  let cfg =
+    {
+      Server.default_config with
+      Server.n_workers = 2;
+      n_partitions = 16;
+      on_decision = Some record;
+      registry = Some registry;
+    }
+  in
+  with_server ~cfg (fun t ->
+      let rec owned_by w k = if Server.owner_of_key t k = w then k else owned_by w (k + 1) in
+      let hot = owned_by 1 0 and home = owned_by 0 0 in
+      let release = Server.pause_worker t ~worker:1 in
+      Server.inject_crash t ~worker:1;
+      (* Pins [hot]'s partition on worker 1, queued behind the gate. *)
+      let first = Server.set_async t ~key:hot ~value:(Bytes.of_string "first") in
+      let second = Promise.create () in
+      (* The ack of a write to [home] runs on worker 0's loop, which then
+         submits to [hot] as a worker: it rides worker 1's pin, and its
+         [admitted] hook lets worker 1 die and recover before the push. *)
+      ignore
+        (Server.submit_set t ~key:home ~value:(Bytes.of_string "h") (fun () ->
+             ignore
+               (Server.submit_set t ~key:hot ~value:(Bytes.of_string "second")
+                  ~admitted:(fun () ->
+                    release ();
+                    await_recovery t ~expect:2)
+                  (fun () -> Promise.fulfil second ()))));
+      Promise.await first;
+      Promise.await second;
+      Alcotest.(check (option string)) "the forwarded write is the last" (Some "second")
+        (Option.map Bytes.to_string (Server.get t ~key:hot));
+      let partition = Server.partition_of_key t hot in
+      let admissions =
+        C4_runtime.Sync.with_lock lock (fun () ->
+            List.length
+              (List.filter
+                 (function
+                   | C4_crew.Decision.Pin { partition = p; _ }
+                   | C4_crew.Decision.Route { partition = p; _ } ->
+                     p = partition
+                   | _ -> false)
+                 !log))
+      in
+      Alcotest.(check int) "the stale write was admitted again" 4 admissions;
+      let counter name =
+        C4_obs.Registry.counter_value (C4_obs.Registry.counter registry name)
+      in
+      Alcotest.(check int) "every pin released" (counter "crew.pin") (counter "crew.unpin"))
+
+(* The inboxes, not a pin's counter, bound the backlog: under a profile
+   whose counter saturates at 64 ([Config.default]), 100 writes queued
+   behind a parked holder are all admitted on one pin and all release
+   it, with no orphan release. *)
+let test_server_pin_counter_never_refuses () =
+  let registry = C4_obs.Registry.create ~thread_safe:true () in
+  let cfg =
+    {
+      Server.default_config with
+      Server.n_workers = 2;
+      crew = C4_crew.Config.default;
+      registry = Some registry;
+    }
+  in
+  with_server ~cfg (fun t ->
+      let release = Server.pause_worker t ~worker:0 in
+      let rec owned_by_0 k = if Server.owner_of_key t k = 0 then k else owned_by_0 (k + 1) in
+      let key = owned_by_0 0 in
+      let writes =
+        Fun.protect ~finally:release (fun () ->
+            List.init 100 (fun i ->
+                Server.set_async t ~key ~value:(Bytes.of_string (string_of_int i))))
+      in
+      List.iter Promise.await writes;
+      let counter name =
+        C4_obs.Registry.counter_value (C4_obs.Registry.counter registry name)
+      in
+      Alcotest.(check int) "one pin" 1 (counter "crew.pin");
+      Alcotest.(check int) "ridden by the rest" 99 (counter "crew.route");
+      Alcotest.(check int) "released once" 1 (counter "crew.unpin");
+      Alcotest.(check int) "no orphan release" 0 (counter "ewt.orphan_release");
+      Alcotest.(check (option string)) "last write wins" (Some "99")
+        (Option.map Bytes.to_string (Server.get t ~key)))
+
 let test_server_idempotent_retry () =
   with_server (fun t ->
       Server.set t ~key:5 ~value:(Bytes.of_string "orig");
@@ -527,6 +622,10 @@ let tests =
       test_server_crash_history_linearizable;
     Alcotest.test_case "worker dying of any exception is recovered" `Quick
       test_server_worker_exception_recovered;
+    Alcotest.test_case "stale-stamped forward is admitted again" `Quick
+      test_server_stale_stamp_readmitted;
+    Alcotest.test_case "pin counter never refuses a queued write" `Quick
+      test_server_pin_counter_never_refuses;
     Alcotest.test_case "server idempotent retry applies once" `Quick
       test_server_idempotent_retry;
     Alcotest.test_case "server CREW routing covers workers" `Quick test_server_crew_routing;
