@@ -539,31 +539,46 @@ let ablation scale =
    the model — notably T_c (private-log append) versus T_b (a full
    store write), the ratio Eqn. (1) feeds on. *)
 
+(* Each row in ns and in minor words per run (Bechamel's
+   [minor_allocated] beside [monotonic_clock]): the words are the
+   allocation budget a serving-path primitive spends per call. The
+   words come from the GC's sampled counters, which OCaml 5.1 updates
+   at minor collections only, so a row whose samples span none can
+   read 0; test/test_alloc.ml, which reads [Gc.minor_words], holds the
+   budget. *)
 let measure ?stabilize tests =
   let open Bechamel in
   let open Toolkit in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
+  let clock = Instance.monotonic_clock and words = Instance.minor_allocated in
+  let instances = [ clock; words ] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ?stabilize ()
   in
   let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"c4" ~fmt:"%s %s" tests) in
   let results = List.map (fun i -> Analyze.all ols i raw) instances in
   let merged = Analyze.merge ols instances results in
-  let estimates = ref [] in
-  Hashtbl.iter
-    (fun _metric tbl ->
-      let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) tbl [] in
-      List.iter
-        (fun (name, result) ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            estimates := (name, est) :: !estimates;
-            Printf.printf "  %-50s %10.1f ns/op\n" name est
-          | _ -> Printf.printf "  %-50s (no estimate)\n" name)
-        (List.sort compare rows))
-    merged;
-  List.sort compare !estimates
+  let estimate instance name =
+    match Hashtbl.find_opt merged (Measure.label instance) with
+    | None -> None
+    | Some tbl -> (
+      match Option.map Analyze.OLS.estimates (Hashtbl.find_opt tbl name) with
+      | Some (Some [ est ]) -> Some est
+      | _ -> None)
+  in
+  let names =
+    match Hashtbl.find_opt merged (Measure.label clock) with
+    | Some tbl -> List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) tbl [])
+    | None -> []
+  in
+  List.concat_map
+    (fun name ->
+      let cell = function Some e -> Printf.sprintf "%10.1f" e | None -> "         -" in
+      let ns = estimate clock name and w = estimate words name in
+      Printf.printf "  %-50s %s ns/op %s words/op\n" name (cell ns) (cell w);
+      Option.to_list (Option.map (fun e -> (name, e)) ns)
+      @ Option.to_list (Option.map (fun e -> (name ^ " [minor words]", e)) w))
+    names
 
 (* The store at uniform-read's scale: 400k keys of 512 B in serve's
    partitioning (4096 buckets over 64 partitions), read and overwritten
@@ -572,6 +587,12 @@ let measure ?stabilize tests =
    included). Measured after the other rows, so their heap stays small,
    and without Bechamel's per-sample [Gc.compact]: compacting a 200 MB
    heap before every sample leaves each one too short and cache-cold. *)
+(* What a server's GET does inside the seqlock read: copy the slot into
+   its own buffer. Top-level, so passing it allocates no closure. *)
+let copy_into v dst =
+  Bytes.blit v 0 dst 0 (Bytes.length v);
+  Bytes.length v
+
 let store_at_scale ~value =
   let open Bechamel in
   let n_keys = 400_000 in
@@ -593,6 +614,10 @@ let store_at_scale ~value =
   [
     Test.make ~name:"store.get (400k uniform keys)"
       (Staged.stage (fun () -> ignore (C4_kvs.Store.get store ~key:(next_key ()))));
+    (let dst = Bytes.create 1024 and retries = ref 0 in
+     Test.make ~name:"store.read_into a buffer (400k uniform keys)"
+       (Staged.stage (fun () ->
+            ignore (C4_kvs.Store.read_into store ~key:(next_key ()) ~retries copy_into dst))));
     Test.make ~name:"store.set (400k uniform keys)"
       (Staged.stage (fun () -> C4_kvs.Store.set store ~key:(next_key ()) ~value));
     Test.make ~name:"store.set (insert a fresh key)"
@@ -643,8 +668,9 @@ let microbench () =
              ignore (C4_dsim.Heap.pop heap)));
       Test.make ~name:"fnv1a hash (16B key)"
         (Staged.stage (fun () -> ignore (C4_kvs.Hash.fnv1a "0123456789abcdef")));
-      (* The per-update cost a serving-path metric pays: one uncontended
-         per-domain shard lock around the cell update. *)
+      (* The per-update cost a serving-path metric pays: a counter is
+         one atomic add on the domain's own cell, a histogram one
+         uncontended per-domain shard lock around the update. *)
       (let reg = C4_obs.Registry.create ~thread_safe:true () in
        let c = C4_obs.Registry.counter reg "bench.ops" in
        Test.make ~name:"registry.incr (thread-safe)"
@@ -666,6 +692,38 @@ let microbench () =
        in
        Test.make ~name:"wire encode (SET, 512B)"
          (Staged.stage (fun () -> ignore (C4_net.Wire.encode_request wire req))));
+      (let wire = C4_net.Wire.create () in
+       let frame =
+         C4_net.Wire.encode_request wire
+           {
+             C4_net.Wire.id = 1;
+             op = C4_net.Wire.Set;
+             key = 12345;
+             token = Some 99;
+             trace = None;
+             value;
+           }
+       in
+       let decoder = C4_net.Wire.Decoder.create wire in
+       let view = C4_net.Wire.view () in
+       Test.make ~name:"wire feed+decode in place (SET, 512B)"
+         (Staged.stage (fun () ->
+              C4_net.Wire.Decoder.feed decoder frame ~off:0 ~len:(Bytes.length frame);
+              match C4_net.Wire.Decoder.next decoder with
+              | C4_net.Wire.Decoder.Frame ->
+                ignore
+                  (C4_net.Wire.decode_into wire view (C4_net.Wire.Decoder.buffer decoder)
+                     ~off:(C4_net.Wire.Decoder.body_off decoder)
+                     ~len:(C4_net.Wire.Decoder.body_len decoder))
+              | C4_net.Wire.Decoder.Awaiting | C4_net.Wire.Decoder.Corrupt -> assert false)));
+      (let wire = C4_net.Wire.create () in
+       let buf = Bytes.create 4096 in
+       let hl = C4_net.Wire.response_header_len wire in
+       Test.make ~name:"wire response into a buffer (GET, 512B)"
+         (Staged.stage (fun () ->
+              C4_net.Wire.write_response_header wire buf ~off:0 ~id:1 ~status:C4_net.Wire.Ok
+                ~timing_ns:1000 ~value_len:512;
+              Bytes.blit value 0 buf hl 512)));
       (let wire = C4_net.Wire.create () in
        let frame =
          C4_net.Wire.encode_request wire

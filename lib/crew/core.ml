@@ -179,6 +179,67 @@ let unpinned t ~partition =
   | None -> ()
   | Some f -> f (Decision.Unpin { partition })
 
+(* A balanced JBSQ pick charges its slot as a side effect of picking;
+   a pin that does not happen hands the slot back. *)
+let refund t ~pick w =
+  match pick with
+  | `Balanced _ when t.cfg.Config.pin_fallback = Config.Balanced -> Jbsq.complete t.jbsq w
+  | `Balanced _ | `Local _ | `Static | `Worker _ -> ()
+
+(* Admission proper: ride the partition's pin, or pin it where [pick]
+   says. Top-level functions, not local closures, so an admission
+   allocates only its [Admitted] answer. *)
+let rec claim t ~partition ~pick ~now ~charge =
+  let seen = Ewt.word t.ewt ~partition in
+  if not (Ewt.is_free seen) then begin
+    let owner = Ewt.holder seen in
+    let stamp = Ewt.stamp_of seen in
+    if not (stamp_live t stamp) then begin
+      (* Left by a retired incarnation: whatever it counts will be
+         admitted again, so free it rather than ride it. *)
+      (match Ewt.release t.ewt ~partition ~stamp with
+      | `Freed -> unpinned t ~partition
+      | `Held | `Stale -> ());
+      claim t ~partition ~pick ~now ~charge
+    end
+    else
+      match Ewt.route ?now t.ewt ~partition ~seen with
+      | `Ok ->
+        if charge then Jbsq.dispatch_to t.jbsq owner;
+        admitted t ~partition ~worker:owner ~fresh:false ~stamp
+      | `Counter_saturated ->
+        reject t ~partition ~reason:Decision.Counter_saturated ~owner:(Some owner)
+      | `Moved -> claim t ~partition ~pick ~now ~charge
+  end
+  else
+    match pick with
+    | `Worker w -> pin_at t ~partition ~pick ~now ~charge w ~charge_now:charge
+    | `Local w -> pin_at t ~partition ~pick ~now ~charge w ~charge_now:false
+    | `Static -> pin_at t ~partition ~pick ~now ~charge t.owners.(partition) ~charge_now:false
+    | `Balanced (lo, hi) -> (
+      match t.cfg.Config.pin_fallback with
+      | Config.Static ->
+        pin_at t ~partition ~pick ~now ~charge (static_owner ~partition ~lo ~hi) ~charge_now:charge
+      | Config.Balanced -> (
+        match Jbsq.try_dispatch_range t.jbsq ~lo ~hi with
+        | None -> No_slot
+        | Some w ->
+          (* try_dispatch already charged *)
+          pin_at t ~partition ~pick ~now ~charge w ~charge_now:false))
+
+and pin_at t ~partition ~pick ~now ~charge w ~charge_now =
+  let incarnation = Atomic.get t.incarnations.(w) in
+  match Ewt.pin ?now t.ewt ~partition ~holder:w ~incarnation with
+  | `Ok ->
+    if charge_now then Jbsq.dispatch_to t.jbsq w;
+    admitted t ~partition ~worker:w ~fresh:true ~stamp:(Ewt.stamp ~holder:w ~incarnation)
+  | `Full ->
+    refund t ~pick w;
+    reject t ~partition ~reason:Decision.Table_full ~owner:None
+  | `Moved ->
+    refund t ~pick w;
+    claim t ~partition ~pick ~now ~charge
+
 let admit_write ?now t ~partition ~pick =
   let now = match t.cfg.Config.ewt_ttl with None -> None | Some _ -> now in
   (* JBSQ occupancy is the NIC's queue accounting; the runtime's
@@ -186,69 +247,11 @@ let admit_write ?now t ~partition ~pick =
   let charge =
     match pick with `Static | `Local _ -> false | `Balanced _ | `Worker _ -> true
   in
-  (* A balanced JBSQ pick charges its slot as a side effect of picking;
-     a pin that does not happen hands the slot back. *)
-  let refund w =
-    match pick with
-    | `Balanced _ when t.cfg.Config.pin_fallback = Config.Balanced -> Jbsq.complete t.jbsq w
-    | _ -> ()
-  in
-  let rec claim () =
-    let seen = Ewt.word t.ewt ~partition in
-    if not (Ewt.is_free seen) then begin
-      let owner = Ewt.holder seen in
-      let stamp = Ewt.stamp_of seen in
-      if not (stamp_live t stamp) then begin
-        (* Left by a retired incarnation: whatever it counts will be
-           admitted again, so free it rather than ride it. *)
-        (match Ewt.release t.ewt ~partition ~stamp with
-        | `Freed -> unpinned t ~partition
-        | `Held | `Stale -> ());
-        claim ()
-      end
-      else
-        match Ewt.route ?now t.ewt ~partition ~seen with
-        | `Ok ->
-          if charge then Jbsq.dispatch_to t.jbsq owner;
-          admitted t ~partition ~worker:owner ~fresh:false ~stamp
-        | `Counter_saturated ->
-          reject t ~partition ~reason:Decision.Counter_saturated ~owner:(Some owner)
-        | `Moved -> claim ()
-    end
-    else
-      let chosen =
-        match pick with
-        | `Worker w -> Some (w, charge)
-        | `Local w -> Some (w, false)
-        | `Static -> Some (t.owners.(partition), false)
-        | `Balanced (lo, hi) -> (
-          match t.cfg.Config.pin_fallback with
-          | Config.Static -> Some (static_owner ~partition ~lo ~hi, charge)
-          | Config.Balanced -> (
-            match Jbsq.try_dispatch_range t.jbsq ~lo ~hi with
-            | None -> None
-            | Some w -> Some (w, false) (* try_dispatch already charged *)))
-      in
-      match chosen with
-      | None -> No_slot
-      | Some (w, charge_now) -> (
-        let incarnation = Atomic.get t.incarnations.(w) in
-        match Ewt.pin ?now t.ewt ~partition ~holder:w ~incarnation with
-        | `Ok ->
-          if charge_now then Jbsq.dispatch_to t.jbsq w;
-          admitted t ~partition ~worker:w ~fresh:true
-            ~stamp:(Ewt.stamp ~holder:w ~incarnation)
-        | `Full ->
-          refund w;
-          reject t ~partition ~reason:Decision.Table_full ~owner:None
-        | `Moved ->
-          refund w;
-          claim ())
-  in
-  ordered t claim
+  match t.on_decision with
+  | None -> claim t ~partition ~pick ~now ~charge
+  | Some _ -> ordered t (fun () -> claim t ~partition ~pick ~now ~charge)
 
-let write_done ?strict ?stamp t ~partition =
-  ordered t @@ fun () ->
+let release_word ?strict ?stamp t ~partition =
   let stamp =
     match stamp with
     | Some s -> s
@@ -262,6 +265,11 @@ let write_done ?strict ?stamp t ~partition =
       match strict with Some s -> s | None -> t.cfg.Config.ewt_ttl = None
     in
     if strict then invalid_arg "Crew.Core.write_done: release of an unpinned partition"
+
+let write_done ?strict ?stamp t ~partition =
+  match t.on_decision with
+  | None -> release_word ?strict ?stamp t ~partition
+  | Some _ -> ordered t (fun () -> release_word ?strict ?stamp t ~partition)
 
 let sweep_stale t ~now =
   match t.cfg.Config.ewt_ttl with

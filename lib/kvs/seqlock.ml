@@ -17,21 +17,34 @@ let write_end t =
   if v land 1 = 0 then failwith "Seqlock.write_end: no update in flight";
   Atomic.set t (v + 1)
 
-let read t f =
-  let rec attempt retries =
-    let v0 = Atomic.get t in
-    if v0 land 1 = 1 then begin
+(* A retry is a failed attempt, not a spin: an attempt that finds a
+   write in flight waits it out and counts once, however long it spins. *)
+let read_begin t ~retries =
+  let v = Atomic.get t in
+  if v land 1 = 0 then v
+  else begin
+    incr retries;
+    let v = ref v in
+    while !v land 1 = 1 do
       Domain.cpu_relax ();
-      attempt (retries + 1)
-    end
-    else begin
-      let result = f () in
-      let v1 = Atomic.get t in
-      if v0 = v1 then (result, retries)
-      else begin
-        Domain.cpu_relax ();
-        attempt (retries + 1)
-      end
-    end
+      v := Atomic.get t
+    done;
+    !v
+  end
+
+let read_valid t v0 ~retries =
+  if Atomic.get t = v0 then true
+  else begin
+    incr retries;
+    false
+  end
+
+let read t f =
+  let retries = ref 0 in
+  let rec attempt () =
+    let v0 = read_begin t ~retries in
+    let result = f () in
+    if read_valid t v0 ~retries then result else attempt ()
   in
-  attempt 0
+  let result = attempt () in
+  (result, !retries)

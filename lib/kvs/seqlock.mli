@@ -22,9 +22,28 @@ val write_begin : t -> unit
 (** Finish an update: bumps version to even. *)
 val write_end : t -> unit
 
-(** [read t f] runs [f] until it completes with a stable, unchanged
-    version, returning the result and the number of retries. [f] must be
-    pure apart from reading the protected data. *)
+(** {2 Reading}
+
+    A read is a loop of attempts: {!read_begin}, read the protected
+    data, {!read_valid}; an attempt that fails validation starts over
+    with {!read_begin}. Both count {e failed attempts} into [retries]:
+    an attempt that finds a write in flight waits it out and counts
+    once, however long it spins, and an attempt that sees the version
+    change under it counts once. Neither allocates, so a reader that
+    copies the data straight into its own buffer
+    ([C4_kvs.Store.read_into]) runs the loop without a closure. *)
+
+(** Wait until no write is in flight; returns the version to validate
+    against. *)
+val read_begin : t -> retries:int ref -> int
+
+(** [true] if the version is still [v0]: what was read since
+    {!read_begin} returned [v0] is consistent. *)
+val read_valid : t -> int -> retries:int ref -> bool
+
+(** [read t f] runs [f] in that loop until it completes under a stable,
+    unchanged version, returning the result and the number of failed
+    attempts. [f] must be pure apart from reading the protected data. *)
 val read : t -> (unit -> 'a) -> 'a * int
 
 (** True while a writer is inside [write_begin]/[write_end]. *)

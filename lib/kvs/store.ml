@@ -81,18 +81,19 @@ let slot_hash t key = Hash.mix_int key lsr t.slot_shift
 
 (* Slot holding [key], or -1. The probe is bounded by the capacity, so a
    reader racing a writer's backward shift terminates whatever it sees;
-   the seqlock version check then discards the answer. *)
+   the seqlock version check then discards the answer. A top-level loop,
+   not a local closure: a lookup allocates nothing. *)
+let rec probe tbl ~key ~mask i n =
+  if n > mask then -1
+  else
+    let v = tbl.vals.(i) in
+    if v == free then -1
+    else if tbl.keys.(i) = key then i
+    else probe tbl ~key ~mask ((i + 1) land mask) (n + 1)
+
 let find tbl ~key ~hash =
   let mask = Array.length tbl.keys - 1 in
-  let rec probe i n =
-    if n > mask then -1
-    else
-      let v = tbl.vals.(i) in
-      if v == free then -1
-      else if tbl.keys.(i) = key then i
-      else probe ((i + 1) land mask) (n + 1)
-  in
-  probe (hash land mask) 0
+  probe tbl ~key ~mask (hash land mask) 0
 
 (* Writer only: first free slot on [hash]'s probe path. *)
 let free_slot tbl ~hash =
@@ -116,32 +117,35 @@ let grow t p =
     old.vals;
   p.table <- next
 
-(* Write [value] into the slot in place when sizes match (the common
-   case for fixed-size KVS items), otherwise swap the buffer. *)
-let set_locked t p ~key ~value =
+(* Write [value.[off .. off + len)] into the slot in place when sizes
+   match (the common case for fixed-size KVS items), otherwise swap in a
+   private copy. *)
+let set_locked t p ~key ~value ~off ~len =
   let hash = slot_hash t key in
   let i = find p.table ~key ~hash in
   if i >= 0 then begin
     let cur = p.table.vals.(i) in
-    if Bytes.length cur = Bytes.length value then
-      Bytes.blit value 0 cur 0 (Bytes.length value)
-    else p.table.vals.(i) <- Bytes.copy value
+    if Bytes.length cur = len then Bytes.blit value off cur 0 len
+    else p.table.vals.(i) <- Bytes.sub value off len
   end
   else begin
     if 4 * (p.count + 1) > 3 * Array.length p.table.keys then grow t p;
     let tbl = p.table in
     let j = free_slot tbl ~hash in
     tbl.keys.(j) <- key;
-    tbl.vals.(j) <- Bytes.copy value;
+    tbl.vals.(j) <- Bytes.sub value off len;
     p.count <- p.count + 1
   end;
   p.writes_n <- p.writes_n + 1
 
-let set t ~key ~value =
+let set_sub t ~key ~value ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length value then invalid_arg "Store.set_sub";
   let p = partition t key in
   Seqlock.write_begin p.lock;
-  set_locked t p ~key ~value;
+  set_locked t p ~key ~value ~off ~len;
   Seqlock.write_end p.lock
+
+let set t ~key ~value = set_sub t ~key ~value ~off:0 ~len:(Bytes.length value)
 
 (* Idempotent write: a retried write whose first attempt was actually
    applied (the ack was lost, not the write) must not be applied twice.
@@ -165,7 +169,7 @@ let set_idempotent t ~key ~value ~token =
     end;
     Hashtbl.replace p.applied_tokens token ();
     Queue.push token p.token_order;
-    set_locked t p ~key ~value;
+    set_locked t p ~key ~value ~off:0 ~len:(Bytes.length value);
     Seqlock.write_end p.lock;
     `Applied
   end
@@ -178,16 +182,34 @@ let set_batched t ~key ~values =
     Seqlock.write_begin p.lock;
     (* The batch counts as one combined update: one version bump, one
        data-store write, regardless of how many writes were compacted. *)
-    set_locked t p ~key ~value:final;
+    set_locked t p ~key ~value:final ~off:0 ~len:(Bytes.length final);
     Seqlock.write_end p.lock
 
-let get t ~key =
+(* The one read loop. [f] runs on the live slot buffer, maybe more than
+   once: a failed attempt discards what it did and the next calls it
+   again with the same [x]. Refs that never escape stay in registers, so
+   with a top-level [f] the loop allocates nothing. *)
+let read_into t ~key ~retries f x =
   let p = partition t key in
   let hash = slot_hash t key in
-  Seqlock.read p.lock (fun () ->
-      let tbl = p.table in
-      let i = find tbl ~key ~hash in
-      if i < 0 then None else Some (Bytes.copy tbl.vals.(i)))
+  let result = ref (-1) and valid = ref false in
+  while not !valid do
+    let v0 = Seqlock.read_begin p.lock ~retries in
+    let tbl = p.table in
+    let i = find tbl ~key ~hash in
+    result := if i < 0 then -1 else f tbl.vals.(i) x;
+    valid := Seqlock.read_valid p.lock v0 ~retries
+  done;
+  !result
+
+let copy_out v out =
+  out := Some (Bytes.copy v);
+  0
+
+let get t ~key =
+  let retries = ref 0 and out = ref None in
+  let found = read_into t ~key ~retries copy_out out in
+  ((if found < 0 then None else !out), !retries)
 
 let mem t ~key =
   let p = partition t key in

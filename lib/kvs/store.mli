@@ -45,6 +45,12 @@ val partition_of_key : t -> int -> int
 (** Insert or update. Runs one seqlock write section on the partition. *)
 val set : t -> key:int -> value:bytes -> unit
 
+(** [set_sub t ~key ~value ~off ~len] is [set] of the slice
+    [value.[off .. off + len)], read before it returns: an update of
+    the same size blits the slice straight into the slot, so a caller
+    can pass a slice of a buffer it is about to reuse. *)
+val set_sub : t -> key:int -> value:bytes -> off:int -> len:int -> unit
+
 (** Insert or update, deduplicated by idempotency [token]: if a write
     carrying the same token was already applied to this key's partition
     (a client retry whose original ack was lost), the store leaves the
@@ -63,8 +69,19 @@ val set : t -> key:int -> value:bytes -> unit
 val set_idempotent :
   t -> key:int -> value:bytes -> token:int -> [ `Applied | `Duplicate ]
 
-(** Optimistic read; returns a private copy of the value and the number
-    of version-check retries taken. *)
+(** [read_into t ~key ~retries f x] looks [key] up under its
+    partition's seqlock and returns [f v x], [v] being the slot's live
+    value buffer, or [-1] if [key] is absent. [v] is read racily: [f]
+    must only copy from it, and must not keep it; when an attempt fails
+    the version check, what [f] did is stale and [f] runs again, with
+    the same [x]. Failed attempts are added to [retries] (see
+    {!Seqlock.read_begin}). With a closure-free [f] nothing is
+    allocated: a server copies a value straight into its output
+    buffer. *)
+val read_into : t -> key:int -> retries:int ref -> (bytes -> 'a -> int) -> 'a -> int
+
+(** Optimistic read ({!read_into}); returns a private copy of the value
+    and the number of failed attempts. *)
 val get : t -> key:int -> (bytes option * int)
 
 val mem : t -> key:int -> bool

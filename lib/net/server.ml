@@ -49,33 +49,46 @@ type metrics = {
   slow_client_drops_c : Registry.counter;
 }
 
-(* A connection belongs to one worker: membership, the decoder and the
-   [eof]/[drained] flags are touched only by it, so they need no lock;
-   the reorder slots, the output buffer and the pending count are
-   shared with completing threads and guarded by the per-connection
-   mutex. A completion only parks its response; the owning worker
-   encodes the contiguous ready prefix and flushes it with one
-   coalesced write per round, firing each response's [on_written] hook
-   as the flush crosses its boundary. *)
+(* One place in a connection's response order, reused as the ring
+   turns. Arrivals in [flush_seq, head_seq) are staged: encoded into the
+   output buffer, [e_end] the queued total at their last byte, waiting
+   for the flush to pass it. Arrivals in [head_seq, next_seq) wait for
+   their response, parked here ([e_ready]) by whichever thread completes
+   it. Each ring position is allocated once, so parking and staging a
+   response allocate nothing. *)
+type entry = {
+  mutable e_ready : bool;
+  mutable e_status : Wire.status;
+  mutable e_id : int;
+  mutable e_timing : int;
+  mutable e_value : bytes;
+  mutable e_end : int;
+  mutable e_hook : unit -> unit;  (* on_written *)
+}
+
+(* A connection belongs to one worker: membership, the decoder, the
+   output buffer's contents and indices, and the [eof]/[drained] flags
+   are touched only by it, so they need no lock. The ring, the arrival
+   cursors, the byte totals, [pending] and [dead] are shared with
+   completing threads and guarded by the per-connection mutex. A
+   completion only parks its response; the owning worker encodes the
+   contiguous ready prefix straight into [obuf] — and an inline GET at
+   the head of the order its own response, the value copied from the
+   store slot — and flushes with one coalesced write per round, firing
+   each response's [on_written] hook as the flush crosses its end. *)
 type conn = {
   id : int;
   fd : Unix.file_descr;
   worker : int;  (* the owning worker, woken by completions *)
   decoder : Wire.Decoder.decoder;
-  lock : Mutex.t;  (* guards every mutable field below except [eof]/[drained] *)
-  (* Reorder slots, a ring indexed by arrival number: the response to
-     request [seq] parks at [seq land (length - 1)] until every earlier
-     one has been staged. [no_response] marks a slot still waiting. *)
-  mutable ready : Wire.response array;
-  mutable hooks : (unit -> unit) array;  (* on_written of each parked response *)
+  lock : Mutex.t;
+  mutable ring : entry array;  (* arrival [seq] at [seq land (length - 1)] *)
   mutable next_seq : int;  (* arrival number of the next request *)
   mutable head_seq : int;  (* oldest arrival not yet staged *)
-  mutable obuf : Bytes.t;  (* encoded responses, [o_start, o_end) valid *)
+  mutable flush_seq : int;  (* oldest staged arrival not yet flushed *)
+  mutable obuf : Bytes.t;  (* worker-only: encoded responses, [o_start, o_end) valid *)
   mutable o_start : int;
   mutable o_end : int;
-  (* (queued_total offset at end of frame, on_written): crossed by the
-     flush cursor in order. *)
-  bounds : (int * (unit -> unit)) Queue.t;
   mutable queued_total : int;
   mutable flushed_total : int;
   mutable pending : int;  (* accepted, response not yet retired *)
@@ -84,8 +97,29 @@ type conn = {
   mutable drained : bool;  (* worker-only: receive side already shut down *)
 }
 
-(* One accepted request's place in its connection's response order. *)
+(* One accepted request's place in its connection's response order, for
+   a response another thread or a later moment produces. *)
 type slot = { s_conn : conn; s_seq : int; mutable s_done : bool (* under lock *) }
+
+(* The GET being served inline, one record per worker, refilled for
+   each GET: [read_value]'s argument, and what [commit_get] stages. Its
+   two lock sections are closures over this record, built once with it,
+   so serving a GET allocates none. *)
+type get = {
+  g_wire : Wire.t;
+  g_max_pending : int;
+  mutable g_conn : conn;
+  mutable g_direct : bool;  (* the value was copied to [obuf] past [o_end] *)
+  mutable g_copy : bytes;  (* otherwise, the value's private copy *)
+  mutable g_id : int;
+  mutable g_status : Wire.status;
+  mutable g_timing : int;
+  mutable g_len : int;
+  mutable g_hook : unit -> unit;  (* on_written *)
+  mutable g_stage : unit -> unit;  (* [stage] on [g_conn], under its lock *)
+  mutable g_commit : unit -> int;  (* [commit_get], under [g_conn]'s lock *)
+  mutable g_reserve : unit -> int;  (* [reserve_locked] on [g_conn], under its lock *)
+}
 
 (* One worker's connection set. *)
 type loop = {
@@ -93,6 +127,8 @@ type loop = {
   incoming : conn Queue.t;  (* accepted, not yet taken by the worker *)
   conns : (int, conn) Hashtbl.t;  (* owning worker only *)
   scratch : Bytes.t;  (* per-worker read buffer, shared by its conns *)
+  view : Wire.view;  (* the request being served, decoded in place *)
+  get : get;
   mutable pfds : Unix.file_descr array;
   mutable pevents : int array;
   mutable prevents : int array;
@@ -149,103 +185,139 @@ let metrics_of reg ~n_workers ~active ~inflight =
     slow_client_drops_c = Registry.counter reg "net.slow_client_drops";
   }
 
-(* ---------------- reorder slots and output buffer (under c.lock) ---------------- *)
-
-let no_response =
-  { Wire.resp_id = -1; status = Wire.Err; timing_ns = 0; resp_value = Bytes.empty }
+(* ---------------- reorder ring and output buffer ---------------- *)
 
 let no_hook () = ()
 
-(* Double the ring, keeping every outstanding arrival at its index
-   under the new mask. *)
-let grow c =
-  let cap = Array.length c.ready in
-  let ready = Array.make (2 * cap) no_response in
-  let hooks = Array.make (2 * cap) no_hook in
-  for seq = c.head_seq to c.next_seq - 1 do
-    ready.(seq land ((2 * cap) - 1)) <- c.ready.(seq land (cap - 1));
-    hooks.(seq land ((2 * cap) - 1)) <- c.hooks.(seq land (cap - 1))
-  done;
-  c.ready <- ready;
-  c.hooks <- hooks
+let new_entry _ =
+  {
+    e_ready = false;
+    e_status = Wire.Ok;
+    e_id = 0;
+    e_timing = 0;
+    e_value = Bytes.empty;
+    e_end = 0;
+    e_hook = no_hook;
+  }
 
-let append_out c frame on_written =
-  let flen = Bytes.length frame in
+let new_conn wire ~id fd ~worker =
+  {
+    id;
+    fd;
+    worker;
+    decoder = Wire.Decoder.create wire;
+    lock = Mutex.create ();
+    ring = Array.init 16 new_entry;
+    next_seq = 0;
+    head_seq = 0;
+    flush_seq = 0;
+    obuf = Bytes.create 4096;
+    o_start = 0;
+    o_end = 0;
+    queued_total = 0;
+    flushed_total = 0;
+    pending = 0;
+    eof = false;
+    dead = false;
+    drained = false;
+  }
+
+(* Under c.lock: double the ring, keeping every arrival not yet flushed
+   at its index under the new mask. *)
+let grow c =
+  let cap = Array.length c.ring in
+  let ring = Array.init (2 * cap) new_entry in
+  for seq = c.flush_seq to c.next_seq - 1 do
+    ring.(seq land ((2 * cap) - 1)) <- c.ring.(seq land (cap - 1))
+  done;
+  c.ring <- ring
+
+let entry c seq = c.ring.(seq land (Array.length c.ring - 1))
+
+(* Worker only: room for [n] more bytes at [o_end]. *)
+let ensure_out c n =
   let len = c.o_end - c.o_start in
   let cap = Bytes.length c.obuf in
-  if c.o_end + flen > cap then begin
-    if len + flen <= cap then Bytes.blit c.obuf c.o_start c.obuf 0 len
+  if c.o_end + n > cap then begin
+    if len + n <= cap then Bytes.blit c.obuf c.o_start c.obuf 0 len
     else begin
-      let nb = Bytes.create (max (cap * 2) (len + flen)) in
+      let nb = Bytes.create (max (cap * 2) (len + n)) in
       Bytes.blit c.obuf c.o_start nb 0 len;
       c.obuf <- nb
     end;
     c.o_start <- 0;
     c.o_end <- len
-  end;
-  Bytes.blit frame 0 c.obuf c.o_end flen;
-  c.o_end <- c.o_end + flen;
-  c.queued_total <- c.queued_total + flen;
-  Queue.add (c.queued_total, on_written) c.bounds
+  end
 
-(* Encode the contiguous ready prefix of slots into the output buffer;
-   [true] if it staged anything. *)
+(* Under c.lock, worker only: the [n] bytes at [o_end] are arrival
+   [head_seq]'s whole response; stage it. *)
+let staged c n ~on_written =
+  c.o_end <- c.o_end + n;
+  c.queued_total <- c.queued_total + n;
+  let e = entry c c.head_seq in
+  e.e_end <- c.queued_total;
+  e.e_hook <- on_written;
+  c.head_seq <- c.head_seq + 1
+
+(* Under c.lock, worker only: encode the contiguous ready prefix of
+   parked responses straight into the output buffer; [true] if it
+   staged anything. *)
 let stage wire c =
   let first = c.head_seq in
+  let hl = Wire.response_header_len wire in
   let continue = ref (not c.dead) in
   while !continue && c.head_seq < c.next_seq do
-    let i = c.head_seq land (Array.length c.ready - 1) in
-    let resp = c.ready.(i) in
-    if resp == no_response then continue := false
+    let e = entry c c.head_seq in
+    if not e.e_ready then continue := false
     else begin
-      append_out c (Wire.encode_response wire resp) c.hooks.(i);
-      c.ready.(i) <- no_response;
-      c.hooks.(i) <- no_hook;
-      c.head_seq <- c.head_seq + 1
+      let value = e.e_value in
+      let n = Bytes.length value in
+      ensure_out c (hl + n);
+      Wire.write_response_header wire c.obuf ~off:c.o_end ~id:e.e_id ~status:e.e_status
+        ~timing_ns:e.e_timing ~value_len:n;
+      Bytes.blit value 0 c.obuf (c.o_end + hl) n;
+      e.e_ready <- false;
+      e.e_value <- Bytes.empty;
+      staged c (hl + n) ~on_written:e.e_hook
     end
   done;
   c.head_seq > first
 
-(* Fire on_written for every boundary the flush cursor has crossed, in
-   wire order. *)
+(* Retire arrival [seq]'s entry: its lifecycle is over, bytes sent or
+   not. *)
+let retire c e =
+  let on_written = e.e_hook in
+  e.e_ready <- false;
+  e.e_value <- Bytes.empty;
+  e.e_hook <- no_hook;
+  c.pending <- c.pending - 1;
+  on_written ()
+
+(* Under c.lock: fire on_written for every staged response the flush
+   cursor has passed, in wire order. *)
 let retire_flushed c =
-  let continue = ref true in
-  while !continue && not (Queue.is_empty c.bounds) do
-    let off, on_written = Queue.peek c.bounds in
-    if off <= c.flushed_total then begin
-      ignore (Queue.pop c.bounds);
-      c.pending <- c.pending - 1;
-      on_written ()
-    end
-    else continue := false
+  while c.flush_seq < c.head_seq && (entry c c.flush_seq).e_end <= c.flushed_total do
+    let e = entry c c.flush_seq in
+    c.flush_seq <- c.flush_seq + 1;
+    retire c e
   done
 
-(* Peer unwritable: abandon buffered output, but retire every owed
-   response that is already here — staged or parked — through its hook:
-   a response's lifecycle ends (and its respond span closes) whether or
-   not the ack could be delivered. Responses still being computed
-   retire when they arrive (see [respond]). *)
+(* Under c.lock, any thread. Peer unwritable: abandon buffered output,
+   but retire every owed response that is already here — staged or
+   parked — through its hook: a response's lifecycle ends (and its
+   respond span closes) whether or not the ack could be delivered.
+   Responses still being computed retire when they arrive (see
+   [respond]). The output buffer's indices are the worker's: nothing
+   reads them once [dead] is set. *)
 let mark_dead c =
   if not c.dead then begin
     c.dead <- true;
-    while not (Queue.is_empty c.bounds) do
-      let _, on_written = Queue.pop c.bounds in
-      c.pending <- c.pending - 1;
-      on_written ()
-    done;
-    for seq = c.head_seq to c.next_seq - 1 do
-      let i = seq land (Array.length c.ready - 1) in
-      if c.ready.(i) != no_response then begin
-        let on_written = c.hooks.(i) in
-        c.ready.(i) <- no_response;
-        c.hooks.(i) <- no_hook;
-        c.pending <- c.pending - 1;
-        on_written ()
-      end
+    for seq = c.flush_seq to c.next_seq - 1 do
+      let e = entry c seq in
+      if seq < c.head_seq || e.e_ready then retire c e
     done;
     c.head_seq <- c.next_seq;
-    c.o_start <- 0;
-    c.o_end <- 0
+    c.flush_seq <- c.next_seq
   end
 
 (* One coalesced write: everything buffered goes out in a single
@@ -276,7 +348,7 @@ let rec write_out t c =
    runs exactly once: after the response's last byte reaches the
    socket, or at once if the connection is already dead or the slot
    was aborted. *)
-let respond t s ~on_written resp =
+let respond t s ~on_written ~id ~status ~timing_ns value =
   let c = s.s_conn in
   let parked =
     Sync.with_lock c.lock (fun () ->
@@ -288,9 +360,13 @@ let respond t s ~on_written resp =
             false
           end
           else begin
-            let i = s.s_seq land (Array.length c.ready - 1) in
-            c.ready.(i) <- resp;
-            c.hooks.(i) <- on_written;
+            let e = entry c s.s_seq in
+            e.e_status <- status;
+            e.e_id <- id;
+            e.e_timing <- timing_ns;
+            e.e_value <- value;
+            e.e_hook <- on_written;
+            e.e_ready <- true;
             true
           end
         end)
@@ -356,18 +432,16 @@ type req_trace = {
   mutable tr_apply : Span.span option;  (* set before any completion can run *)
 }
 
-let start_trace t (req : Wire.request) ~ts =
-  match (t.cfg.spans, req.Wire.trace) with
-  | Some buf, Some ctx ->
-    let parent =
-      { Span.trace_id = ctx.Wire.trace_id; span_id = ctx.Wire.parent_span }
-    in
+let start_trace t (v : Wire.view) ~ts =
+  match t.cfg.spans with
+  | Some buf when Wire.has_trace v ->
+    let parent = { Span.trace_id = v.Wire.v_trace_id; span_id = v.Wire.v_parent_span } in
     let recv = Span.start ~parent buf ~name:"server.recv" ~ts in
-    Span.annotate buf recv ~key:"op" ~value:(op_name req.Wire.op);
-    Span.annotate buf recv ~key:"key" ~value:(string_of_int req.Wire.key);
-    Span.annotate buf recv ~key:"req_id" ~value:(string_of_int req.Wire.id);
+    Span.annotate buf recv ~key:"op" ~value:(op_name v.Wire.v_op);
+    Span.annotate buf recv ~key:"key" ~value:(string_of_int v.Wire.v_key);
+    Span.annotate buf recv ~key:"req_id" ~value:(string_of_int v.Wire.v_id);
     Some { tr_buf = buf; tr_recv = recv; tr_apply = None }
-  | _ -> None
+  | Some _ | None -> None
 
 let open_apply tr =
   let now = now_ns () in
@@ -378,115 +452,41 @@ let open_apply tr =
   tr.tr_apply <- Some apply;
   apply
 
-let admitted = Option.map (fun tr () -> ignore (open_apply tr))
+let admitted = function None -> None | Some tr -> Some (fun () -> ignore (open_apply tr))
 
 (* Run the submission with the recv span current on the worker, so the
    policy core's on_decision hook can annotate it. *)
 let traced_submit tr f =
   match tr with None -> f () | Some tr -> Span.with_current tr.tr_buf tr.tr_recv f
 
-(* Hand a finished response to its connection: close apply, open
-   respond (closed by [on_written] when the bytes are out). *)
-let send t tr slot (resp : Wire.response) =
+(* A finished response is on its way: close apply, open respond, and
+   return the hook that closes it once the bytes are out. *)
+let on_written_of tr status =
   match tr with
-  | None -> respond t slot ~on_written:ignore resp
+  | None -> no_hook
   | Some tr ->
     let apply = match tr.tr_apply with Some a -> a | None -> open_apply tr in
     let buf = tr.tr_buf in
     let now = now_ns () in
     Span.finish buf apply ~ts:now;
-    let sp =
-      Span.start ~parent:(Span.context apply) buf ~name:"server.respond" ~ts:now
-    in
-    Span.annotate buf sp ~key:"status" ~value:(status_name resp.Wire.status);
-    respond t slot ~on_written:(fun () -> Span.finish buf sp ~ts:(now_ns ())) resp
+    let sp = Span.start ~parent:(Span.context apply) buf ~name:"server.respond" ~ts:now in
+    Span.annotate buf sp ~key:"status" ~value:(status_name status);
+    fun () -> Span.finish buf sp ~ts:(now_ns ())
 
-(* Serve one decoded request on the worker that decoded it. Submission
-   never blocks; the response is built and handed to [slot] by whichever
-   thread completes the request — usually this worker, inline, before
-   the submission returns; otherwise the partition's pin holder, the WAL
-   sync domain, or a replication-ack reader releasing a read fence.
-   Completions must not block or raise: one that raises kills its
-   connection ([abort]) instead of escaping into the completing
-   thread. Inflight counts submitted-but-unanswered requests. Each
-   mutation bumps [net.routed_w<i>] for the worker its admission chose
-   to execute it. *)
-let handle t (req : Wire.request) slot =
-  Registry.incr t.m.requests_c;
-  let start = now_ns () in
-  let tr = start_trace t req ~ts:start in
-  Atomic.incr t.inflight;
-  let reply hist status resp_value =
-    try
-      let dt = now_ns () -. start in
-      Registry.observe hist dt;
-      Atomic.decr t.inflight;
-      send t tr slot
-        { Wire.resp_id = req.Wire.id; status; timing_ns = int_of_float dt; resp_value }
-    with _ -> abort t slot
-  in
-  let stopped hist = reply hist Wire.Err (Bytes.of_string "server shutting down") in
-  let admitted = admitted tr in
-  let key = req.Wire.key in
-  (* Cluster routing happens before any runtime submission: a request
-     for a shard this node does not lead is answered WRONG_SHARD with
-     the node's current map, and CLUSTER_INFO never touches the store. *)
-  let misrouted =
-    match (t.cfg.cluster, req.Wire.op) with
-    | Some cl, (Wire.Get | Wire.Set | Wire.Delete) -> (
-      match cl.cl_check ~key ~write:(req.Wire.op <> Wire.Get) with
-      | Ok () -> None
-      | Error map -> Some map)
-    | _ -> None
-  in
-  traced_submit tr (fun () ->
-      match (misrouted, req.Wire.op) with
-      | Some map, _ ->
-        Registry.incr t.m.wrong_shard_c;
-        reply t.m.get_h Wire.Wrong_shard map
-      | None, Wire.Cluster_info -> (
-        match t.cfg.cluster with
-        | None -> reply t.m.get_h Wire.Err (Bytes.of_string "not a cluster member")
-        | Some cl -> (
-          match cl.cl_info req.Wire.value with
-          | Ok map -> reply t.m.get_h Wire.Cluster_ok map
-          | Error e -> reply t.m.get_h Wire.Err (Bytes.of_string e)))
-      | None, Wire.Get -> (
-        let answer value =
-          match value with
-          | Some v -> reply t.m.get_h Wire.Ok v
-          | None -> reply t.m.get_h Wire.Not_found Bytes.empty
-        in
-        try
-          Runtime.submit_get ?admitted t.runtime ~key (fun value ->
-              (* Quorum-read fence: the value just read may include
-                 writes applied locally but not yet replicated; in
-                 quorum-ack cluster mode the response waits (without
-                 blocking anyone) until the key's partition has no
-                 unreplicated suffix, so an observed value can never
-                 vanish in a failover. *)
-              match t.cfg.cluster with
-              | None -> answer value
-              | Some cl -> (
-                try cl.cl_read_fence ~key (fun () -> answer value)
-                with _ -> abort t slot))
-        with Runtime.Stopped -> stopped t.m.get_h)
-      | None, Wire.Set -> (
-        match
-          Runtime.submit_set ?admitted ?token:req.Wire.token t.runtime ~key
-            ~value:req.Wire.value (fun () -> reply t.m.set_h Wire.Ok Bytes.empty)
-        with
-        | worker -> Registry.incr t.m.routed_c.(worker)
-        | exception Runtime.Stopped -> stopped t.m.set_h)
-      | None, Wire.Delete -> (
-        match
-          Runtime.submit_delete ?admitted t.runtime ~key (fun present ->
-              reply t.m.delete_h
-                (if present then Wire.Ok else Wire.Not_found)
-                Bytes.empty)
-        with
-        | worker -> Registry.incr t.m.routed_c.(worker)
-        | exception Runtime.Stopped -> stopped t.m.delete_h))
+let shutting_down = Bytes.of_string "server shutting down"
+
+(* The response to [s], from whichever thread completes the request:
+   record its service time, and park it. Completions must not block or
+   raise: one that raises kills its connection ([abort]) instead of
+   escaping into the completing thread. *)
+let reply t s ~id ~hist ~start ~tr status value =
+  try
+    let dt = now_ns () -. start in
+    Registry.observe hist dt;
+    Atomic.decr t.inflight;
+    respond t s ~on_written:(on_written_of tr status) ~id ~status
+      ~timing_ns:(int_of_float dt) value
+  with _ -> abort t s
 
 (* ---------------- read path (owning worker) ---------------- *)
 
@@ -500,49 +500,273 @@ let slow_drop t c =
   c.eof <- true;
   try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
-(* Number the next arrival and count it pending; -1 at the bound. *)
-let reserve t c =
-  Sync.with_lock c.lock (fun () ->
-      if c.pending >= t.cfg.max_pending then -1
-      else begin
-        let seq = c.next_seq in
-        (* A dead connection stages nothing: keep its ring empty. *)
-        if c.dead then c.head_seq <- seq + 1
-        else if seq - c.head_seq = Array.length c.ready then grow c;
-        c.next_seq <- seq + 1;
-        c.pending <- c.pending + 1;
-        seq
-      end)
+(* Under c.lock: number the next arrival and count it pending; -1 at
+   the bound. *)
+let reserve_locked ~max_pending c =
+  if c.pending >= max_pending then -1
+  else begin
+    let seq = c.next_seq in
+    (* A dead connection stages nothing: keep its ring empty. *)
+    if c.dead then begin
+      c.head_seq <- seq + 1;
+      c.flush_seq <- seq + 1
+    end
+    else if seq - c.flush_seq = Array.length c.ring then grow c;
+    c.next_seq <- seq + 1;
+    c.pending <- c.pending + 1;
+    seq
+  end
 
-(* Decode and serve every complete frame buffered so far. A corrupt or
-   undecodable frame is connection-fatal, but responses already owed
-   still flush. *)
-let process_frames t c =
-  let rec go () =
-    if not c.eof then
-      match Wire.Decoder.next_frame c.decoder with
-      | `Awaiting -> ()
-      | `Corrupt _ ->
+(* A slot for the next arrival, or [None] once the connection is
+   dropped as a slow client. *)
+let reserve t l c =
+  l.get.g_conn <- c;
+  let seq = Sync.with_lock c.lock l.get.g_reserve in
+  if seq < 0 then begin
+    slow_drop t c;
+    None
+  end
+  else Some { s_conn = c; s_seq = seq; s_done = false }
+
+(* [Store.read_into]'s copy step for a GET, run on each read attempt
+   with the slot's live buffer. When the GET heads its connection's
+   order (staging the parked responses ahead of it first, if that is
+   all that stands before it) the value goes straight into the output
+   buffer, after room for its header, which [serve_get] writes once
+   the read has validated. Otherwise it gets a private copy to park.
+   Only this worker moves [head_seq] forward or touches [obuf], so what
+   this decides holds until [serve_get] commits it, unless another
+   thread marks the connection dead in between. *)
+let read_value v g =
+  let c = g.g_conn in
+  let n = Bytes.length v in
+  if c.head_seq < c.next_seq && not c.dead then Sync.with_lock c.lock g.g_stage;
+  if (not c.dead) && c.head_seq = c.next_seq then begin
+    let hl = Wire.response_header_len g.g_wire in
+    ensure_out c (hl + n);
+    Bytes.blit v 0 c.obuf (c.o_end + hl) n;
+    g.g_direct <- true
+  end
+  else begin
+    g.g_copy <- Bytes.copy v;
+    g.g_direct <- false
+  end;
+  n
+
+(* Under c.lock: a GET that went straight into the output buffer, or
+   found nothing while heading the order, takes the next arrival number
+   and is staged on the spot, its header written in front of the value
+   (first, so a header that cannot be encoded reserves nothing). Else
+   the arrival number to park its response at; [-1] at the pending
+   bound, [-2] once staged. *)
+let commit_get g =
+  let c = g.g_conn and wire = g.g_wire and value_len = g.g_len in
+  let at_head = (not c.dead) && c.head_seq = c.next_seq && (g.g_direct || value_len = 0) in
+  if at_head then begin
+    if not g.g_direct then ensure_out c (Wire.response_header_len wire);
+    Wire.write_response_header wire c.obuf ~off:c.o_end ~id:g.g_id ~status:g.g_status
+      ~timing_ns:g.g_timing ~value_len
+  end;
+  let seq = reserve_locked ~max_pending:g.g_max_pending c in
+  if seq >= 0 && at_head then begin
+    staged c (Wire.response_header_len wire + value_len) ~on_written:g.g_hook;
+    -2
+  end
+  else seq
+
+let new_get wire ~max_pending =
+  let g =
+    {
+      g_wire = wire;
+      g_max_pending = max_pending;
+      g_conn = new_conn wire ~id:(-1) Unix.stdin ~worker:(-1);
+      g_direct = false;
+      g_copy = Bytes.empty;
+      g_id = 0;
+      g_status = Wire.Ok;
+      g_timing = 0;
+      g_len = 0;
+      g_hook = no_hook;
+      g_stage = no_hook;
+      g_commit = (fun () -> -1);
+      g_reserve = (fun () -> -1);
+    }
+  in
+  g.g_reserve <- (fun () -> reserve_locked ~max_pending g.g_conn);
+  g.g_stage <- (fun () -> ignore (stage wire g.g_conn));
+  g.g_commit <- (fun () -> commit_get g);
+  g
+
+(* A GET without a read fence (not a cluster member's) runs inline on
+   this worker. Its value is copied once, from the store slot into the
+   connection's output buffer inside the seqlock read (a failed attempt
+   redoes the copy at the same offset), when it heads the connection's
+   order; behind a response still being computed it parks a private
+   copy. *)
+let serve_get t l c (v : Wire.view) ~start ~tr =
+  let g = l.get in
+  g.g_conn <- c;
+  g.g_direct <- false;
+  g.g_copy <- Bytes.empty;
+  let key = v.Wire.v_key and id = v.Wire.v_id in
+  Atomic.incr t.inflight;
+  match
+    match tr with
+    | None -> Runtime.read_into t.runtime ~key read_value g
+    | Some _ ->
+      traced_submit tr (fun () ->
+          Runtime.read_into ?admitted:(admitted tr) t.runtime ~key read_value g)
+  with
+  | exception Runtime.Stopped -> (
+    match reserve t l c with
+    | Some s -> reply t s ~id ~hist:t.m.get_h ~start ~tr Wire.Err shutting_down
+    | None -> Atomic.decr t.inflight)
+  | n ->
+    let status = if n < 0 then Wire.Not_found else Wire.Ok in
+    let copy = g.g_copy and direct = g.g_direct in
+    g.g_copy <- Bytes.empty;
+    let dt = now_ns () -. start in
+    let timing_ns = int_of_float dt and value_len = max n 0 in
+    Registry.observe t.m.get_h dt;
+    Atomic.decr t.inflight;
+    let on_written = on_written_of tr status in
+    g.g_id <- id;
+    g.g_status <- status;
+    g.g_timing <- timing_ns;
+    g.g_len <- value_len;
+    g.g_hook <- on_written;
+    let r = Sync.with_lock c.lock g.g_commit in
+    g.g_hook <- no_hook;
+    if r = -1 then begin
+      on_written ();
+      slow_drop t c
+    end
+    else if r >= 0 then begin
+      let s = { s_conn = c; s_seq = r; s_done = false } in
+      (* A direct copy is always committed unless the connection died
+         since [read_value] (only this worker moves the order forward),
+         and a dead connection's response is only retired. *)
+      if direct && not c.dead then abort t s
+      else respond t s ~on_written ~id ~status ~timing_ns copy
+    end
+
+(* Submit a request other than an unfenced GET; its completion parks
+   the response in [s]. *)
+let submit t s (v : Wire.view) ~misrouted ~start ~tr =
+  let admitted = admitted tr and key = v.Wire.v_key and id = v.Wire.v_id in
+  match (misrouted, v.Wire.v_op) with
+  | Some map, _ ->
+    Registry.incr t.m.wrong_shard_c;
+    reply t s ~id ~hist:t.m.get_h ~start ~tr Wire.Wrong_shard map
+  | None, Wire.Cluster_info -> (
+    let reply = reply t s ~id ~hist:t.m.get_h ~start ~tr in
+    match t.cfg.cluster with
+    | None -> reply Wire.Err (Bytes.of_string "not a cluster member")
+    | Some cl -> (
+      match cl.cl_info (Bytes.sub v.Wire.v_buf v.Wire.v_off v.Wire.v_len) with
+      | Ok map -> reply Wire.Cluster_ok map
+      | Error e -> reply Wire.Err (Bytes.of_string e)))
+  | None, Wire.Get -> (
+    (* A cluster member's GET: quorum-read fence. The value just read
+       may include writes applied locally but not yet replicated; in
+       quorum-ack cluster mode the response waits (without blocking
+       anyone) until the key's partition has no unreplicated suffix, so
+       an observed value can never vanish in a failover. *)
+    match
+      Runtime.submit_get ?admitted t.runtime ~key (fun value ->
+          let status, value =
+            match value with Some v -> (Wire.Ok, v) | None -> (Wire.Not_found, Bytes.empty)
+          in
+          let answer () = reply t s ~id ~hist:t.m.get_h ~start ~tr status value in
+          match t.cfg.cluster with
+          | None -> answer ()
+          | Some cl -> ( try cl.cl_read_fence ~key answer with _ -> abort t s))
+    with
+    | () -> ()
+    | exception Runtime.Stopped -> reply t s ~id ~hist:t.m.get_h ~start ~tr Wire.Err shutting_down)
+  | None, Wire.Set -> (
+    let token = if Wire.has_token v then Some v.Wire.v_token else None in
+    match
+      Runtime.submit_set ?admitted ?token t.runtime ~key ~value:v.Wire.v_buf ~off:v.Wire.v_off
+        ~len:v.Wire.v_len (fun () ->
+          reply t s ~id ~hist:t.m.set_h ~start ~tr Wire.Ok Bytes.empty)
+    with
+    | worker -> Registry.incr t.m.routed_c.(worker)
+    | exception Runtime.Stopped -> reply t s ~id ~hist:t.m.set_h ~start ~tr Wire.Err shutting_down)
+  | None, Wire.Delete -> (
+    match
+      Runtime.submit_delete ?admitted t.runtime ~key (fun present ->
+          reply t s ~id ~hist:t.m.delete_h ~start ~tr
+            (if present then Wire.Ok else Wire.Not_found)
+            Bytes.empty)
+    with
+    | worker -> Registry.incr t.m.routed_c.(worker)
+    | exception Runtime.Stopped ->
+      reply t s ~id ~hist:t.m.delete_h ~start ~tr Wire.Err shutting_down)
+
+(* Serve one decoded request on the worker that decoded it. Submission
+   never blocks; the response is handed to its slot by whichever thread
+   completes the request — usually this worker, inline, before the
+   submission returns; otherwise the partition's pin holder, the WAL
+   sync domain, or a replication-ack reader releasing a read fence.
+   Inflight counts submitted-but-unanswered requests. Each mutation
+   bumps [net.routed_w<i>] for the worker its admission chose to
+   execute it. A SET's value is the view's slice of the decoder buffer:
+   the runtime copies it only if the write leaves this worker. An
+   exception escaping here is connection-fatal. *)
+let handle t l c (v : Wire.view) =
+  Registry.incr t.m.requests_c;
+  let start = now_ns () in
+  match t.cfg.cluster with
+  | None when v.Wire.v_op = Wire.Get -> serve_get t l c v ~start ~tr:(start_trace t v ~ts:start)
+  | cluster -> (
+    (* Cluster routing happens before any runtime submission: a request
+       for a shard this node does not lead is answered WRONG_SHARD with
+       the node's current map, and CLUSTER_INFO never touches the
+       store. *)
+    let misrouted =
+      match (cluster, v.Wire.v_op) with
+      | Some cl, (Wire.Get | Wire.Set | Wire.Delete) -> (
+        match cl.cl_check ~key:v.Wire.v_key ~write:(v.Wire.v_op <> Wire.Get) with
+        | Ok () -> None
+        | Error map -> Some map)
+      | _ -> None
+    in
+    match reserve t l c with
+    | None -> ()
+    | Some s -> (
+      let tr = start_trace t v ~ts:start in
+      Atomic.incr t.inflight;
+      try
+        match tr with
+        | None -> submit t s v ~misrouted ~start ~tr
+        | Some _ -> traced_submit tr (fun () -> submit t s v ~misrouted ~start ~tr)
+      with e ->
+        abort t s;
+        raise e))
+
+(* Decode and serve every complete frame buffered so far, each decoded
+   in place into the worker's view. A corrupt or undecodable frame is
+   connection-fatal, but responses already owed still flush. *)
+let process_frames t l c =
+  let d = c.decoder and v = l.view in
+  let continue = ref true in
+  while !continue && not c.eof do
+    match Wire.Decoder.next d with
+    | Wire.Decoder.Awaiting -> continue := false
+    | Wire.Decoder.Corrupt ->
+      Registry.incr t.m.protocol_errors_c;
+      c.eof <- true
+    | Wire.Decoder.Frame -> (
+      match
+        Wire.decode_into t.wire v (Wire.Decoder.buffer d) ~off:(Wire.Decoder.body_off d)
+          ~len:(Wire.Decoder.body_len d)
+      with
+      | Error _ ->
         Registry.incr t.m.protocol_errors_c;
         c.eof <- true
-      | `Frame body -> (
-        match Wire.decode_request t.wire body with
-        | Error _ ->
-          Registry.incr t.m.protocol_errors_c;
-          c.eof <- true
-        | Ok req ->
-          let seq = reserve t c in
-          if seq < 0 then slow_drop t c
-          else begin
-            let s = { s_conn = c; s_seq = seq; s_done = false } in
-            match handle t req s with
-            | () -> go ()
-            | exception _ ->
-              abort t s;
-              c.eof <- true
-          end)
-  in
-  go ()
+      | Ok () -> ( try handle t l c v with _ -> c.eof <- true))
+  done
 
 let read_conn t l c =
   (* Batched reads: drain the socket up to a per-wakeup budget (poll is
@@ -560,7 +784,7 @@ let read_conn t l c =
     | n ->
       Registry.incr ~by:n t.m.bytes_in_c;
       Wire.Decoder.feed c.decoder l.scratch ~off:0 ~len:n;
-      process_frames t c
+      process_frames t l c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -641,8 +865,7 @@ let step t ~worker ~wake =
     | None -> ()
     | Some c ->
       let re = l.prevents.(j) in
-      if (Poll.readable re || Poll.errored re) && not c.eof then
-        read_conn t l c;
+      if (Poll.readable re || Poll.errored re) && not c.eof then read_conn t l c;
       l.porder.(j) <- None
   done;
   (* Flush everything that completed during the poll or was answered
@@ -674,29 +897,7 @@ let add t ~id fd =
   Unix.set_nonblock fd;
   let worker = id mod Array.length t.loops in
   let l = t.loops.(worker) in
-  let c =
-    {
-      id;
-      fd;
-      worker;
-      decoder = Wire.Decoder.create t.wire;
-      lock = Mutex.create ();
-      ready = Array.make 16 no_response;
-      hooks = Array.make 16 no_hook;
-      next_seq = 0;
-      head_seq = 0;
-      obuf = Bytes.create 4096;
-      o_start = 0;
-      o_end = 0;
-      bounds = Queue.create ();
-      queued_total = 0;
-      flushed_total = 0;
-      pending = 0;
-      eof = false;
-      dead = false;
-      drained = false;
-    }
-  in
+  let c = new_conn t.wire ~id fd ~worker in
   Sync.with_lock l.l_lock (fun () -> Queue.add c l.incoming);
   Runtime.wake t.runtime ~worker
 
@@ -758,12 +959,15 @@ let start ?registry cfg ~runtime =
   in
   let n_workers = Runtime.n_workers runtime in
   let active = Atomic.make 0 and inflight = Atomic.make 0 in
+  let wire = Wire.create ~max_frame:cfg.max_frame () in
   let mk_loop _ =
     {
       l_lock = Mutex.create ();
       incoming = Queue.create ();
       conns = Hashtbl.create 64;
       scratch = Bytes.create 65536;
+      view = Wire.view ();
+      get = new_get wire ~max_pending:cfg.max_pending;
       pfds = Array.make 16 Unix.stdin;
       pevents = Array.make 16 0;
       prevents = Array.make 16 0;
@@ -774,7 +978,7 @@ let start ?registry cfg ~runtime =
     {
       cfg;
       runtime;
-      wire = Wire.create ~max_frame:cfg.max_frame ();
+      wire;
       listen_fd;
       bound_port;
       reg;

@@ -10,21 +10,30 @@
     A request runs to completion on the worker that decoded it: decode
     → admit → apply → park → flush. The worker reads its connections
     with nonblocking batched reads into a per-worker scratch buffer and
-    feeds each connection's incremental {!Wire.Decoder}. A GET reads the
-    store inline; a SET/DELETE is applied inline when its partition is
-    free or pinned to this worker (with nothing queued there), and
-    forwarded to the pin holder's inbox otherwise. SET acks follow the
-    store apply, so an acknowledged write survives worker crashes.
+    feeds each connection's incremental {!Wire.Decoder}, then decodes
+    each frame in place ({!Wire.decode_into}): a SET's value stays a
+    slice of the decoder's buffer. A GET reads the store inline; a
+    SET/DELETE is applied inline when its partition is free or pinned
+    to this worker (with nothing queued there), its value blitted from
+    the slice straight into the store slot, and forwarded to the pin
+    holder's inbox (with a copy of the value) otherwise. SET acks follow
+    the store apply, so an acknowledged write survives worker crashes.
 
     Reorder slots: each accepted request gets a slot, its place in the
-    connection's response order. Whichever thread completes a request
-    — usually this worker; else the pin holder, the WAL sync domain or
-    a replication-ack reader — parks its response in the slot and wakes
+    connection's response order, in a ring allocated with the
+    connection. Whichever thread completes a request — usually this
+    worker; else the pin holder, the WAL sync domain or a
+    replication-ack reader — parks its response in the slot and wakes
     the owning worker unless it is that worker. At the end of its round
-    the worker encodes the contiguous prefix of parked responses and
-    flushes it with one coalesced write, so responses leave in request
-    arrival order however their completions interleave, while
-    connections and keys proceed in parallel.
+    the worker encodes the contiguous prefix of parked responses
+    straight into the connection's output buffer and flushes it with
+    one coalesced write, so responses leave in request arrival order
+    however their completions interleave, while connections and keys
+    proceed in parallel. A GET that heads its connection's order skips
+    the slot: its header goes into the output buffer and its value is
+    copied there from the store slot inside the seqlock read, the one
+    copy it costs. Untraced, a GET allocates no closure and takes no
+    lock but its connection's (and the histogram's shard lock).
 
     Protocol errors (a corrupt or undecodable frame, a completion that
     raised) are connection-fatal, but responses already owed still

@@ -54,19 +54,28 @@ let max_frame t = t.max_frame
 
 (* ---------------- little-endian field helpers ---------------- *)
 
+(* 8-byte fields go through the compiler's unboxed 64-bit loads and
+   stores; the narrower key and length fields are assembled in plain
+   int arithmetic. Neither allocates. *)
+let put64 b off v = Bytes.set_int64_le b off (Int64.of_int v)
+let get64 b off = Int64.to_int (Bytes.get_int64_le b off)
+
 let put_le b ~off ~len v =
-  let v = ref (Int64.of_int v) in
-  for i = 0 to len - 1 do
-    Bytes.set b (off + i) (Char.chr (Int64.to_int (Int64.logand !v 0xFFL)));
-    v := Int64.shift_right_logical !v 8
-  done
+  if len = 8 then put64 b off v
+  else
+    for i = 0 to len - 1 do
+      Bytes.set b (off + i) (Char.unsafe_chr ((v asr (8 * i)) land 0xFF))
+    done
 
 let get_le b ~off ~len =
-  let v = ref 0L in
-  for i = len - 1 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get b (off + i))))
-  done;
-  Int64.to_int !v
+  if len = 8 then get64 b off
+  else begin
+    let v = ref 0 in
+    for i = len - 1 downto 0 do
+      v := (!v lsl 8) lor Char.code (Bytes.get b (off + i))
+    done;
+    !v
+  end
 
 (* ---------------- request codec ---------------- *)
 
@@ -144,51 +153,95 @@ let encode_request t r =
      working until a frame actually carries the new field. *)
   frame_of_body ~version:(if r.trace = None then min_version else version) body
 
-let decode_request t body =
+(* A request decoded in place: the fields a server acts on, copied out
+   of the frame, and the value left where it lies in the frame's
+   buffer. *)
+type view = {
+  mutable v_id : int;
+  mutable v_op : op;
+  mutable v_key : int;
+  mutable v_flags : int;
+  mutable v_token : int;
+  mutable v_trace_id : int;
+  mutable v_parent_span : int;
+  mutable v_buf : bytes;
+  mutable v_off : int;
+  mutable v_len : int;
+}
+
+let view () =
+  {
+    v_id = 0;
+    v_op = Get;
+    v_key = 0;
+    v_flags = 0;
+    v_token = 0;
+    v_trace_id = 0;
+    v_parent_span = 0;
+    v_buf = Bytes.empty;
+    v_off = 0;
+    v_len = 0;
+  }
+
+let has_token v = v.v_flags land 1 = 1
+let has_trace v = v.v_flags land 2 = 2
+
+let op_of_code = function 0 -> Get | 1 -> Set | 2 -> Delete | _ -> Cluster_info
+
+(* Every check runs before the first field is written, so a view that
+   fails to decode keeps the previous request's fields whole. *)
+let decode_into t v buf ~off ~len =
   let fixed = t.header_size + 8 + 1 in
-  if Bytes.length body < fixed then
-    Error (Printf.sprintf "short request body: %d bytes, need %d" (Bytes.length body) fixed)
+  if off < 0 || len < 0 || off + len > Bytes.length buf then
+    invalid_arg "Wire.decode_into";
+  if len < fixed then Error (Printf.sprintf "short request body: %d bytes, need %d" len fixed)
   else
-    match Char.code (Bytes.get body t.layout.Header.opcode_offset) with
-    | (0 | 1 | 2 | 3) as c ->
-      let op =
-        match c with 0 -> Get | 1 -> Set | 2 -> Delete | _ -> Cluster_info
-      in
-      let key =
-        get_le body ~off:t.layout.Header.key_offset ~len:t.layout.Header.key_length
-      in
-      let id = get_le body ~off:t.header_size ~len:8 in
-      let flags = Char.code (Bytes.get body (t.header_size + 8)) in
-      if flags land lnot 3 <> 0 then Error (Printf.sprintf "unknown flags 0x%02x" flags)
+    let code = Char.code (Bytes.get buf (off + t.layout.Header.opcode_offset)) in
+    let flags = Char.code (Bytes.get buf (off + t.header_size + 8)) in
+    if code > 3 then Error (Printf.sprintf "unknown opcode %d" code)
+    else if flags land lnot 3 <> 0 then Error (Printf.sprintf "unknown flags 0x%02x" flags)
+    else begin
+      let token_bytes = if flags land 1 = 1 then 8 else 0 in
+      let trace_bytes = if flags land 2 = 2 then 16 else 0 in
+      let value_off = fixed + token_bytes + trace_bytes in
+      if len < value_off then Error "request body truncated inside token/trace context"
+      else if code <> 1 && code <> 3 && len > value_off then
+        Error "GET/DELETE request carries a value"
       else begin
-        let token_bytes = if flags land 1 = 1 then 8 else 0 in
-        let trace_bytes = if flags land 2 = 2 then 16 else 0 in
-        if Bytes.length body < fixed + token_bytes + trace_bytes then
-          Error "request body truncated inside token/trace context"
-        else begin
-          let token =
-            if token_bytes = 0 then None else Some (get_le body ~off:fixed ~len:8)
-          in
-          let trace =
-            if trace_bytes = 0 then None
-            else
-              Some
-                {
-                  trace_id = get_le body ~off:(fixed + token_bytes) ~len:8;
-                  parent_span = get_le body ~off:(fixed + token_bytes + 8) ~len:8;
-                }
-          in
-          let value_off = fixed + token_bytes + trace_bytes in
-          let value = Bytes.sub body value_off (Bytes.length body - value_off) in
-          match op with
-          | Set | Cluster_info -> Ok { id; op; key; token; trace; value }
-          | Get | Delete ->
-            if Bytes.length value > 0 then
-              Error "GET/DELETE request carries a value"
-            else Ok { id; op; key; token; trace; value = Bytes.empty }
-        end
+        v.v_op <- op_of_code code;
+        v.v_key <-
+          get_le buf ~off:(off + t.layout.Header.key_offset) ~len:t.layout.Header.key_length;
+        v.v_id <- get64 buf (off + t.header_size);
+        v.v_flags <- flags;
+        if token_bytes > 0 then v.v_token <- get64 buf (off + fixed);
+        if trace_bytes > 0 then begin
+          v.v_trace_id <- get64 buf (off + fixed + token_bytes);
+          v.v_parent_span <- get64 buf (off + fixed + token_bytes + 8)
+        end;
+        v.v_buf <- buf;
+        v.v_off <- off + value_off;
+        v.v_len <- len - value_off;
+        Stdlib.Ok ()
       end
-    | c -> Error (Printf.sprintf "unknown opcode %d" c)
+    end
+
+let request_of_view v =
+  {
+    id = v.v_id;
+    op = v.v_op;
+    key = v.v_key;
+    token = (if has_token v then Some v.v_token else None);
+    trace =
+      (if has_trace v then Some { trace_id = v.v_trace_id; parent_span = v.v_parent_span }
+       else None);
+    value = (if v.v_len = 0 then Bytes.empty else Bytes.sub v.v_buf v.v_off v.v_len);
+  }
+
+let decode_request t body =
+  let v = view () in
+  match decode_into t v body ~off:0 ~len:(Bytes.length body) with
+  | Stdlib.Ok () -> Stdlib.Ok (request_of_view v)
+  | Error e -> Error e
 
 (* ---------------- response codec ---------------- *)
 
@@ -206,24 +259,31 @@ let status_of_header = function
   | `Wrong_shard -> Wrong_shard
   | `Cluster_ok -> Cluster_ok
 
-let encode_response t r =
-  if r.resp_id < 0 then invalid_arg "Wire.encode_response: negative id";
-  if r.timing_ns < 0 then invalid_arg "Wire.encode_response: negative timing";
-  (* One buffer: frame prefix, the fixed response header in the
-     NIC-registered geometry, the net-layer trailer (request id,
-     timing), then the value. Responses carry nothing v2 added, so they
-     stay decodable by v1 peers. *)
-  let len = Bytes.length r.resp_value in
-  let body_len = t.resp_size + 16 + len in
+(* Frame prefix, the fixed response header in the NIC-registered
+   geometry, then the net-layer trailer (request id, timing). *)
+let response_header_len t = 5 + t.resp_size + 16
+
+(* One frame written where it will be sent from. Responses carry nothing
+   v2 added, so they stay decodable by v1 peers. *)
+let write_response_header t buf ~off ~id ~status ~timing_ns ~value_len =
+  if id < 0 then invalid_arg "Wire.encode_response: negative id";
+  if timing_ns < 0 then invalid_arg "Wire.encode_response: negative timing";
+  let body_len = t.resp_size + 16 + value_len in
   check_frame_size t ~body_len;
-  let frame = Bytes.create (5 + body_len) in
-  put_le frame ~off:0 ~len:4 (body_len + 1);
-  Bytes.set frame 4 (Char.chr min_version);
-  Header.write_response_header t.resp_layout frame ~off:5
-    ~status:(header_status r.status) ~value_len:len;
-  put_le frame ~off:(5 + t.resp_size) ~len:8 r.resp_id;
-  put_le frame ~off:(5 + t.resp_size + 8) ~len:8 r.timing_ns;
-  Bytes.blit r.resp_value 0 frame (5 + t.resp_size + 16) len;
+  put_le buf ~off ~len:4 (body_len + 1);
+  Bytes.set buf (off + 4) (Char.chr min_version);
+  Header.write_response_header t.resp_layout buf ~off:(off + 5)
+    ~status:(header_status status) ~value_len;
+  put64 buf (off + 5 + t.resp_size) id;
+  put64 buf (off + 5 + t.resp_size + 8) timing_ns
+
+let encode_response t r =
+  let len = Bytes.length r.resp_value in
+  let hl = response_header_len t in
+  let frame = Bytes.create (hl + len) in
+  write_response_header t frame ~off:0 ~id:r.resp_id ~status:r.status ~timing_ns:r.timing_ns
+    ~value_len:len;
+  Bytes.blit r.resp_value 0 frame hl len;
   frame
 
 let decode_response t body =
@@ -250,9 +310,9 @@ let decode_response t body =
       else
         Ok
           {
-            resp_id = get_le body ~off:t.resp_size ~len:8;
+            resp_id = get64 body t.resp_size;
             status = status_of_header parsed.Header.status;
-            timing_ns = get_le body ~off:(t.resp_size + 8) ~len:8;
+            timing_ns = get64 body (t.resp_size + 8);
             resp_value = value;
           }
 
@@ -264,13 +324,29 @@ module Decoder = struct
     mutable buf : bytes;
     mutable start : int;  (* first unconsumed byte *)
     mutable len : int;  (* unconsumed byte count *)
+    mutable body_off : int;  (* the last frame [next] yielded *)
+    mutable body_len : int;
     mutable corrupt : string option;
   }
 
+  type frame = Frame | Awaiting | Corrupt
+
   let create codec =
-    { codec; buf = Bytes.create 4096; start = 0; len = 0; corrupt = None }
+    {
+      codec;
+      buf = Bytes.create 4096;
+      start = 0;
+      len = 0;
+      body_off = 0;
+      body_len = 0;
+      corrupt = None;
+    }
 
   let buffered d = d.len
+  let buffer d = d.buf
+  let body_off d = d.body_off
+  let body_len d = d.body_len
+  let error d = Option.value d.corrupt ~default:""
 
   (* Slide pending bytes to the front when that frees enough room;
      allocate (2x growth) only when they genuinely don't fit. *)
@@ -294,37 +370,40 @@ module Decoder = struct
     Bytes.blit b off d.buf (d.start + d.len) len;
     d.len <- d.len + len
 
-  let next_frame d =
-    match d.corrupt with
-    | Some msg -> `Corrupt msg
-    | None ->
-      if d.len < 4 then `Awaiting
+  let fail d msg =
+    d.corrupt <- Some msg;
+    Corrupt
+
+  (* The body stays in [buf]: consuming a frame only moves [start], and
+     only [feed] ever moves or overwrites bytes. *)
+  let next d =
+    if d.corrupt <> None then Corrupt
+    else if d.len < 4 then Awaiting
+    else begin
+      let frame_len = get_le d.buf ~off:d.start ~len:4 in
+      if frame_len < 1 || frame_len > d.codec.max_frame then
+        fail d
+          (Printf.sprintf "frame length %d out of bounds (max %d)" frame_len
+             d.codec.max_frame)
+      else if d.len < 4 + frame_len then Awaiting
       else begin
-        let frame_len = get_le d.buf ~off:d.start ~len:4 in
-        if frame_len < 1 || frame_len > d.codec.max_frame then begin
-          let msg =
-            Printf.sprintf "frame length %d out of bounds (max %d)" frame_len
-              d.codec.max_frame
-          in
-          d.corrupt <- Some msg;
-          `Corrupt msg
-        end
-        else if d.len < 4 + frame_len then `Awaiting
+        let v = Char.code (Bytes.get d.buf (d.start + 4)) in
+        if v < min_version || v > version then
+          fail d (Printf.sprintf "unknown protocol version %d" v)
         else begin
-          let v = Char.code (Bytes.get d.buf (d.start + 4)) in
-          if v < min_version || v > version then begin
-            let msg = Printf.sprintf "unknown protocol version %d" v in
-            d.corrupt <- Some msg;
-            `Corrupt msg
-          end
-          else begin
-            let body = Bytes.sub d.buf (d.start + 5) (frame_len - 1) in
-            d.start <- d.start + 4 + frame_len;
-            d.len <- d.len - (4 + frame_len);
-            if d.len = 0 then d.start <- 0;
-            `Frame body
-          end
+          d.body_off <- d.start + 5;
+          d.body_len <- frame_len - 1;
+          d.start <- d.start + 4 + frame_len;
+          d.len <- d.len - (4 + frame_len);
+          if d.len = 0 then d.start <- 0;
+          Frame
         end
       end
-end
+    end
 
+  let next_frame d =
+    match next d with
+    | Frame -> `Frame (Bytes.sub d.buf d.body_off d.body_len)
+    | Awaiting -> `Awaiting
+    | Corrupt -> `Corrupt (error d)
+end

@@ -118,7 +118,58 @@ val encode_request : t -> request -> bytes
 
 val encode_response : t -> response -> bytes
 
-(** Decode a frame {e body} (as yielded by {!Decoder.next_frame}). *)
+(** Bytes a response frame takes before its value. *)
+val response_header_len : t -> int
+
+(** [write_response_header t buf ~off ~id ~status ~timing_ns
+    ~value_len] writes a response frame's first {!response_header_len}
+    bytes at [off]; the frame is complete once its [value_len] value
+    bytes follow them. How a server encodes straight into its output
+    buffer; {!encode_response} is this plus the value, in a fresh
+    buffer. Allocates nothing. Raises [Invalid_argument] as
+    {!encode_response} does. *)
+val write_response_header :
+  t -> bytes -> off:int -> id:int -> status:status -> timing_ns:int -> value_len:int -> unit
+
+(** A request decoded in place, for a server's request path: the
+    scalar fields copied out of the frame, the value left as a slice
+    [v_buf.[v_off .. v_off + v_len)] of the buffer it arrived in. A
+    server reuses one view for every frame it decodes, so decoding
+    allocates nothing. The fields are written only by {!decode_into};
+    [v_token] is meaningful only when {!has_token}, the trace fields
+    only when {!has_trace}.
+
+    {b The value slice is valid only until the next {!Decoder.feed}} on
+    the decoder whose buffer holds it (a feed may move or overwrite
+    those bytes): whatever keeps the value longer must copy it. *)
+type view = {
+  mutable v_id : int;
+  mutable v_op : op;
+  mutable v_key : int;
+  mutable v_flags : int;  (** the frame's flags byte *)
+  mutable v_token : int;
+  mutable v_trace_id : int;
+  mutable v_parent_span : int;
+  mutable v_buf : bytes;
+  mutable v_off : int;
+  mutable v_len : int;
+}
+
+val view : unit -> view
+val has_token : view -> bool
+val has_trace : view -> bool
+
+(** [decode_into t v buf ~off ~len] decodes the request body at
+    [buf.[off .. off + len)] (as {!Decoder.next} delimits it) into [v].
+    On [Error] the view is left as it was. Raises [Invalid_argument] on
+    a range outside [buf]. *)
+val decode_into : t -> view -> bytes -> off:int -> len:int -> (unit, string) result
+
+(** The view as a self-contained request, the value copied. *)
+val request_of_view : view -> request
+
+(** Decode a frame {e body} (as yielded by {!Decoder.next_frame}):
+    {!decode_into} on a fresh view, then {!request_of_view}. *)
 val decode_request : t -> bytes -> (request, string) result
 
 val decode_response : t -> bytes -> (response, string) result
@@ -140,11 +191,29 @@ module Decoder : sig
   (** Append [len] bytes of [b] starting at [off]. *)
   val feed : decoder -> bytes -> off:int -> len:int -> unit
 
-  (** [`Frame body] for each complete frame, in arrival order;
-      [`Awaiting] when more bytes are needed; [`Corrupt msg] on an
-      oversized length prefix or unknown version — connection-fatal,
-      the stream cannot be resynchronised, and every subsequent call
-      returns the same verdict. *)
+  type frame =
+    | Frame  (** a complete frame: see {!buffer}, {!body_off}, {!body_len} *)
+    | Awaiting  (** more bytes are needed *)
+    | Corrupt  (** see {!error} *)
+
+  (** The next complete frame, in arrival order, decoded in place: its
+      body is [buffer d.[body_off d .. body_off d + body_len d)], valid
+      until the next {!feed}. [Corrupt] on an oversized length prefix
+      or unknown version — connection-fatal, the stream cannot be
+      resynchronised, and every subsequent call returns [Corrupt].
+      Allocates nothing. *)
+  val next : decoder -> frame
+
+  val buffer : decoder -> bytes
+  val body_off : decoder -> int
+  val body_len : decoder -> int
+
+  (** Why the stream is corrupt ([""] while it is not). *)
+  val error : decoder -> string
+
+  (** {!next}, with the body copied out: [`Frame body] for each complete
+      frame, [`Awaiting] when more bytes are needed, [`Corrupt msg]
+      once the stream is corrupt. *)
   val next_frame : decoder -> [ `Frame of bytes | `Awaiting | `Corrupt of string ]
 
   (** Bytes buffered but not yet yielded. *)

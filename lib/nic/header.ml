@@ -39,18 +39,19 @@ let partition_of_key t key =
   if t.n_partitions >= t.n_buckets then bucket mod t.n_partitions
   else bucket * t.n_partitions / t.n_buckets
 
+(* Plain int arithmetic, no boxed Int64: the response encoder calls
+   [write_key_le] once per response. [asr] keeps byte 7 of a negative
+   value what a 64-bit two's-complement store would write. *)
 let read_key_le packet ~offset ~length =
-  let v = ref 0L in
+  let v = ref 0 in
   for i = length - 1 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get packet (offset + i))))
+    v := (!v lsl 8) lor Char.code (Bytes.get packet (offset + i))
   done;
-  Int64.to_int !v
+  !v
 
 let write_key_le packet ~offset ~length key =
-  let v = ref (Int64.of_int key) in
   for i = 0 to length - 1 do
-    Bytes.set packet (offset + i) (Char.chr (Int64.to_int (Int64.logand !v 0xFFL)));
-    v := Int64.shift_right_logical !v 8
+    Bytes.set packet (offset + i) (Char.unsafe_chr ((key asr (8 * i)) land 0xFF))
   done
 
 let layout t = t.layout

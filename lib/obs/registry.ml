@@ -7,20 +7,24 @@ module H = C4_stats.Histogram
 module Table = C4_stats.Table
 
 (* A thread-safe registry splits every handle into shards, one per
-   domain slot ((Domain.self () :> int) mod n_shards), each guarded by
-   its own lock: a domain's updates only ever take its own shard's
-   lock, which another domain takes only when a reader merges the
-   shards. The lock (not a bare atomic) keeps a second systhread on
-   the same domain — the acceptor, a replication sender — from tearing
-   a histogram update. Readers take every shard lock in index order, so
-   what they merge is one consistent cut. A plain registry has one
-   unlocked shard ([locks = [||]]). *)
+   domain slot ((Domain.self () :> int) mod n_shards). A counter bump is
+   one [Atomic.fetch_and_add] on its domain's own cell: no lock, and a
+   second systhread on the same domain (the acceptor, a replication
+   sender) or a respawned domain sharing the slot cannot tear it.
+   Gauges and histograms keep a lock per shard, since a histogram
+   update is several stores; a domain's updates only ever take its own
+   shard's lock, which another domain takes only when a reader merges
+   the shards. Readers take every shard lock in index order, so the
+   gauges and histograms they merge are one consistent cut. A plain
+   registry has one unlocked shard ([locks = [||]]) and plain int
+   counter cells. *)
 
-(* Ints between two shards' cells of one counter: 128 bytes, so two
-   domains' cells never share a cache line or an adjacent-line
-   prefetch pair. By hand rather than [Atomic.make_contended], which
-   OCaml 5.1 lacks. *)
-let stride = 16
+(* Cells between two shards' cells of one counter: the padding atomics
+   in between are allocated with them, one after another, so two
+   domains' cells sit 128 bytes apart (an Atomic.t is two words) once
+   the minor GC promotes them in array order. By hand rather than
+   [Atomic.make_contended], which OCaml 5.1 lacks. *)
+let stride = 8
 
 (* At least one shard per domain the machine can usefully run, plus
    the main domain; a power of two, so a domain's slot is a mask of its
@@ -32,7 +36,8 @@ let n_shards =
 (* The calling domain's shard, worked out once per domain. *)
 let shard_key = Domain.DLS.new_key (fun () -> (Domain.self () :> int) land (n_shards - 1))
 
-type counter = { cells : int array; c_locks : Mutex.t array }
+(* [cells] when thread-safe, [plain] otherwise; the other is empty. *)
+type counter = { plain : int array; cells : int Atomic.t array }
 type gauge = { mutable v : float; g_locks : Mutex.t array }
 
 (* A shard's histogram is allocated on its first observation, so only
@@ -97,7 +102,9 @@ let wrong_kind name ~want m =
 
 let counter t name =
   let make () =
-    Counter { cells = Array.make (max 1 (Array.length t.locks) * stride) 0; c_locks = t.locks }
+    match t.locks with
+    | [||] -> Counter { plain = [| 0 |]; cells = [||] }
+    | _ -> Counter { plain = [||]; cells = Array.init (n_shards * stride) (fun _ -> Atomic.make 0) }
   in
   match register t name make with
   | Counter c -> c
@@ -128,17 +135,12 @@ let histogram t name =
   | Histogram h -> h
   | m -> wrong_kind name ~want:"histogram" m
 
-(* Updates: the counter and gauge stores cannot raise, so they need no
-   handler to release the lock. *)
+(* Updates: a gauge store cannot raise, so it needs no handler to
+   release the lock. *)
 let incr ?(by = 1) c =
-  match c.c_locks with
-  | [||] -> c.cells.(0) <- c.cells.(0) + by
-  | locks ->
-    let s = Domain.DLS.get shard_key in
-    let i = s * stride in
-    Mutex.lock locks.(s);
-    c.cells.(i) <- c.cells.(i) + by;
-    Mutex.unlock locks.(s)
+  match c.cells with
+  | [||] -> c.plain.(0) <- c.plain.(0) + by
+  | cells -> ignore (Atomic.fetch_and_add cells.(Domain.DLS.get shard_key * stride) by)
 
 let set g v =
   match g.g_locks with
@@ -169,12 +171,17 @@ let observe h v =
       Mutex.unlock locks.(s);
       raise e)
 
-(* Merges. Callers hold every shard lock (or the registry is plain). *)
+(* Counters need no lock to read: each cell is read atomically. The
+   histogram merges below are taken with every shard lock held (or the
+   registry is plain). *)
 let sum c =
-  let rec go i acc =
-    if i >= Array.length c.cells then acc else go (i + stride) (acc + c.cells.(i))
-  in
-  go 0 0
+  match c.cells with
+  | [||] -> c.plain.(0)
+  | cells ->
+    let rec go i acc =
+      if i >= Array.length cells then acc else go (i + stride) (acc + Atomic.get cells.(i))
+    in
+    go 0 0
 
 let merged h =
   let acc = H.create () in
@@ -184,7 +191,7 @@ let merged h =
 let hist_count h =
   Array.fold_left (fun n -> function Some x -> n + H.count x | None -> n) 0 h.hists
 
-let counter_value c = all_shards c.c_locks (fun () -> sum c)
+let counter_value c = sum c
 
 let histogram_values h =
   match h.h_locks with

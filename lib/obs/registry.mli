@@ -7,8 +7,8 @@
     ["compaction.windows"] all share one counter.
 
     Handles are plain mutable records: bumping a plain registry's
-    counter is one integer store (a thread-safe one adds an uncontended
-    per-domain lock), cheap enough to leave permanently enabled (the zero-cost
+    counter is one integer store (a thread-safe one's is one atomic
+    add on the calling domain's own cell, no lock), cheap enough to leave permanently enabled (the zero-cost
     story for the {!Trace} spans does not apply here). A module that is
     instantiated without a registry can still instrument itself against
     a private throwaway registry. *)
@@ -28,14 +28,17 @@ type histogram
     and read from any domain or thread (the network serving layer).
     Each handle is split into per-domain shards
     ([(Domain.self () :> int) mod n_shards], [n_shards] the smallest
-    power of two above {!Domain.recommended_domain_count}, at most 64),
-    each with its own lock and its
-    own padded cells: an update takes only its domain's shard lock, so
-    worker domains never contend on their own updates, and a second
-    systhread on the same domain stays safe. A shard's histogram is
-    allocated on that shard's first {!observe}. Readers merge the shards
-    while holding every shard lock. The default stays lock-free: the
-    simulator is single-threaded and bumps counters on its hot path. *)
+    power of two above {!Domain.recommended_domain_count}, at most 64).
+    A counter's shards are padded atomic cells: {!incr} is one
+    [Atomic.fetch_and_add] on its domain's cell, so it takes no lock,
+    worker domains never contend on their own bumps, and a second
+    systhread on the same domain cannot tear one. Gauges and histograms
+    keep a lock per shard: an update takes only its domain's shard
+    lock. A shard's histogram is allocated on that shard's first
+    {!observe}. Readers sum counter cells without a lock and merge the
+    other shards while holding every shard lock. The default stays
+    unsynchronised: the simulator is single-threaded and bumps counters
+    on its hot path. *)
 val create : ?thread_safe:bool -> unit -> t
 
 (** Find-or-create. Raises [Invalid_argument] if [name] is already
@@ -79,11 +82,13 @@ type reading =
   | Gauge_reading of float
   | Histogram_reading of C4_stats.Histogram.t
 
-(** Every metric's current {!reading}, in registration order, taken
-    while holding every shard lock (acquired in a fixed order) — one
-    consistent cut for thread-safe registries: no update is
-    half-applied, and none is seen without the updates that preceded
-    it on other domains. *)
+(** Every metric's current {!reading}, in registration order. Gauges
+    and histograms are read while holding every shard lock (acquired in
+    a fixed order) — one consistent cut for thread-safe registries: no
+    update is half-applied, and none is seen without the updates that
+    preceded it on other domains. Counters are summed from their atomic
+    cells: each cell exact, but a bump racing the snapshot may or may
+    not be in it. *)
 val snapshot : t -> (string * reading) list
 
 (** Current scalar reading of metric [name]: a counter's count, a

@@ -39,13 +39,22 @@ type worker_state = {
   wake_w : Unix.file_descr;
   wake_pending : bool Atomic.t;
   mutable domain : unit Domain.t option;
+  tid : int Atomic.t;  (* the worker loop's thread, on [domain] *)
+  local : [ `Balanced of int * int | `Local of int | `Static | `Worker of int ];
+      (* [`Local id], this worker's admission pick, built once *)
   (* Domain-private counters, read racily by [stats]. *)
   mutable ops : int;
   mutable writes_n : int;
   mutable batches : int;
   mutable batched_writes : int;
-  mutable retries : int;
+  retries : int ref;  (* failed seqlock read attempts *)
   mutable dups : int;
+  (* Minor words this worker's domains allocated: [minor_words] is the
+     current domain's [Gc.minor_words], stored once per round and read
+     by scrapes; [minor_base] what the domains a crash retired had
+     allocated. *)
+  minor_words : int Atomic.t;
+  mutable minor_base : int;
   mutable doomed : exn option;  (* an inbox op raised mid-round; see [catch_up] *)
 }
 
@@ -108,21 +117,44 @@ type t = {
   wal_replayed_n : int;
 }
 
-(* The worker this domain runs, whatever runtime it belongs to, and the
-   id of its loop's thread: other threads started on a worker's domain
-   (a replication sender, say) are not that worker. *)
-let self_key : (worker_state * int) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+let new_worker id ~wake_r ~wake_w =
+  {
+    id;
+    inbox = Channel.create ();
+    alive = Atomic.make false;
+    wake_r;
+    wake_w;
+    wake_pending = Atomic.make false;
+    domain = None;
+    tid = Atomic.make (-1);
+    local = `Local id;
+    ops = 0;
+    writes_n = 0;
+    batches = 0;
+    batched_writes = 0;
+    retries = ref 0;
+    dups = 0;
+    minor_words = Atomic.make 0;
+    minor_base = 0;
+    doomed = None;
+  }
+
+(* What [self_worker] answers off a worker: a sentinel rather than an
+   option, so asking costs no allocation on the request path. *)
+let nobody = new_worker (-1) ~wake_r:Unix.stdin ~wake_w:Unix.stdin
+
+(* The worker this domain runs, whatever runtime it belongs to. Other
+   threads started on a worker's domain (a replication sender, say) are
+   not that worker: the loop's thread id tells them apart. *)
+let self_key : worker_state Domain.DLS.key = Domain.DLS.new_key (fun () -> nobody)
 
 let self_worker () =
-  match Domain.DLS.get self_key with
-  | Some (w, tid) when tid = Thread.id (Thread.self ()) -> Some w
-  | Some _ | None -> None
+  let w = Domain.DLS.get self_key in
+  if w != nobody && Atomic.get w.tid = Thread.id (Thread.self ()) then w else nobody
 
 let on_worker t =
-  match self_worker () with
-  | Some w when w.id < Array.length t.workers && t.workers.(w.id) == w -> Some w
-  | Some _ | None -> None
+  let w = self_worker () in
+  if w != nobody && w.id < Array.length t.workers && t.workers.(w.id) == w then w else nobody
 
 (* ---------------- wakeups ---------------- *)
 
@@ -132,8 +164,7 @@ let wake_byte = Bytes.make 1 'w'
    picked up before it next blocks. The pipe is nonblocking (a full pipe
    already means a wakeup is pending). *)
 let wake_worker w =
-  let self = match self_worker () with Some s -> s == w | None -> false in
-  if (not self)
+  if self_worker () != w
      && (not (Atomic.get w.wake_pending))
      && Atomic.compare_and_set w.wake_pending false true
   then try ignore (Unix.write w.wake_w wake_byte 0 1) with Unix.Unix_error _ -> ()
@@ -212,36 +243,75 @@ let count w ~ops ~writes =
 
 let read t w ~key =
   let value, retries = Store.get t.store ~key in
-  w.retries <- w.retries + retries;
+  w.retries := !(w.retries) + retries;
   count w ~ops:1 ~writes:0;
   value
 
-(* [release] hands the write's pin back once its ack is due. *)
-let apply_set t w ~key ~value ~token ~release k =
-  let applied =
-    match token with
-    | None ->
-      Store.set t.store ~key ~value;
-      true
-    | Some token -> (
-      match Store.set_idempotent t.store ~key ~value ~token with
-      | `Applied -> true
-      | `Duplicate ->
-        w.dups <- w.dups + 1;
-        false)
-  in
-  count w ~ops:1 ~writes:1;
-  let record = if applied then Some (Record.Set { key; value; token }) else None in
-  log_then_ack t ~key ~record ~group:false (fun () ->
-      release ();
-      k ())
+(* A SET's value is the slice [value.[off .. off + len)]. What keeps it
+   past the call — a queued op, a WAL record, the token check — gets a
+   private copy, unless the slice is the whole buffer, which the caller
+   hands over as it always has. *)
+let owned value ~off ~len =
+  if off = 0 && len = Bytes.length value then value else Bytes.sub value off len
 
-let apply_delete t w ~key ~release k =
-  let present = Store.remove t.store ~key in
+(* The store half of a SET: [true] if it applied (a tokened duplicate
+   does not). The slice is blitted straight into the slot. *)
+let store_set t w ~key ~value ~off ~len ~token =
+  match token with
+  | None ->
+    Store.set_sub t.store ~key ~value ~off ~len;
+    true
+  | Some token -> (
+    match Store.set_idempotent t.store ~key ~value:(owned value ~off ~len) ~token with
+    | `Applied -> true
+    | `Duplicate ->
+      w.dups <- w.dups + 1;
+      false)
+
+(* Log then ack through the WAL. The ack may run later, on the sync
+   domain, so whether the pin is back when the append (or its tap, or
+   the ack gate) raises is tracked rather than assumed: a write that
+   raised before its ack hands its pin back here. *)
+let logged_ack t ~key ~stamp ~record k =
+  let released = ref false in
+  try
+    log_then_ack t ~key ~record ~group:false (fun () ->
+        released := true;
+        release_write t key stamp;
+        k ())
+  with e ->
+    if not !released then release_write t key stamp;
+    raise e
+
+(* The ack half: release the write's pin, then complete it — at once
+   without a WAL, else once [log_then_ack] says the record may be. *)
+let ack_set t w ~key ~value ~off ~len ~token ~stamp ~applied k =
   count w ~ops:1 ~writes:1;
-  log_then_ack t ~key ~record:(Some (Record.Delete { key })) ~group:false (fun () ->
-      release ();
-      k present)
+  match t.wal with
+  | None ->
+    release_write t key stamp;
+    k ()
+  | Some _ ->
+    let record =
+      if applied then Some (Record.Set { key; value = owned value ~off ~len; token }) else None
+    in
+    logged_ack t ~key ~stamp ~record k
+
+let apply_set t w ~key ~value ~off ~len ~token ~stamp k =
+  let applied = store_set t w ~key ~value ~off ~len ~token in
+  ack_set t w ~key ~value ~off ~len ~token ~stamp ~applied k
+
+let ack_delete t w ~key ~stamp ~present k =
+  count w ~ops:1 ~writes:1;
+  match t.wal with
+  | None ->
+    release_write t key stamp;
+    k present
+  | Some _ -> logged_ack t ~key ~stamp ~record:(Some (Record.Delete { key })) (fun () -> k present)
+
+let apply_delete t w ~key ~stamp k =
+  let present = Store.remove t.store ~key in
+  ack_delete t w ~key ~stamp ~present k
 
 (* The compaction fast path: [key]'s popped write plus the [dependents]
    harvested behind it, as (value, stamp, ack), form one window. With no
@@ -301,7 +371,6 @@ let restamp stamp = function
    cap; later ones keep their place) into a window. An exception here
    kills the worker. *)
 let rec exec t w op =
-  let released key stamp () = release_write t key stamp in
   match op with
   | Crash -> raise Crash_injected
   | Gate (entered, release) ->
@@ -310,14 +379,14 @@ let rec exec t w op =
   | Get (key, k) -> k (read t w ~key)
   | (Set (key, _, _, stamp, _) | Delete (key, stamp, _))
     when not (Core.stamp_live t.core stamp) ->
-    let stamp = admit t ~key ~pick:(`Local w.id) in
+    let stamp = admit t ~key ~pick:w.local in
     let op = restamp stamp op in
     if Core.stamp_worker stamp = w.id then exec t w op
     else if not (forward t ~stamp op) then
       (* [stop] closed the inboxes: it runs strays once it is alone,
          and the write keeps its pin until then. *)
       Channel.push t.stray op
-  | Delete (key, stamp, k) -> apply_delete t w ~key ~release:(released key stamp) k
+  | Delete (key, stamp, k) -> apply_delete t w ~key ~stamp k
   | Set (key, value, token, stamp, k) -> (
     let dependents =
       if token = None && Core.compaction_enabled t.core then
@@ -328,7 +397,7 @@ let rec exec t w op =
       else []
     in
     match dependents with
-    | [] -> apply_set t w ~key ~value ~token ~release:(released key stamp) k
+    | [] -> apply_set t w ~key ~value ~off:0 ~len:(Bytes.length value) ~token ~stamp k
     | _ :: _ -> apply_window t w ~key ~value ~stamp k dependents)
 
 (* Run up to [n] queued ops, in order, while [f] accepts the oldest. *)
@@ -355,9 +424,11 @@ let catch_up t w =
 (* Drain the inbox, then one I/O round (poll(2) on the self-pipe plus the
    front-end's connections); exit once [stop] has closed the inbox. *)
 let worker_loop t w =
-  Domain.DLS.set self_key (Some (w, Thread.id (Thread.self ())));
+  Atomic.set w.tid (Thread.id (Thread.self ()));
+  Domain.DLS.set self_key w;
   let rec go () =
     Atomic.set w.wake_pending false;
+    Atomic.set w.minor_words (int_of_float (Gc.minor_words ()));
     (* What was queued when the iteration began; ops pushed meanwhile
        wait for the next one, so connections are never starved. *)
     run_queued t w ~f:(fun _ -> true) (Channel.length w.inbox);
@@ -380,6 +451,9 @@ let run_worker t w () =
 
 let spawn_worker t w =
   w.doomed <- None;
+  (* A new domain counts its minor words from zero. *)
+  w.minor_base <- w.minor_base + Atomic.get w.minor_words;
+  Atomic.set w.minor_words 0;
   Atomic.set w.alive true;
   w.domain <- Some (Domain.spawn (run_worker t w))
 
@@ -495,23 +569,16 @@ let start cfg =
         let wake_r, wake_w = Unix.pipe ~cloexec:true () in
         Unix.set_nonblock wake_r;
         Unix.set_nonblock wake_w;
-        {
-          id;
-          inbox = Channel.create ();
-          alive = Atomic.make false;
-          wake_r;
-          wake_w;
-          wake_pending = Atomic.make false;
-          domain = None;
-          ops = 0;
-          writes_n = 0;
-          batches = 0;
-          batched_writes = 0;
-          retries = 0;
-          dups = 0;
-          doomed = None;
-        })
+        new_worker id ~wake_r ~wake_w)
   in
+  (* The GC as a layer, sampled at scrape time: what the workers stored
+     at their last round (no request writes anything), and the
+     process's minor collections, each of which stops every domain. *)
+  Registry.sampled_gauge registry "gc.minor_words" (fun () ->
+      float_of_int
+        (Array.fold_left (fun acc w -> acc + w.minor_base + Atomic.get w.minor_words) 0 workers));
+  Registry.sampled_gauge registry "gc.minor_collections" (fun () ->
+      float_of_int (Gc.quick_stat ()).Gc.minor_collections);
   (* The runtime's EWT is bookkeeping, not a scarce CAM: fit every
      partition. The inboxes hold the backlog, so a pin's counter must
      not refuse a write either (see [Crew_config.queued]). *)
@@ -575,13 +642,14 @@ let pick_reader t =
 (* A read on a worker runs right here, lock-free: the store's seqlock
    makes it safe against the partition's writer on another worker. *)
 let submit_get ?(admitted = ignore) t ~key k =
-  match on_worker t with
-  | Some w ->
+  let w = on_worker t in
+  if w != nobody then begin
     if Atomic.get t.stopped then raise Stopped;
     catch_up t w;
     admitted ();
     k (read t w ~key)
-  | None ->
+  end
+  else
     let dst =
       Sync.with_lock t.route_lock (fun () ->
           if Atomic.get t.stopped then raise Stopped;
@@ -592,63 +660,99 @@ let submit_get ?(admitted = ignore) t ~key k =
     in
     wake t ~worker:dst
 
-(* CREW: a partition is written only by its pin holder. A worker
-   admitting its own request takes no lock: one CAS pins a free
-   partition to itself (it then applies the write inline, unless its
-   inbox still holds work, maybe an earlier write to the same
-   partition) or rides the holder's pin, and the write goes onto the
-   holder's inbox under the channel's own mutex. A push that [stop]
-   refuses hands the pin back and raises [Stopped]. Threads outside the
-   workers admit under [route_lock], pinning at the durable owner, and
-   always go through its inbox. Returns the executing worker. An
-   exception from an inline apply releases the pin (unless the ack did)
-   and reaches the caller. *)
-let submit_write t ~admitted ~key ~queued ~inline =
-  match on_worker t with
-  | Some w ->
-    if Atomic.get t.stopped then raise Stopped;
-    catch_up t w;
-    let stamp = admit t ~key ~pick:(`Local w.id) in
-    admitted ();
-    if Core.stamp_worker stamp = w.id && Channel.is_empty w.inbox then begin
-      let released = ref false in
-      let release () =
-        released := true;
-        release_write t key stamp
-      in
-      try inline w ~release
-      with e ->
-        if not !released then release_write t key stamp;
-        raise e
-    end
-    else if not (forward t ~stamp (queued stamp)) then begin
-      release_write t key stamp;
-      raise Stopped
-    end;
-    Core.stamp_worker stamp
-  | None ->
-    let stamp =
-      Sync.with_lock t.route_lock (fun () ->
-          if Atomic.get t.stopped then raise Stopped;
-          let stamp = admit t ~key ~pick:`Static in
-          admitted ();
-          push_locked t (Core.stamp_worker stamp) (queued stamp);
-          stamp)
-    in
-    let dst = Core.stamp_worker stamp in
-    wake t ~worker:dst;
-    dst
+let read_into ?(admitted = ignore) t ~key f x =
+  let w = on_worker t in
+  if w == nobody then invalid_arg "Server.read_into: not on a worker";
+  if Atomic.get t.stopped then raise Stopped;
+  catch_up t w;
+  admitted ();
+  count w ~ops:1 ~writes:0;
+  Store.read_into t.store ~key ~retries:w.retries f x
 
-let submit_set ?(admitted = ignore) ?token t ~key ~value k =
-  submit_write t ~admitted ~key
-    ~queued:(fun stamp -> Set (key, value, token, stamp, k))
-    ~inline:(fun w ~release -> apply_set t w ~key ~value ~token ~release k)
+(* CREW admission for a worker admitting its own request: no lock, one
+   CAS pins a free partition here or rides the holder's pin. [true] if
+   the write may run inline: pinned here with nothing queued ahead of it
+   (maybe an earlier write to the same partition). *)
+let admit_local t w ~admitted ~key =
+  if Atomic.get t.stopped then raise Stopped;
+  catch_up t w;
+  let stamp = admit t ~key ~pick:w.local in
+  admitted ();
+  stamp
+
+let inline_ok w stamp = Core.stamp_worker stamp = w.id && Channel.is_empty w.inbox
+
+(* The write goes onto the pin holder's inbox; a push that [stop]
+   refuses hands the pin back and raises [Stopped]. *)
+let forward_or_stop t ~key ~stamp op =
+  if not (forward t ~stamp op) then begin
+    release_write t key stamp;
+    raise Stopped
+  end
+
+(* Threads outside the workers admit under [route_lock], pinning at the
+   durable owner, and always go through its inbox. *)
+let submit_queued t ~admitted ~key op =
+  let stamp =
+    Sync.with_lock t.route_lock (fun () ->
+        if Atomic.get t.stopped then raise Stopped;
+        let stamp = admit t ~key ~pick:`Static in
+        admitted ();
+        push_locked t (Core.stamp_worker stamp) (op stamp);
+        stamp)
+  in
+  let dst = Core.stamp_worker stamp in
+  wake t ~worker:dst;
+  dst
+
+(* CREW: a partition is written only by its pin holder. A worker
+   applies its own write inline when [inline_ok]; otherwise it goes to
+   the holder's inbox. An exception from the inline store apply releases
+   the pin and reaches the caller; one from [k] does too, the pin being
+   released before [k] runs. Returns the executing worker. *)
+let submit_set ?(admitted = ignore) ?token t ~key ~value ~off ~len k =
+  if off < 0 || len < 0 || off + len > Bytes.length value then
+    invalid_arg "Server.submit_set: slice";
+  let w = on_worker t in
+  if w != nobody then begin
+    let stamp = admit_local t w ~admitted ~key in
+    if inline_ok w stamp then begin
+      let applied =
+        match store_set t w ~key ~value ~off ~len ~token with
+        | applied -> applied
+        | exception e ->
+          release_write t key stamp;
+          raise e
+      in
+      ack_set t w ~key ~value ~off ~len ~token ~stamp ~applied k
+    end
+    else
+      forward_or_stop t ~key ~stamp (Set (key, owned value ~off ~len, token, stamp, k));
+    Core.stamp_worker stamp
+  end
+  else
+    let value = owned value ~off ~len in
+    submit_queued t ~admitted ~key (fun stamp -> Set (key, value, token, stamp, k))
 
 (* Deletes mutate the partition, so CREW routes them like writes. *)
 let submit_delete ?(admitted = ignore) t ~key k =
-  submit_write t ~admitted ~key
-    ~queued:(fun stamp -> Delete (key, stamp, k))
-    ~inline:(fun w ~release -> apply_delete t w ~key ~release k)
+  let w = on_worker t in
+  if w != nobody then begin
+    let stamp = admit_local t w ~admitted ~key in
+    if inline_ok w stamp then begin
+      let present =
+        match Store.remove t.store ~key with
+        | present -> present
+        | exception e ->
+          release_write t key stamp;
+          raise e
+      in
+      ack_delete t w ~key ~stamp ~present k
+    end
+    else forward_or_stop t ~key ~stamp (Delete (key, stamp, k));
+    Core.stamp_worker stamp
+  end
+  else submit_queued t ~admitted ~key (fun stamp -> Delete (key, stamp, k))
 
 (* Promise wrappers for blocking callers. *)
 let promised submit =
@@ -659,7 +763,7 @@ let promised submit =
 let get_async t ~key = promised (submit_get t ~key)
 
 let set_async ?token t ~key ~value =
-  promised (fun k -> ignore (submit_set ?token t ~key ~value k))
+  promised (fun k -> ignore (submit_set ?token t ~key ~value ~off:0 ~len:(Bytes.length value) k))
 
 let delete_async t ~key = promised (fun k -> ignore (submit_delete t ~key k))
 
@@ -753,7 +857,7 @@ let stats t =
     writes = sum (fun w -> w.writes_n);
     batches = sum (fun w -> w.batches);
     batched_writes = sum (fun w -> w.batched_writes);
-    read_retries = sum (fun w -> w.retries);
+    read_retries = sum (fun w -> !(w.retries));
     per_worker_ops = Array.map (fun w -> w.ops) t.workers;
     recoveries;
     requeued_ops;

@@ -101,7 +101,15 @@ val start : config -> t
     {!Stopped} once {!stop} has begun; [k] then never runs.
     [submit_set] and [submit_delete] return the worker that executes
     the write. [admitted] runs once admission has placed the op, before
-    it can run anywhere — where a tracer closes its admission span. *)
+    it can run anywhere — where a tracer closes its admission span.
+
+    A SET's value is the slice [value.[off .. off + len)]. A write a
+    worker applies inline blits the slice straight into the store slot
+    and keeps nothing, so the caller may reuse the buffer once
+    [submit_set] returns; only a write that outlives the call — one
+    forwarded or queued to another worker, its WAL record, a tokened
+    write's check — takes a private copy. A slice that is the whole
+    buffer is kept as is instead: do not mutate it until [k] runs. *)
 
 val submit_get :
   ?admitted:(unit -> unit) -> t -> key:int -> (bytes option -> unit) -> unit
@@ -112,11 +120,24 @@ val submit_set :
   t ->
   key:int ->
   value:bytes ->
+  off:int ->
+  len:int ->
   (unit -> unit) ->
   int
 
 (** Admitted like a write; [k] gets [true] if the key was present. *)
 val submit_delete : ?admitted:(unit -> unit) -> t -> key:int -> (bool -> unit) -> int
+
+(** [read_into t ~key f x] is an inline GET into the caller's own
+    buffer, for a front-end's request path on a worker: like
+    [submit_get]'s inline case (raises {!Stopped}, runs the forwarded
+    work queued here, then [admitted]), but the value is not copied out:
+    it returns {!C4_kvs.Store.read_into}'s [f v x] on the slot's live
+    buffer, or [-1] if [key] is absent, and counts the read and its
+    failed attempts against this worker. With a closure-free [f] it
+    allocates nothing. Raises [Invalid_argument] off a worker. *)
+val read_into :
+  ?admitted:(unit -> unit) -> t -> key:int -> (bytes -> 'a -> int) -> 'a -> int
 
 (** {2 Blocking and promise wrappers}
 

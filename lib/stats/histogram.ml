@@ -4,8 +4,10 @@ type t = {
   octaves : int;
   counts : int array;
   mutable total : int;
-  mutable sum : float;
-  mutable max_seen : float;
+  fl : float array;
+      (* [| sum; max seen |]: a float array stores unboxed, so recording
+         a value allocates nothing, where a float field of this mixed
+         record would box each store *)
 }
 
 let create ?(sub_bucket_bits = 6) ?(max_value = 1e9) () =
@@ -27,8 +29,7 @@ let create ?(sub_bucket_bits = 6) ?(max_value = 1e9) () =
     octaves;
     counts = Array.make (octaves * sub_count) 0;
     total = 0;
-    sum = 0.0;
-    max_seen = 0.0;
+    fl = [| 0.0; 0.0 |];
   }
 
 (* Index of the bucket holding integer value [v >= 0]. *)
@@ -61,13 +62,13 @@ let upper_edge t i =
 
 let add_many t v n =
   let v = if v < 0.0 then 0.0 else v in
-  if v > t.max_seen then t.max_seen <- v;
+  if v > t.fl.(1) then t.fl.(1) <- v;
   let iv = int_of_float v in
   let i = index t iv in
   let i = if i >= Array.length t.counts then Array.length t.counts - 1 else i in
   t.counts.(i) <- t.counts.(i) + n;
   t.total <- t.total + n;
-  t.sum <- t.sum +. (v *. float_of_int n)
+  t.fl.(0) <- t.fl.(0) +. (v *. float_of_int n)
 
 let add t v = add_many t v 1
 let count t = t.total
@@ -79,10 +80,10 @@ let quantile t q =
     let rank = int_of_float (ceil (q *. float_of_int t.total)) in
     let rank = if rank < 1 then 1 else rank in
     let rec loop i acc =
-      if i >= Array.length t.counts then t.max_seen
+      if i >= Array.length t.counts then t.fl.(1)
       else begin
         let acc = acc + t.counts.(i) in
-        if acc >= rank then Float.min (upper_edge t i) t.max_seen else loop (i + 1) acc
+        if acc >= rank then Float.min (upper_edge t i) t.fl.(1) else loop (i + 1) acc
       end
     in
     loop 0 0
@@ -91,23 +92,23 @@ let quantile t q =
 let median t = quantile t 0.5
 let p99 t = quantile t 0.99
 let p999 t = quantile t 0.999
-let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
-let sum t = t.sum
-let max_recorded t = t.max_seen
+let mean t = if t.total = 0 then 0.0 else t.fl.(0) /. float_of_int t.total
+let sum t = t.fl.(0)
+let max_recorded t = t.fl.(1)
 
 let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.total <- 0;
-  t.sum <- 0.0;
-  t.max_seen <- 0.0
+  t.fl.(0) <- 0.0;
+  t.fl.(1) <- 0.0
 
 let merge t ~other =
   if t.sub_bits <> other.sub_bits || Array.length t.counts <> Array.length other.counts
   then invalid_arg "Histogram.merge: incompatible layouts";
   Array.iteri (fun i c -> t.counts.(i) <- t.counts.(i) + c) other.counts;
   t.total <- t.total + other.total;
-  t.sum <- t.sum +. other.sum;
-  if other.max_seen > t.max_seen then t.max_seen <- other.max_seen
+  t.fl.(0) <- t.fl.(0) +. other.fl.(0);
+  if other.fl.(1) > t.fl.(1) then t.fl.(1) <- other.fl.(1)
 
 let buckets t =
   let acc = ref [] in
@@ -118,4 +119,4 @@ let buckets t =
 
 let pp ppf t =
   Format.fprintf ppf "n=%d mean=%.1f p50=%.1f p99=%.1f max=%.1f" t.total
-    (mean t) (median t) (p99 t) t.max_seen
+    (mean t) (median t) (p99 t) t.fl.(1)

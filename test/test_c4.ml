@@ -31,5 +31,6 @@ let () =
       ("check", Test_check.tests);
       ("check.static", Test_static.tests);
       ("net", Test_net.tests);
+      ("alloc", Test_alloc.tests);
       ("clusterd", Test_clusterd.tests);
     ]

@@ -389,29 +389,39 @@ let test_routing_refetch_bounded () =
 
 let rm_rf dir = ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
+(* Everything a run leaves goes into one per-pid directory: the WAL
+   root and the child's log. A failed run keeps both and names them; a
+   passing one removes them. *)
 let test_cluster_chaos () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "c4-clusterd-test-%d" (Unix.getpid ()))
   in
   rm_rf dir;
+  Unix.mkdir dir 0o755;
+  let wal_root = Filename.concat dir "wal" and log = Filename.concat dir "cluster_chaos.log" in
   let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/c4_sim.exe" in
   let exe = if Sys.file_exists exe then exe else "../bin/c4_sim.exe" in
   let cmd =
     Printf.sprintf
       "%s clusterd --chaos --nodes 3 --shards 4 --workers 2 --partitions 8 \
-       --wal-root %s > cluster_chaos.log 2>&1"
-      (Filename.quote exe) (Filename.quote dir)
+       --wal-root %s > %s 2>&1"
+      (Filename.quote exe) (Filename.quote wal_root) (Filename.quote log)
   in
-  let rc = Sys.command cmd in
-  if rc <> 0 then begin
-    let ic = open_in "cluster_chaos.log" in
-    let n = in_channel_length ic in
-    let out = really_input_string ic n in
-    close_in ic;
-    Alcotest.failf "cluster-chaos exited %d:\n%s" rc out
-  end;
-  rm_rf dir
+  let passed = ref false in
+  Fun.protect
+    ~finally:(fun () -> if !passed then rm_rf dir)
+    (fun () ->
+      let rc = Sys.command cmd in
+      if rc <> 0 then begin
+        let ic = open_in log in
+        let n = in_channel_length ic in
+        let out = really_input_string ic n in
+        close_in ic;
+        Alcotest.failf "cluster-chaos exited %d; kept its log %s and WAL root %s:\n%s" rc log
+          wal_root out
+      end;
+      passed := true)
 
 let tests =
   [

@@ -132,6 +132,43 @@ let test_seqlock_read_stable () =
   Alcotest.(check int) "value" 42 v;
   Alcotest.(check int) "no retries uncontended" 0 retries
 
+(* A retry is a failed attempt, not a spin. A read that finds a write
+   in flight waits it out: one retry, however long the writer holds the
+   version odd (spin-counting read thousands here). *)
+let test_seqlock_wait_counts_once () =
+  let l = Seqlock.create () in
+  Seqlock.write_begin l;
+  let writer =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.05;
+        Seqlock.write_end l)
+  in
+  let v, retries = Seqlock.read l (fun () -> 42) in
+  Domain.join writer;
+  Alcotest.(check int) "value" 42 v;
+  Alcotest.(check int) "one wait, one retry" 1 retries
+
+(* The store's read loop, the one a server's copy into its output
+   buffer runs: a version change under the copy discards it and counts
+   one retry, and the copy runs again with the same argument. *)
+let test_store_read_into_retry_count () =
+  let s = Store.create ~n_buckets:64 ~n_partitions:4 () in
+  Store.set s ~key:1 ~value:(Bytes.of_string "old!");
+  let dst = Bytes.create 4 and calls = ref 0 and retries = ref 0 in
+  let copy v () =
+    incr calls;
+    Bytes.blit v 0 dst 0 (Bytes.length v);
+    (* A write to the partition lands while the first copy runs. *)
+    if !calls = 1 then Store.set s ~key:1 ~value:(Bytes.of_string "new!");
+    Bytes.length v
+  in
+  let n = Store.read_into s ~key:1 ~retries copy () in
+  Alcotest.(check int) "length" 4 n;
+  Alcotest.(check int) "copied twice" 2 !calls;
+  Alcotest.(check int) "one retry" 1 !retries;
+  Alcotest.(check string) "the copy that validated" "new!" (Bytes.to_string dst);
+  Alcotest.(check int) "absent key" (-1) (Store.read_into s ~key:2 ~retries copy ())
+
 (* Real concurrency: one writer domain mutating a two-word "item" under
    the seqlock, reader domains verifying they never observe a torn pair.
    This is the invariant the whole OCC scheme rests on. *)
@@ -633,6 +670,10 @@ let tests =
     Alcotest.test_case "seqlock rejects second writer" `Quick test_seqlock_crew_violation;
     Alcotest.test_case "seqlock end without begin" `Quick test_seqlock_end_without_begin;
     Alcotest.test_case "seqlock uncontended read" `Quick test_seqlock_read_stable;
+    Alcotest.test_case "seqlock wait on a write counts one retry" `Quick
+      test_seqlock_wait_counts_once;
+    Alcotest.test_case "store read_into retries once per version change" `Quick
+      test_store_read_into_retry_count;
     Alcotest.test_case "seqlock multi-domain: no torn reads" `Slow test_seqlock_multicore;
     Alcotest.test_case "store set/get/miss" `Quick test_store_set_get;
     Alcotest.test_case "store update in place" `Quick test_store_update_in_place;

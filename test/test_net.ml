@@ -1368,7 +1368,7 @@ let test_thread_on_worker_domain_submits_from_outside () =
       routed :=
         List.map
           (fun key ->
-            (Runtime.owner_of_key rt key, Runtime.submit_set rt ~key ~value:Bytes.empty ignore))
+            (Runtime.owner_of_key rt key, Runtime.submit_set rt ~key ~value:Bytes.empty ~off:0 ~len:0 ignore))
           [ 0; 1; 2; 3; 4; 5; 6; 7 ]
     in
     Thread.join (Thread.create submit ());

@@ -478,9 +478,9 @@ let test_server_stale_stamp_readmitted () =
          submits to [hot] as a worker: it rides worker 1's pin, and its
          [admitted] hook lets worker 1 die and recover before the push. *)
       ignore
-        (Server.submit_set t ~key:home ~value:(Bytes.of_string "h") (fun () ->
+        (Server.submit_set t ~key:home ~value:(Bytes.of_string "h") ~off:0 ~len:1 (fun () ->
              ignore
-               (Server.submit_set t ~key:hot ~value:(Bytes.of_string "second")
+               (Server.submit_set t ~key:hot ~value:(Bytes.of_string "second") ~off:0 ~len:6
                   ~admitted:(fun () ->
                     release ();
                     await_recovery t ~expect:2)
