@@ -539,46 +539,58 @@ let ablation scale =
    the model — notably T_c (private-log append) versus T_b (a full
    store write), the ratio Eqn. (1) feeds on. *)
 
-(* Each row in ns and in minor words per run (Bechamel's
-   [minor_allocated] beside [monotonic_clock]): the words are the
-   allocation budget a serving-path primitive spends per call. The
-   words come from the GC's sampled counters, which OCaml 5.1 updates
-   at minor collections only, so a row whose samples span none can
-   read 0; test/test_alloc.ml, which reads [Gc.minor_words], holds the
-   budget. *)
+(* Minor words per call of a row's closure: the [Gc.minor_words] delta
+   over a fixed-count loop. On OCaml 5 the counter reads the calling
+   domain's own allocation pointer, so the figure is exact. *)
+let words_per_call elt =
+  let open Bechamel in
+  let (Test.V { fn; kind; allocate; free }) = Test.Elt.fn elt in
+  match kind with
+  | Test.Multiple -> None
+  | Test.Uniq ->
+    let n = 10_000 and f = fn `Init and resource = allocate () in
+    let v = Test.Uniq.prj resource in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f v))
+    done;
+    let words = Gc.minor_words () -. before in
+    free resource;
+    Some (words /. float_of_int n)
+
+(* Each row in ns per run (Bechamel) and in minor words per call
+   ([words_per_call], run after Bechamel's samples): the words are the
+   allocation budget a serving-path primitive spends per call. *)
 let measure ?stabilize tests =
   let open Bechamel in
   let open Toolkit in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let clock = Instance.monotonic_clock and words = Instance.minor_allocated in
-  let instances = [ clock; words ] in
+  let clock = Instance.monotonic_clock in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ?stabilize ()
   in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"c4" ~fmt:"%s %s" tests) in
-  let results = List.map (fun i -> Analyze.all ols i raw) instances in
-  let merged = Analyze.merge ols instances results in
-  let estimate instance name =
-    match Hashtbl.find_opt merged (Measure.label instance) with
+  let grouped = Test.make_grouped ~name:"c4" ~fmt:"%s %s" tests in
+  let raw = Benchmark.all cfg [ clock ] grouped in
+  let merged = Analyze.merge ols [ clock ] [ Analyze.all ols clock raw ] in
+  let words =
+    List.map (fun elt -> (Test.Elt.name elt, words_per_call elt)) (Test.elements grouped)
+  in
+  let estimate name =
+    match Hashtbl.find_opt merged (Measure.label clock) with
     | None -> None
     | Some tbl -> (
       match Option.map Analyze.OLS.estimates (Hashtbl.find_opt tbl name) with
       | Some (Some [ est ]) -> Some est
       | _ -> None)
   in
-  let names =
-    match Hashtbl.find_opt merged (Measure.label clock) with
-    | Some tbl -> List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) tbl [])
-    | None -> []
-  in
   List.concat_map
-    (fun name ->
+    (fun (name, w) ->
       let cell = function Some e -> Printf.sprintf "%10.1f" e | None -> "         -" in
-      let ns = estimate clock name and w = estimate words name in
+      let ns = estimate name in
       Printf.printf "  %-50s %s ns/op %s words/op\n" name (cell ns) (cell w);
       Option.to_list (Option.map (fun e -> (name, e)) ns)
       @ Option.to_list (Option.map (fun e -> (name ^ " [minor words]", e)) w))
-    names
+    (List.sort compare words)
 
 (* The store at uniform-read's scale: 400k keys of 512 B in serve's
    partitioning (4096 buckets over 64 partitions), read and overwritten

@@ -50,7 +50,7 @@ let kill_retry =
 let make_client port =
   C4_net.Client.create
     {
-      (C4_net.Client.default_config ~hosts:[ ("127.0.0.1", port) ]) with
+      (C4_net.Client.default_config ~host:"127.0.0.1" ~port) with
       C4_net.Client.retry = Some kill_retry;
     }
 

@@ -1,128 +1,101 @@
-(* Loopback load test: spin up the TCP server over the multicore
-   runtime, drive it open-loop with the Zipf workload, report
-   throughput and latency percentiles — optionally appending the run
-   to the BENCH_net.json trajectory and exporting a stitched
-   client+server Chrome trace. *)
+(* Loopback load test. The server runs as a separate child process
+   (`serve`; its fd table, thread count and domain pool must not share
+   this process's limits), and the client side is a single-threaded
+   poll(2) multiplexer over raw sockets — the same primitive the
+   server's workers use — so one driver process holds tens of thousands
+   of connections without a thread per connection. Every connection
+   pipelines its share of one Zipf request stream; every response must
+   come back in order with a non-error status, and the child must drain
+   and exit 0 on SIGTERM. *)
 
 open Cmdliner
 open Cmd_common
 module Json = C4_obs.Json
-module Span = C4_obs.Span
-
-let now_ns () = Unix.gettimeofday () *. 1e9
-
-let bench_record ~n_workers ~n_partitions ~compaction ~write_frac ~theta ~rate
-    ~n_ops ~delete_frac ~conns ~wal ~fsync_policy report =
-  let open C4_net.Loadgen in
-  let hist name h = (name, Json.Obj (C4_obs.Benchlog.percentiles_of h)) in
-  C4_obs.Benchlog.record ~kind:"netbench"
-    ~config:
-      [
-        ("workers", Json.Int n_workers);
-        ("partitions", Json.Int n_partitions);
-        ("compaction", Json.Bool compaction);
-        ("write_frac_pct", Json.Float write_frac);
-        ("theta", Json.Float theta);
-        ("rate_ops_s", Json.Float rate);
-        ("n_ops", Json.Int n_ops);
-        ("delete_frac_pct", Json.Float delete_frac);
-        ("conns", Json.Int conns);
-        ("wal", Json.Bool wal);
-        ("fsync_policy", Json.Str (C4_wal.Wal.fsync_policy_to_string fsync_policy));
-      ]
-    ~results:
-      [
-        ("throughput_ops_s", Json.Float report.throughput);
-        ("issued", Json.Int report.issued);
-        ("completed", Json.Int report.completed);
-        ("errors", Json.Int report.errors);
-        ("unanswered", Json.Int report.unanswered);
-        ("duration_s", Json.Float report.duration_s);
-        hist "get_ns" report.get_ns;
-        hist "set_ns" report.set_ns;
-        hist "delete_ns" report.delete_ns;
-        hist "all_ns" report.all_ns;
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Connection-scaling mode (--conn-scale): how many concurrent
-   connections can the serving layer hold while answering pipelined
-   requests on every one of them?  The server runs as a separate child
-   process (its fd table, thread count and domain pool must not share
-   this process's limits), and the client side is a single-threaded
-   poll(2) multiplexer over raw sockets — the same primitive the
-   server's event loops use — so one driver process sustains tens of
-   thousands of connections without a thread per connection. *)
-
 module Wire = C4_net.Wire
 module Poll = C4_net.Poll
+module Generator = C4_workload.Generator
+module Request = C4_workload.Request
+module Proc = C4_resilience.Proc
 
-type cs_state = Cs_connecting | Cs_active | Cs_done | Cs_failed
+type state = Connecting | Active | Done | Failed
 
-type cs_conn = {
-  cs_fd : Unix.file_descr;
-  cs_out : bytes;  (* every request of the connection, pre-encoded *)
-  mutable cs_sent : int;
-  cs_dec : Wire.Decoder.decoder;
-  mutable cs_got : int;  (* responses decoded, also the next expected id *)
-  mutable cs_state : cs_state;
+type conn = {
+  fd : Unix.file_descr;
+  out : bytes;  (* every request of the connection, pre-encoded *)
+  mutable sent : int;
+  dec : Wire.Decoder.decoder;
+  mutable got : int;  (* responses decoded, also the next expected id *)
+  mutable state : state;
 }
 
-(* Outcome of one conn-scale run. [dnf] carries the honest reason a
-   run could not finish (fd rlimit, timeout) — recorded in
-   the trajectory rather than silently skipped. *)
-type cs_result = {
-  r_completed : int;
-  r_errors : int;
-  r_unanswered : int;
-  r_connect_failures : int;
-  r_duration_s : float;
-  r_dnf : string option;
+(* Outcome of one run. [dnf] carries the honest reason a run could not
+   finish (fd rlimit, timeout) — recorded in the trajectory rather than
+   silently skipped. *)
+type result = {
+  completed : int;
+  errors : int;
+  unanswered : int;
+  connect_failures : int;
+  duration_s : float;
+  dnf : string option;
 }
 
-(* SET k then GET k, pipelined in pairs sharing a key. The serving
-   contract under test is response {e order} (resp_id must march 0, 1,
-   2, ... per connection) and zero failures — not read-your-write: a
-   CREW read does not queue behind a still-compacting write, so the GET
-   may legitimately answer [Not_found]. *)
-let cs_requests wire ~conn_idx ~ops =
-  let b = Buffer.create (ops * 32) in
-  for i = 0 to ops - 1 do
-    let key = (conn_idx * ops) + (i land lnot 1) in
-    let req =
-      if i land 1 = 0 then
-        { Wire.id = i; op = Wire.Set; key; token = None; trace = None;
-          value = Bytes.of_string (Printf.sprintf "v%d" key) }
-      else
-        { Wire.id = i; op = Wire.Get; key; token = None; trace = None;
-          value = Bytes.empty }
+(* Write->DELETE demotion hashed on the request id: decorrelated from
+   the key choice, and a seed reproduces the exact op sequence. *)
+let is_delete ~delete_frac (req : Request.t) =
+  Request.is_write req
+  && C4_kvs.Hash.mix_int (req.Request.id lxor 0x9E3779B9) land 0xFFFF
+     < int_of_float (delete_frac /. 100.0 *. 65536.0)
+
+(* One generator stream (seed 42) dealt to the connections in order:
+   request [j] goes to connection [j mod conns] with request id
+   [j / conns]. Reads become GETs, writes SETs of the generator's value
+   size. The serving contract under test is response order (ids march
+   0, 1, 2, ... per connection) and zero failures, not
+   read-your-write: a GET may answer [Not_found]. *)
+let requests wire ~theta ~write_frac ~delete_frac ~conns ~ops =
+  let workload =
+    { Generator.default with theta; write_fraction = write_frac /. 100.0 }
+  in
+  let gen = Generator.create workload ~seed:42 in
+  let value = Bytes.make workload.Generator.value_size 'v' in
+  let bufs = Array.init conns (fun _ -> Buffer.create (ops * 32)) in
+  for j = 0 to (conns * ops) - 1 do
+    let req = Generator.next gen in
+    let op, value =
+      if is_delete ~delete_frac req then (Wire.Delete, Bytes.empty)
+      else if Request.is_write req then (Wire.Set, value)
+      else (Wire.Get, Bytes.empty)
     in
-    Buffer.add_bytes b (Wire.encode_request wire req)
+    Buffer.add_bytes bufs.(j mod conns)
+      (Wire.encode_request wire
+         { Wire.id = j / conns; op; key = req.Request.key; token = None;
+           trace = None; value })
   done;
-  Buffer.to_bytes b
+  Array.map Buffer.to_bytes bufs
 
-exception Cs_out_of_fds of string
+exception Out_of_fds of string
 
-let cs_connect ~port =
+let connect ~port =
   match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-    raise (Cs_out_of_fds "fd rlimit: EMFILE creating client socket")
+    raise (Out_of_fds "fd rlimit: EMFILE creating client socket")
   | fd ->
     Unix.set_nonblock fd;
     let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
     (match Unix.connect fd addr with
-    | () -> Some (fd, Cs_active)
+    | () -> Some (fd, Active)
     | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) ->
-      Some (fd, Cs_connecting)
+      Some (fd, Connecting)
     | exception Unix.Unix_error _ -> Unix.close fd; None)
 
-(* Drive [conns] connections against 127.0.0.1:[port]: establish them
-   all (at most [max_connecting] connect(2)s outstanding — kind to the
-   64-deep accept backlog), pipeline [ops] requests on each, and keep
-   every finished connection open until the last one answers, so the
-   server really holds [conns] live connections at peak. *)
-let cs_drive ~port ~conns ~ops ~timeout_s =
-  let wire = Wire.create () in
+(* Drive one connection per element of [outs] against
+   127.0.0.1:[port]: establish them all (at most [max_connecting]
+   connect(2)s outstanding), pipeline each connection's requests, and
+   keep every finished connection open until the last one answers, so
+   the server really holds every connection at peak. *)
+let drive wire ~port ~outs ~ops ~timeout_s =
+  let conns = Array.length outs in
   let deadline = Unix.gettimeofday () +. timeout_s in
   let t0 = Unix.gettimeofday () in
   let max_connecting = 256 in
@@ -139,18 +112,18 @@ let cs_drive ~port ~conns ~ops ~timeout_s =
   let revents = Array.make conns 0 in
   let order = Array.make conns 0 in
   let fail c =
-    if c.cs_state <> Cs_done && c.cs_state <> Cs_failed then begin
-      if c.cs_state = Cs_connecting then begin
+    if c.state <> Done && c.state <> Failed then begin
+      if c.state = Connecting then begin
         decr connecting;
         incr connect_failures
       end;
-      c.cs_state <- Cs_failed;
+      c.state <- Failed;
       decr unfinished
     end
   in
   let finish c =
-    if c.cs_state = Cs_active then begin
-      c.cs_state <- Cs_done;
+    if c.state = Active then begin
+      c.state <- Done;
       decr unfinished
     end
   in
@@ -163,25 +136,25 @@ let cs_drive ~port ~conns ~ops ~timeout_s =
         | Wire.Ok | Wire.Not_found -> true
         | Wire.Err | Wire.Wrong_shard | Wire.Cluster_ok -> false
       in
-      if r.Wire.resp_id <> c.cs_got || not ok_status then begin
+      if r.Wire.resp_id <> c.got || not ok_status then begin
         incr errors; fail c
       end
       else begin
-        c.cs_got <- c.cs_got + 1;
+        c.got <- c.got + 1;
         incr completed;
-        if c.cs_got = ops then finish c
+        if c.got = ops then finish c
       end
   in
   let read_conn c =
-    match Unix.read c.cs_fd scratch 0 (Bytes.length scratch) with
+    match Unix.read c.fd scratch 0 (Bytes.length scratch) with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> fail c
     | 0 -> fail c  (* server closed before every response arrived *)
     | n ->
-      Wire.Decoder.feed c.cs_dec scratch ~off:0 ~len:n;
+      Wire.Decoder.feed c.dec scratch ~off:0 ~len:n;
       let rec drain () =
-        if c.cs_state = Cs_active then
-          match Wire.Decoder.next_frame c.cs_dec with
+        if c.state = Active then
+          match Wire.Decoder.next_frame c.dec with
           | `Frame body -> on_response c body; drain ()
           | `Awaiting -> ()
           | `Corrupt _ -> incr errors; fail c
@@ -189,12 +162,12 @@ let cs_drive ~port ~conns ~ops ~timeout_s =
       drain ()
   in
   let write_conn c =
-    let remaining = Bytes.length c.cs_out - c.cs_sent in
+    let remaining = Bytes.length c.out - c.sent in
     if remaining > 0 then
-      match Unix.write c.cs_fd c.cs_out c.cs_sent remaining with
+      match Unix.write c.fd c.out c.sent remaining with
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
       | exception Unix.Unix_error _ -> fail c
-      | n -> c.cs_sent <- c.cs_sent + n
+      | n -> c.sent <- c.sent + n
   in
   let dnf = ref None in
   (try
@@ -206,21 +179,21 @@ let cs_drive ~port ~conns ~ops ~timeout_s =
        else begin
          while !connecting < max_connecting && !started < conns do
            let idx = !started in
-           (match cs_connect ~port with
+           (match connect ~port with
            | None ->
              incr connect_failures;
              decr unfinished
            | Some (fd, st) ->
-             if st = Cs_connecting then incr connecting;
+             if st = Connecting then incr connecting;
              cs.(idx) <-
                Some
                  {
-                   cs_fd = fd;
-                   cs_out = cs_requests wire ~conn_idx:idx ~ops;
-                   cs_sent = 0;
-                   cs_dec = Wire.Decoder.create wire;
-                   cs_got = 0;
-                   cs_state = st;
+                   fd;
+                   out = outs.(idx);
+                   sent = 0;
+                   dec = Wire.Decoder.create wire;
+                   got = 0;
+                   state = st;
                  });
            incr started
          done;
@@ -231,16 +204,15 @@ let cs_drive ~port ~conns ~ops ~timeout_s =
              | None -> ()
              | Some c ->
                let interest =
-                 match c.cs_state with
-                 | Cs_connecting -> Poll.pollout
-                 | Cs_active ->
+                 match c.state with
+                 | Connecting -> Poll.pollout
+                 | Active ->
                    Poll.pollin
-                   lor (if c.cs_sent < Bytes.length c.cs_out then Poll.pollout
-                        else 0)
-                 | Cs_done | Cs_failed -> 0
+                   lor (if c.sent < Bytes.length c.out then Poll.pollout else 0)
+                 | Done | Failed -> 0
                in
                if interest <> 0 then begin
-                 fds.(!n) <- c.cs_fd;
+                 fds.(!n) <- c.fd;
                  events.(!n) <- interest;
                  order.(!n) <- idx;
                  incr n
@@ -252,50 +224,52 @@ let cs_drive ~port ~conns ~ops ~timeout_s =
              let re = revents.(i) in
              if re <> 0 then begin
                let c = Option.get cs.(order.(i)) in
-               match c.cs_state with
-               | Cs_connecting ->
+               match c.state with
+               | Connecting ->
                  decr connecting;
-                 (match Unix.getsockopt_error c.cs_fd with
-                 | Some _ -> incr connect_failures; c.cs_state <- Cs_failed;
+                 (match Unix.getsockopt_error c.fd with
+                 | Some _ -> incr connect_failures; c.state <- Failed;
                    decr unfinished
-                 | None -> c.cs_state <- Cs_active; write_conn c)
-               | Cs_active ->
+                 | None -> c.state <- Active; write_conn c)
+               | Active ->
                  if Poll.errored re && not (Poll.readable re) then fail c
                  else begin
                    if Poll.readable re then read_conn c;
-                   if c.cs_state = Cs_active && Poll.writable re then
-                     write_conn c
+                   if c.state = Active && Poll.writable re then write_conn c
                  end
-               | Cs_done | Cs_failed -> ()
+               | Done | Failed -> ()
              end
            done
        end
      done
-   with Cs_out_of_fds reason -> dnf := Some reason);
+   with Out_of_fds reason -> dnf := Some reason);
   let duration = Unix.gettimeofday () -. t0 in
   Array.iter
-    (function None -> () | Some c -> (try Unix.close c.cs_fd with Unix.Unix_error _ -> ()))
+    (function None -> () | Some c -> (try Unix.close c.fd with Unix.Unix_error _ -> ()))
     cs;
   {
-    r_completed = !completed;
-    r_errors = !errors;
-    r_unanswered = (conns * ops) - !completed;
-    r_connect_failures = !connect_failures;
-    r_duration_s = duration;
-    r_dnf = !dnf;
+    completed = !completed;
+    errors = !errors;
+    unanswered = (conns * ops) - !completed;
+    connect_failures = !connect_failures;
+    duration_s = duration;
+    dnf = !dnf;
   }
 
-let cs_record ~n_workers ~n_partitions ~wal_dir ~fsync_policy ~conns ~ops r =
+let record ~n_workers ~n_partitions ~compaction ~write_frac ~theta ~delete_frac
+    ~conns ~ops ~wal_dir ~fsync_policy r =
   let throughput =
-    if r.r_duration_s > 0.0 then float_of_int r.r_completed /. r.r_duration_s
-    else 0.0
+    if r.duration_s > 0.0 then float_of_int r.completed /. r.duration_s else 0.0
   in
   C4_obs.Benchlog.record ~kind:"netbench"
     ~config:
       [
-        ("mode", Json.Str "conn-scale");
         ("workers", Json.Int n_workers);
         ("partitions", Json.Int n_partitions);
+        ("compaction", Json.Bool compaction);
+        ("write_frac_pct", Json.Float write_frac);
+        ("theta", Json.Float theta);
+        ("delete_frac_pct", Json.Float delete_frac);
         ("conns", Json.Int conns);
         ("ops_per_conn", Json.Int ops);
         ("wal", Json.Bool (wal_dir <> None));
@@ -304,26 +278,27 @@ let cs_record ~n_workers ~n_partitions ~wal_dir ~fsync_policy ~conns ~ops r =
     ~results:
       ([
          ("throughput_ops_s", Json.Float throughput);
-         ("completed", Json.Int r.r_completed);
-         ("errors", Json.Int r.r_errors);
-         ("unanswered", Json.Int r.r_unanswered);
-         ("connect_failures", Json.Int r.r_connect_failures);
-         ("duration_s", Json.Float r.r_duration_s);
-         ("dnf", Json.Bool (r.r_dnf <> None));
+         ("completed", Json.Int r.completed);
+         ("errors", Json.Int r.errors);
+         ("unanswered", Json.Int r.unanswered);
+         ("connect_failures", Json.Int r.connect_failures);
+         ("duration_s", Json.Float r.duration_s);
+         ("dnf", Json.Bool (r.dnf <> None));
        ]
-      @ match r.r_dnf with
+      @ match r.dnf with
         | None -> []
         | Some reason -> [ ("dnf_reason", Json.Str reason) ])
 
-let cs_spawn_server ~n_workers ~n_partitions ~wal_dir ~fsync_policy =
+let spawn_server ~n_workers ~n_partitions ~compaction ~wal_dir ~fsync_policy =
   let child =
-    C4_resilience.Proc.spawn ~prog:Sys.executable_name
+    Proc.spawn ~prog:Sys.executable_name
       ~args:
         ([
            "serve"; "-p"; "0";
            "--workers"; string_of_int n_workers;
            "--partitions"; string_of_int n_partitions;
          ]
+        @ (if compaction then [] else [ "--no-compaction" ])
         @
         match wal_dir with
         | None -> []
@@ -336,7 +311,7 @@ let cs_spawn_server ~n_workers ~n_partitions ~wal_dir ~fsync_policy =
   let rec find_port tries =
     if tries = 0 then None
     else
-      match C4_resilience.Proc.await_line ~timeout:20.0 child with
+      match Proc.await_line ~timeout:20.0 child with
       | None -> None
       | Some line -> (
         match
@@ -349,218 +324,139 @@ let cs_spawn_server ~n_workers ~n_partitions ~wal_dir ~fsync_policy =
   match find_port 10 with
   | Some port -> (child, port)
   | None ->
-    C4_resilience.Proc.kill child;
-    ignore (C4_resilience.Proc.wait child);
-    failwith "conn-scale: server child never printed its listening line"
+    Proc.kill child;
+    ignore (Proc.wait child);
+    failwith "netbench: server child never printed its listening line"
 
-let cs_stop_server child =
-  C4_resilience.Proc.kill ~signal:Sys.sigterm child;
-  (match C4_resilience.Proc.wait ~timeout:30.0 child with
-  | Some _ -> ()
-  | None ->
-    C4_resilience.Proc.kill child;
-    ignore (C4_resilience.Proc.wait child))
+(* SIGTERM the child, read its stdout to EOF for the summary line
+   `serve` prints after its graceful drain, and reap it. [Ok n] is a
+   clean exit 0 whose server counted [n] protocol errors. *)
+let stop_server child =
+  Proc.kill ~signal:Sys.sigterm child;
+  let rec summary found =
+    match Proc.await_line ~timeout:30.0 child with
+    | None -> found
+    | Some line ->
+      summary
+        (match
+           Scanf.sscanf line
+             "served %_d requests on %_d connections (%_d B in, %_d B out, \
+              %d protocol errors)"
+             Fun.id
+         with
+        | n -> Some n
+        | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> found)
+  in
+  let protocol_errors = summary None in
+  match (Proc.wait ~timeout:30.0 child, protocol_errors) with
+  | Some (Unix.WEXITED 0), Some n -> Ok n
+  | Some (Unix.WEXITED 0), None -> Error "server printed no summary line"
+  | Some (Unix.WEXITED n), _ -> Error (Printf.sprintf "server exited %d" n)
+  | Some (Unix.WSIGNALED s | Unix.WSTOPPED s), _ ->
+    Error (Printf.sprintf "server stopped by signal %d" s)
+  | None, _ ->
+    Proc.kill child;
+    ignore (Proc.wait child);
+    Error "server did not exit within 30 s of SIGTERM"
 
-let conn_scale_run n_workers n_partitions wal_dir fsync_policy conns ops
-    timeout_s bench_json =
-  Printf.printf "conn-scale: %d connections x %d ops%s\n%!" conns ops
+let netbench_run n_workers n_partitions compaction write_frac theta delete_frac
+    conns ops wal_dir fsync_policy bench_json timeout_s =
+  if conns < 1 || ops < 1 || delete_frac < 0.0 || delete_frac > 100.0 then begin
+    prerr_endline
+      "netbench: --conns and --ops-per-conn must be positive and \
+       --delete-frac within [0, 100]";
+    exit 2
+  end;
+  (* A server that drops a connection mid-write must surface as EPIPE,
+     not kill the driver. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  Printf.printf "netbench: %d connections x %d ops (%.0f%% writes, %.0f%% of \
+                 them DELETE, theta %.2f)%s\n%!"
+    conns ops write_frac delete_frac theta
     (match wal_dir with
     | None -> ""
-    | Some _ ->
-      ", wal " ^ C4_wal.Wal.fsync_policy_to_string fsync_policy);
+    | Some _ -> ", wal " ^ C4_wal.Wal.fsync_policy_to_string fsync_policy);
+  let wire = Wire.create () in
+  let outs = requests wire ~theta ~write_frac ~delete_frac ~conns ~ops in
   let child, port =
-    cs_spawn_server ~n_workers ~n_partitions ~wal_dir ~fsync_policy
+    spawn_server ~n_workers ~n_partitions ~compaction ~wal_dir ~fsync_policy
   in
-  let r = cs_drive ~port ~conns ~ops ~timeout_s in
-  cs_stop_server child;
-  (match r.r_dnf with
+  let r = drive wire ~port ~outs ~ops ~timeout_s in
+  let stopped = stop_server child in
+  (match r.dnf with
   | Some reason -> Printf.printf "DNF: %s\n" reason
   | None ->
     Printf.printf
       "%d/%d responses in %.2f s (%.0f ops/s), %d errors, %d connect failures\n"
-      r.r_completed (conns * ops) r.r_duration_s
-      (float_of_int r.r_completed /. r.r_duration_s)
-      r.r_errors r.r_connect_failures);
+      r.completed (conns * ops) r.duration_s
+      (float_of_int r.completed /. r.duration_s)
+      r.errors r.connect_failures);
   (match bench_json with
   | None -> ()
   | Some path ->
     C4_obs.Benchlog.append ~path
-      (cs_record ~n_workers ~n_partitions ~wal_dir ~fsync_policy ~conns ~ops r);
+      (record ~n_workers ~n_partitions ~compaction ~write_frac ~theta
+         ~delete_frac ~conns ~ops ~wal_dir ~fsync_policy r);
     Printf.printf "appended run to %s\n" path);
   (* A DNF is an honest recorded outcome (the row says why), not a test
-     failure; anything else must be a perfect run. *)
-  if r.r_dnf = None && (r.r_errors > 0 || r.r_unanswered > 0) then begin
-    Printf.printf "NETBENCH FAILED\n";
-    exit 1
-  end
-
-let netbench_run n_workers n_partitions compaction write_frac theta rate n_ops
-    warmup delete_frac conns wal_dir fsync_policy bench_json trace_out =
-  let tracing = trace_out <> None in
-  let client_spans = if tracing then Some (Span.create ~process:"client" ()) else None in
-  let server_spans = if tracing then Some (Span.create ~process:"server" ()) else None in
-  let on_decision =
-    match server_spans with
-    | None -> None
-    | Some buf ->
-      (* Stamp each admission decision on the request span being
-         admitted; decisions taken with no request in flight (monitor
-         sweeps) land as free-standing events instead. *)
-      Some
-        (fun d ->
-          let s = C4_crew.Decision.to_string d in
-          if not (Span.annotate_current buf ~key:"crew" ~value:s) then
-            Span.event buf ~name:"crew" ~args:[ ("decision", s) ]
-              ~ts:(now_ns ()))
+     failure; anything else must be a perfect run, and the server must
+     drain and exit cleanly either way. *)
+  let failure =
+    match (stopped, r.dnf) with
+    | Error reason, _ -> Some reason
+    | Ok _, Some _ -> None
+    | Ok n, None when n > 0 -> Some (Printf.sprintf "server counted %d protocol errors" n)
+    | Ok _, None when r.errors > 0 || r.unanswered > 0 ->
+      Some (Printf.sprintf "%d errors, %d unanswered" r.errors r.unanswered)
+    | Ok _, None -> None
   in
-  let wal = wal_config ~wal_dir ~fsync_policy ~n_partitions in
-  let runtime =
-    C4_runtime.Server.start
-      (runtime_config ?on_decision ?wal n_workers n_partitions compaction)
-  in
-  let srv =
-    C4_net.Server.start
-      { C4_net.Server.default_config with spans = server_spans }
-      ~runtime
-  in
-  let client =
-    C4_net.Client.create
-      {
-        (C4_net.Client.default_config
-           ~hosts:[ ("127.0.0.1", C4_net.Server.port srv) ])
-        with
-        conns_per_host = conns;
-        retry = Some C4_resilience.Retry.default;
-        spans = client_spans;
-      }
-  in
-  let workload =
-    {
-      C4_workload.Generator.default with
-      theta;
-      write_fraction = write_frac /. 100.0;
-      rate = rate *. 1e-9;  (* ops/s -> ops/ns *)
-      n_partitions;
-    }
-  in
-  let cfg =
-    {
-      (C4_net.Loadgen.default_config ~workload ~seed:42) with
-      n_ops;
-      warmup = min warmup (n_ops / 2);
-      delete_fraction = delete_frac /. 100.0;
-    }
-  in
-  let report = C4_net.Loadgen.run client cfg in
-  C4_net.Client.close client;
-  C4_net.Server.stop srv;
-  C4_runtime.Server.stop runtime;
-  let sstats = C4_net.Server.stats srv in
-  let cstats = C4_net.Client.stats client in
-  C4_stats.Table.print (C4_net.Loadgen.to_table report);
-  Printf.printf
-    "throughput %.0f ops/s (%d/%d completed, %d errors, %d unanswered) in %.2f s\n"
-    report.C4_net.Loadgen.throughput report.C4_net.Loadgen.completed
-    report.C4_net.Loadgen.issued report.C4_net.Loadgen.errors
-    report.C4_net.Loadgen.unanswered report.C4_net.Loadgen.duration_s;
-  Printf.printf "client: %d sent, %d retries, %d transport errors; server: %d protocol errors\n"
-    cstats.C4_net.Client.sent cstats.C4_net.Client.retries
-    cstats.C4_net.Client.transport_errors sstats.C4_net.Server.protocol_errors;
-  (match bench_json with
+  match failure with
   | None -> ()
-  | Some path ->
-    C4_obs.Benchlog.append ~path
-      (bench_record ~n_workers ~n_partitions ~compaction ~write_frac ~theta
-         ~rate ~n_ops ~delete_frac ~conns ~wal:(wal_dir <> None) ~fsync_policy
-         report);
-    Printf.printf "appended run to %s\n" path);
-  (match (trace_out, client_spans, server_spans) with
-  | Some path, Some cbuf, Some sbuf ->
-    Span.save_chrome ~extra:[ sbuf ] cbuf ~path;
-    Printf.printf "wrote stitched trace (%d client + %d server spans) to %s\n"
-      (List.length (Span.spans cbuf))
-      (List.length (Span.spans sbuf))
-      path
-  | _ -> ());
-  if
-    report.C4_net.Loadgen.completed = 0
-    || report.C4_net.Loadgen.errors > 0
-    || report.C4_net.Loadgen.unanswered > 0
-    || sstats.C4_net.Server.protocol_errors > 0
-  then begin
-    Printf.printf "NETBENCH FAILED\n";
+  | Some reason ->
+    Printf.printf "NETBENCH FAILED: %s\n" reason;
     exit 1
-  end
 
 let cmd =
-  let rate =
-    Arg.(value & opt float 50_000.0 & info [ "rate" ] ~docv:"OPS_PER_SEC"
-           ~doc:"Open-loop offered rate.")
-  in
-  let n_ops =
-    Arg.(value & opt int 20_000 & info [ "n" ] ~docv:"N" ~doc:"Requests to issue.")
-  in
-  let warmup =
-    Arg.(value & opt int 1_000 & info [ "warmup" ] ~docv:"N"
-           ~doc:"Responses excluded from latency stats.")
-  in
   let delete_frac =
     Arg.(value & opt float 5.0 & info [ "delete-frac" ] ~docv:"PCT"
            ~doc:"Share of writes issued as DELETE.")
   in
   let conns =
-    Arg.(value & opt int 4 & info [ "conns" ] ~docv:"N" ~doc:"Pipelined connections.")
+    Arg.(value & opt int 4 & info [ "conns" ] ~docv:"N"
+           ~doc:"Concurrent connections, held open until the last answers.")
+  in
+  let ops_per_conn =
+    Arg.(value & opt int 8 & info [ "ops-per-conn" ] ~docv:"N"
+           ~doc:"Requests pipelined on each connection. Keep it below the \
+                 server's 1024-response slow-client bound.")
   in
   let bench_json =
     Arg.(value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE"
            ~doc:"Append this run's config fingerprint and results to $(docv) \
                  as one JSON line (the perf trajectory log).")
   in
-  let trace_out =
-    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
-           ~doc:"Enable distributed tracing and write the stitched \
-                 client+server Chrome trace to $(docv).")
-  in
-  let conn_scale =
-    Arg.(value & flag & info [ "conn-scale" ]
-           ~doc:"Connection-scaling mode: spawn the server as a child \
-                 process and hold $(b,--conns) concurrent connections \
-                 against it from one poll-multiplexed driver, pipelining \
-                 $(b,--ops-per-conn) requests on each. Ignores the \
-                 open-loop workload flags; $(b,--wal-dir) and \
-                 $(b,--fsync-policy) go to the server child.")
-  in
-  let ops_per_conn =
-    Arg.(value & opt int 8 & info [ "ops-per-conn" ] ~docv:"N"
-           ~doc:"Pipelined requests per connection (conn-scale mode).")
-  in
   let conn_timeout =
     Arg.(value & opt float 120.0 & info [ "conn-timeout" ] ~docv:"SECONDS"
-           ~doc:"Conn-scale deadline: a cell still unfinished after \
-                 $(docv) is recorded as DNF rather than hanging the run.")
+           ~doc:"Deadline: a run still unfinished after $(docv) is recorded \
+                 as DNF rather than hanging.")
   in
-  let run workers partitions no_compaction write_frac theta rate n_ops warmup
-      delete_frac conns wal_dir fsync_policy bench_json trace_out conn_scale
-      ops_per_conn conn_timeout =
-    if conn_scale then
-      conn_scale_run workers partitions wal_dir fsync_policy conns ops_per_conn
-        conn_timeout bench_json
-    else
-      netbench_run workers partitions (not no_compaction) write_frac theta rate
-        n_ops warmup delete_frac conns wal_dir fsync_policy bench_json
-        trace_out
+  let run workers partitions no_compaction write_frac theta delete_frac conns
+      wal_dir fsync_policy bench_json ops_per_conn conn_timeout =
+    netbench_run workers partitions (not no_compaction) write_frac theta
+      delete_frac conns ops_per_conn wal_dir fsync_policy bench_json conn_timeout
   in
   Cmd.v
     (Cmd.info "netbench"
-       ~doc:"Loopback load test: spin up the TCP server, drive it open-loop with \
-             the Zipf workload (optionally durable via --wal-dir, to measure \
-             the fsync-policy cost), report throughput and latency \
-             percentiles; or, with --conn-scale, measure concurrent-connection \
-             capacity against a child server process. Exits nonzero on any \
-             protocol error or unanswered request.")
+       ~doc:"Loopback load test: spawn $(b,serve) as a child process \
+             ($(b,--workers), $(b,--partitions), $(b,--no-compaction), \
+             $(b,--wal-dir) and $(b,--fsync-policy) go to it), hold \
+             $(b,--conns) connections against it from one poll-multiplexed \
+             driver and pipeline $(b,--ops-per-conn) requests of the Zipf \
+             mix on each. Exits nonzero on any out-of-order or error \
+             response, unanswered request, server protocol error, or a \
+             server that does not drain and exit 0 on SIGTERM.")
     Term.(
       const run $ workers_arg $ partitions_arg $ no_compaction_arg
       $ write_frac_arg ~default:30.0 ~doc:"Write percentage of the Zipf mix." ()
-      $ theta_arg ~default:0.99 () $ rate $ n_ops $ warmup $ delete_frac
-      $ conns $ wal_dir_arg $ fsync_policy_arg $ bench_json $ trace_out
-      $ conn_scale $ ops_per_conn $ conn_timeout)
+      $ theta_arg ~default:0.99 () $ delete_frac $ conns $ wal_dir_arg
+      $ fsync_policy_arg $ bench_json $ ops_per_conn $ conn_timeout)

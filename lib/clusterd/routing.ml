@@ -74,8 +74,8 @@ let client_of t node =
         let c =
           Client.create
             {
-              (Client.default_config ~hosts:[ (nd.Shardmap.host, nd.Shardmap.port) ]) with
-              Client.conns_per_host = t.cfg.conns_per_host;
+              (Client.default_config ~host:nd.Shardmap.host ~port:nd.Shardmap.port) with
+              Client.conns = t.cfg.conns_per_host;
               max_frame = t.cfg.max_frame;
               retry = None;  (* this layer drives all retries itself *)
             }

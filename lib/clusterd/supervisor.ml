@@ -94,7 +94,7 @@ let publish t m =
       let nd = Shardmap.node m i in
       let client =
         Client.create
-          (Client.default_config ~hosts:[ (nd.Shardmap.host, nd.Shardmap.port) ])
+          (Client.default_config ~host:nd.Shardmap.host ~port:nd.Shardmap.port)
       in
       (match Client.cluster_info client ~payload:(Shardmap.encode m) () with
       | Ok _ -> t.cfg.on_event (Published { epoch = Shardmap.epoch m; node = i })

@@ -19,19 +19,17 @@ val partition_of_bucket : n_buckets:int -> n_partitions:int -> int -> int
 (** Composition of the two: the f() communicated to the NIC. *)
 val partition_of_key : n_buckets:int -> n_partitions:int -> int -> int
 
-(** Node a key routes to under memcached-style client-side sharding.
-    Decorrelated from {!partition_of_key} (a different stream of the
-    same mix) so a cluster node does not own a contiguous slice of the
-    partition space.
+(** Node a key routes to. Decorrelated from {!partition_of_key} (a
+    different stream of the same mix) so a cluster node does not own a
+    contiguous slice of the partition space.
 
-    This is the {e routing contract} shared by [C4_cluster.Cluster],
-    [C4_net.Client] and [C4_clusterd.Shardmap] (which calls it with
-    [n_nodes] = number of {e shards}): every party that maps keys to
-    cluster locations must use this exact function, or requests land
-    on nodes that do not own the key. Two properties the callers rely
-    on, pinned by property tests in [test_kvs]: for a fixed [n_nodes]
-    the result depends only on the key (stable across processes and
-    restarts — it is pure arithmetic, no seed, no global state), and
-    the keyspace spreads near-uniformly over nodes so shard loads
-    balance. *)
+    This is the {e routing contract} shared by [C4_cluster.Cluster] and
+    [C4_clusterd.Shardmap] (which calls it with [n_nodes] = number of
+    {e shards}): every party that maps keys to cluster locations must
+    use this exact function, or requests land on nodes that do not own
+    the key. Two properties the callers rely on, pinned by property
+    tests in [test_kvs]: for a fixed [n_nodes] the result depends only
+    on the key (stable across processes and restarts — it is pure
+    arithmetic, no seed, no global state), and the keyspace spreads
+    near-uniformly over nodes so shard loads balance. *)
 val node_of_key : n_nodes:int -> int -> int

@@ -4,18 +4,20 @@ module Retry = C4_resilience.Retry
 module Span = C4_obs.Span
 
 type config = {
-  hosts : (string * int) list;
-  conns_per_host : int;
+  host : string;
+  port : int;
+  conns : int;
   max_frame : int;
   retry : Retry.config option;
   retry_seed : int;
   spans : Span.t option;
 }
 
-let default_config ~hosts =
+let default_config ~host ~port =
   {
-    hosts;
-    conns_per_host = 1;
+    host;
+    port;
+    conns = 1;
     max_frame = 1 lsl 20;
     retry = None;
     retry_seed = 1;
@@ -46,8 +48,6 @@ type conn = {
 }
 
 type slot = {
-  s_host : string;
-  s_port : int;
   s_lock : Mutex.t;
   mutable s_conn : conn option;
 }
@@ -55,18 +55,13 @@ type slot = {
 type t = {
   cfg : config;
   wire : Wire.t;
-  slots : slot array array;  (* slots.(host).(pool index) *)
+  slots : slot array;
   next_id : int Atomic.t;
   token_nonce : int;
   rr : int Atomic.t;
   budget : Retry.Budget.budget option;
   budget_lock : Mutex.t;
   closed : bool Atomic.t;
-  n_sent : int Atomic.t;
-  n_received : int Atomic.t;
-  s_retries : int Atomic.t;
-  n_transport_errors : int Atomic.t;
-  n_reconnects : int Atomic.t;
 }
 
 (* Idempotency tokens must be unique across client INSTANCES, not just
@@ -85,37 +80,21 @@ let make_token_nonce () =
   ((h1 lsl 30) lxor h2) land max_int
 
 let create cfg =
-  if cfg.hosts = [] then invalid_arg "Net.Client.create: hosts";
   (* A server dying mid-write must surface as EPIPE on the socket, not
      kill the whole client process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  if cfg.conns_per_host < 1 then invalid_arg "Net.Client.create: conns_per_host";
-  let slot (host, port) =
-    { s_host = host; s_port = port; s_lock = Mutex.create (); s_conn = None }
-  in
+  if cfg.conns < 1 then invalid_arg "Net.Client.create: conns";
   {
     cfg;
     wire = Wire.create ~max_frame:cfg.max_frame ();
-    slots =
-      Array.of_list
-        (List.map
-           (fun hp -> Array.init cfg.conns_per_host (fun _ -> slot hp))
-           cfg.hosts);
+    slots = Array.init cfg.conns (fun _ -> { s_lock = Mutex.create (); s_conn = None });
     next_id = Atomic.make 0;
     token_nonce = make_token_nonce ();
     rr = Atomic.make 0;
     budget = Option.map Retry.Budget.create cfg.retry;
     budget_lock = Mutex.create ();
     closed = Atomic.make false;
-    n_sent = Atomic.make 0;
-    n_received = Atomic.make 0;
-    s_retries = Atomic.make 0;
-    n_transport_errors = Atomic.make 0;
-    n_reconnects = Atomic.make 0;
   }
-
-let node_of t ~key =
-  C4_kvs.Hash.node_of_key ~n_nodes:(Array.length t.slots) key
 
 let synth_err id msg =
   { Wire.resp_id = id; status = Wire.Err; timing_ns = 0; resp_value = Bytes.of_string msg }
@@ -158,7 +137,6 @@ let reader_loop t conn () =
     match Wire.decode_response t.wire body with
     | Error msg -> Error msg
     | Ok resp ->
-      Atomic.incr t.n_received;
       let handler =
         Sync.with_lock conn.c_lock (fun () ->
             match Hashtbl.find_opt conn.c_pending resp.Wire.resp_id with
@@ -199,10 +177,10 @@ let reader_loop t conn () =
   kill_conn conn msg;
   try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
 
-let connect t slot =
+let connect t =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string slot.s_host, slot.s_port));
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string t.cfg.host, t.cfg.port));
     Unix.setsockopt fd Unix.TCP_NODELAY true
   with
   | () ->
@@ -219,7 +197,7 @@ let connect t slot =
     Ok conn
   | exception Unix.Unix_error (e, _, _) ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
-    Error (Printf.sprintf "connect %s:%d: %s" slot.s_host slot.s_port (Unix.error_message e))
+    Error (Printf.sprintf "connect %s:%d: %s" t.cfg.host t.cfg.port (Unix.error_message e))
 
 (* Live connection for [slot], reconnecting if the last one died.
    [t.closed] is re-checked under the slot lock: close() flips it before
@@ -231,9 +209,8 @@ let conn_of t slot =
       else
       match slot.s_conn with
       | Some c when Atomic.get c.c_alive -> Ok c
-      | prev ->
-        if prev <> None then Atomic.incr t.n_reconnects;
-        (match connect t slot with
+      | _ ->
+        (match connect t with
         | Ok c ->
           slot.s_conn <- Some c;
           Ok c
@@ -282,12 +259,9 @@ let dispatch_with t ~id ~op ~key ~value ~token ~parent ~on_response =
     id
   end
   else begin
-    let pool = t.slots.(node_of t ~key) in
-    let slot = pool.(Atomic.fetch_and_add t.rr 1 mod Array.length pool) in
+    let slot = t.slots.(Atomic.fetch_and_add t.rr 1 mod Array.length t.slots) in
     (match conn_of t slot with
-    | Error msg ->
-      Atomic.incr t.n_transport_errors;
-      on_response (synth_err id msg)
+    | Error msg -> on_response (synth_err id msg)
     | Ok conn ->
       let frame = Wire.encode_request t.wire { Wire.id; op; key; token; trace; value } in
       let sent =
@@ -302,9 +276,7 @@ let dispatch_with t ~id ~op ~key ~value ~token ~parent ~on_response =
               end
             end)
       in
-      if sent then Atomic.incr t.n_sent
-      else begin
-        Atomic.incr t.n_transport_errors;
+      if not sent then begin
         kill_conn conn "write failed";
         on_response (synth_err id "write failed")
       end);
@@ -379,7 +351,6 @@ let call t ~op ~key ~value =
            || not (budget_allows t)
         then resp
         else begin
-          Atomic.incr t.s_retries;
           let ns =
             Retry.backoff_ns cfg ~seed:t.cfg.retry_seed
               ~original:(Option.value !first_id ~default:id)
@@ -428,48 +399,28 @@ let cluster_info t ?(payload = Bytes.empty) () =
   | Wire.Ok | Wire.Not_found | Wire.Wrong_shard ->
     Error ("unexpected status " ^ status_name resp.Wire.status)
 
-type stats = {
-  sent : int;
-  received : int;
-  retries : int;
-  transport_errors : int;
-  reconnects : int;
-}
-
-let stats t =
-  {
-    sent = Atomic.get t.n_sent;
-    received = Atomic.get t.n_received;
-    retries = Atomic.get t.s_retries;
-    transport_errors = Atomic.get t.n_transport_errors;
-    reconnects = Atomic.get t.n_reconnects;
-  }
-
 let close t =
   if not (Atomic.exchange t.closed true) then
     Array.iter
-      (fun pool ->
-        Array.iter
-          (fun slot ->
-            (* Detach under the lock; kill and join outside it.
-               [fail_pending] runs response handlers that may dispatch
-               again and re-enter [conn_of] (which takes [s_lock]), and
-               the reader thread's exit path runs [kill_conn] too —
-               holding [s_lock] across either is a self-deadlock.
-               [conn_of] re-checks [t.closed] under the slot lock, so
-               nothing can repopulate the slot after the detach. *)
-            let detached =
-              Sync.with_lock slot.s_lock (fun () ->
-                  let c = slot.s_conn in
-                  slot.s_conn <- None;
-                  c)
-            in
-            match detached with
-            | None -> ()
-            | Some conn ->
-              kill_conn conn "client closed";
-              (match conn.c_reader with
-              | Some r -> Thread.join r
-              | None -> ()))
-          pool)
+      (fun slot ->
+        (* Detach under the lock; kill and join outside it.
+           [fail_pending] runs response handlers that may dispatch
+           again and re-enter [conn_of] (which takes [s_lock]), and the
+           reader thread's exit path runs [kill_conn] too — holding
+           [s_lock] across either is a self-deadlock. [conn_of]
+           re-checks [t.closed] under the slot lock, so nothing can
+           repopulate the slot after the detach. *)
+        let detached =
+          Sync.with_lock slot.s_lock (fun () ->
+              let c = slot.s_conn in
+              slot.s_conn <- None;
+              c)
+        in
+        match detached with
+        | None -> ()
+        | Some conn ->
+          kill_conn conn "client closed";
+          (match conn.c_reader with
+          | Some r -> Thread.join r
+          | None -> ()))
       t.slots

@@ -1,12 +1,8 @@
-(** Pipelined, pooled TCP client for the {!Server} wire protocol.
-
-    Sharding: keys are routed to [hosts.(C4_kvs.Hash.node_of_key)] —
-    the same function {!C4_cluster.Cluster.node_of_key} uses server
-    side, so a client talking to an N-node cluster and the cluster's
-    own router always agree on key placement (memcached-style
-    client-side sharding). Within a host, requests round-robin over
-    [conns_per_host] pooled connections, and each connection pipelines:
-    many requests can be in flight before the first response returns.
+(** Pipelined, pooled TCP client for the {!Server} wire protocol,
+    talking to one server. Requests round-robin over [conns] pooled
+    connections, and each connection pipelines: many requests can be in
+    flight before the first response returns. Placing keys on the nodes
+    of a cluster is [C4_clusterd.Routing]'s job, one client per node.
 
     Retries: when [retry] is set, the synchronous {!get}/{!set}/
     {!delete} calls re-issue failed requests with the policy's capped
@@ -21,8 +17,9 @@
     retryable; [Not_found] is a successful outcome, never retried. *)
 
 type config = {
-  hosts : (string * int) list;  (** node i's address; order fixes sharding *)
-  conns_per_host : int;
+  host : string;  (** the server's address, e.g. "127.0.0.1" *)
+  port : int;
+  conns : int;  (** pooled connections *)
   max_frame : int;
   retry : C4_resilience.Retry.config option;
       (** [None] = fail fast, no retries, no tokens *)
@@ -36,19 +33,15 @@ type config = {
           nothing. *)
 }
 
-(** One connection per host, 1 MiB frames, no retry, seed 1, no span
-    buffer. *)
-val default_config : hosts:(string * int) list -> config
+(** One connection, 1 MiB frames, no retry, seed 1, no span buffer. *)
+val default_config : host:string -> port:int -> config
 
 type t
 
 (** Connect lazily: sockets are opened on first use (and re-opened
-    after a connection dies). Raises [Invalid_argument] on an empty
-    host list or non-positive pool size. *)
+    after a connection dies). Raises [Invalid_argument] on a
+    non-positive pool size. *)
 val create : config -> t
-
-(** Which host index serves [key]. *)
-val node_of : t -> key:int -> int
 
 (** {2 Asynchronous pipelined interface}
 
@@ -80,23 +73,13 @@ val set : t -> key:int -> value:bytes -> (unit, string) result
 (** [Ok true] when the key was present. *)
 val delete : t -> key:int -> (bool, string) result
 
-(** One CLUSTER_INFO exchange with the host key 0 routes to — no retry loop, the
+(** One CLUSTER_INFO exchange with the server — no retry loop, the
     caller (normally [C4_clusterd.Routing]) drives its own. Empty
     [payload] (the default) fetches the node's shard map; a non-empty
     payload is an encoded map to install if newer. [Ok bytes] is the
     node's current encoded map ({!Wire.Cluster_ok}); single-node
     servers answer [Err]. *)
 val cluster_info : t -> ?payload:bytes -> unit -> (bytes, string) result
-
-type stats = {
-  sent : int;  (** frames written, retries included *)
-  received : int;  (** responses decoded *)
-  retries : int;
-  transport_errors : int;  (** dispatches failed by connection death *)
-  reconnects : int;
-}
-
-val stats : t -> stats
 
 (** Close every pooled connection; in-flight dispatches get their
     synthesised [Err] callback. Idempotent. *)

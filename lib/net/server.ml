@@ -16,7 +16,6 @@ type cluster = {
 type config = {
   host : string;
   port : int;
-  backlog : int;
   max_frame : int;
   spans : Span.t option;
   cluster : cluster option;
@@ -27,7 +26,6 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    backlog = 64;
     max_frame = 1 lsl 20;
     spans = None;
     cluster = None;
@@ -935,8 +933,12 @@ let acceptor_loop t =
 
 (* ---------------- lifecycle ---------------- *)
 
+(* Linux clamps this to net.core.somaxconn. A shallow queue overflows
+   under a burst of connects, and each dropped handshake then waits out
+   a 1 s SYN-ACK retransmit. *)
+let listen_backlog = 4096
+
 let start ?registry cfg ~runtime =
-  if cfg.backlog < 1 then invalid_arg "Net.Server.start: backlog";
   if cfg.max_pending < 1 then invalid_arg "Net.Server.start: max_pending";
   (* A peer closing mid-write must not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -948,7 +950,7 @@ let start ?registry cfg ~runtime =
      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
      Unix.bind listen_fd
        (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
-     Unix.listen listen_fd cfg.backlog
+     Unix.listen listen_fd listen_backlog
    with e ->
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
      raise e);

@@ -111,7 +111,6 @@ type cluster = {
 type config = {
   host : string;  (** address to bind, e.g. "127.0.0.1" *)
   port : int;  (** 0 = pick an ephemeral port (see {!port}) *)
-  backlog : int;
   max_frame : int;  (** connection-fatal bound on frame size *)
   spans : C4_obs.Span.t option;
       (** adopt incoming trace contexts into this buffer; [None] (the
@@ -126,8 +125,8 @@ type config = {
           its trace) instead of buffering unboundedly *)
 }
 
-(** Loopback, ephemeral port, 64-deep backlog, 1 MiB frames, no span
-    buffer, no cluster hooks, a 1024-response slow-client bound. *)
+(** Loopback, ephemeral port, 1 MiB frames, no span buffer, no
+    cluster hooks, a 1024-response slow-client bound. *)
 val default_config : config
 
 type t
@@ -136,8 +135,10 @@ type t
     ({!C4_runtime.Server.attach}) and start accepting. [registry]
     (created with [~thread_safe:true] when supplied) receives the
     metrics; a private thread-safe registry is used when omitted.
-    Raises [Unix.Unix_error] when the address cannot be bound, and
-    [Invalid_argument] when [backlog] or [max_pending] is below 1 or
+    The listen backlog is 4096 (Linux clamps it to
+    [net.core.somaxconn]), deep enough for a burst of thousands of
+    connects. Raises [Unix.Unix_error] when the address cannot be
+    bound, and [Invalid_argument] when [max_pending] is below 1 or
     another front-end is attached to [runtime]. *)
 val start : ?registry:C4_obs.Registry.t -> config -> runtime:C4_runtime.Server.t -> t
 

@@ -31,7 +31,7 @@
     out as a byte-identical version-1 frame, so a v2 client talking to
     a v1 decoder only breaks on frames that genuinely carry the new
     field (which a v1 decoder rejects cleanly, by version byte). A v2
-    decoder accepts versions {!min_version}..{!version}.
+    decoder accepts versions 1..{!version}.
 
     A {e response} body reuses {!C4_nic.Header.default_response_layout}
     for its first bytes (status byte, value length), then carries the
@@ -93,10 +93,6 @@ type response = {
 
 (** The newest protocol version this codec speaks (2: trace context). *)
 val version : int
-
-(** The oldest version this codec still decodes (1: pre-trace-context
-    frames; also what context-free frames are stamped with). *)
-val min_version : int
 
 type t
 
@@ -165,11 +161,9 @@ val has_trace : view -> bool
     a range outside [buf]. *)
 val decode_into : t -> view -> bytes -> off:int -> len:int -> (unit, string) result
 
-(** The view as a self-contained request, the value copied. *)
-val request_of_view : view -> request
-
 (** Decode a frame {e body} (as yielded by {!Decoder.next_frame}):
-    {!decode_into} on a fresh view, then {!request_of_view}. *)
+    {!decode_into} on a fresh view, then the view as a self-contained
+    request, its value copied. *)
 val decode_request : t -> bytes -> (request, string) result
 
 val decode_response : t -> bytes -> (response, string) result

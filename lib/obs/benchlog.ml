@@ -37,14 +37,3 @@ let append ~path value =
     (fun () ->
       output_string oc (Json.to_string value);
       output_char oc '\n')
-
-let percentiles_of h =
-  let module H = C4_stats.Histogram in
-  [
-    ("count", Json.Int (H.count h));
-    ("mean_ns", Json.Float (H.mean h));
-    ("p50_ns", Json.Float (H.median h));
-    ("p99_ns", Json.Float (H.p99 h));
-    ("p999_ns", Json.Float (H.p999 h));
-    ("max_ns", Json.Float (H.max_recorded h));
-  ]

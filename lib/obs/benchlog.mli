@@ -29,7 +29,3 @@ val record :
 
 (** Append one record as one line, creating the file if needed. *)
 val append : path:string -> Json.t -> unit
-
-(** The standard latency-summary fields for one histogram: count,
-    mean/p50/p99/p999/max in ns. *)
-val percentiles_of : C4_stats.Histogram.t -> (string * Json.t) list

@@ -192,9 +192,3 @@ let to_chrome ?(extra = []) t =
   Json.to_string
     (Json.Obj
        [ ("displayTimeUnit", Json.Str "ns"); ("traceEvents", Json.List rows) ])
-
-let save_chrome ?extra t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_chrome ?extra t))

@@ -97,5 +97,3 @@ val annotations : span -> (string * string) list
     side by side. Every span event carries [trace_id]/[span_id]/
     [parent_id] args, so the stitching is greppable in the export. *)
 val to_chrome : ?extra:t list -> t -> string
-
-val save_chrome : ?extra:t list -> t -> path:string -> unit

@@ -16,7 +16,6 @@
 
 val pollin : int
 val pollout : int
-val pollerr : int
 
 val readable : int -> bool
 val writable : int -> bool

@@ -91,7 +91,6 @@ let quantile t q =
 
 let median t = quantile t 0.5
 let p99 t = quantile t 0.99
-let p999 t = quantile t 0.999
 let mean t = if t.total = 0 then 0.0 else t.fl.(0) /. float_of_int t.total
 let sum t = t.fl.(0)
 let max_recorded t = t.fl.(1)

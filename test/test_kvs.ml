@@ -55,8 +55,8 @@ let prop_hash_distribution =
       (* Expect 1000 per bucket; allow generous 25% deviation. *)
       Array.for_all (fun c -> c > 750 && c < 1250) counts)
 
-(* node_of_key is the routing contract shared by Cluster, Net.Client
-   and Clusterd.Shardmap: pin the two properties routing relies on. *)
+(* node_of_key is the routing contract shared by Cluster and
+   Clusterd.Shardmap: pin the two properties routing relies on. *)
 
 let prop_node_of_key_stable =
   QCheck.Test.make ~name:"node_of_key is a pure function of (key, n_nodes)"

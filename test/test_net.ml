@@ -6,7 +6,6 @@
 module Wire = C4_net.Wire
 module NetServer = C4_net.Server
 module NetClient = C4_net.Client
-module Loadgen = C4_net.Loadgen
 module Header = C4_nic.Header
 module Runtime = C4_runtime.Server
 module History = C4_consistency.History
@@ -279,7 +278,7 @@ let with_net ?(runtime_cfg = { Runtime.default_config with Runtime.n_workers = 2
   let srv = NetServer.start server_cfg ~runtime in
   let client =
     NetClient.create
-      (NetClient.default_config ~hosts:[ ("127.0.0.1", NetServer.port srv) ])
+      (NetClient.default_config ~host:"127.0.0.1" ~port:(NetServer.port srv))
   in
   Fun.protect
     ~finally:(fun () ->
@@ -343,7 +342,7 @@ let test_concurrent_clients_linearizable () =
             let cl =
               NetClient.create
                 (NetClient.default_config
-                   ~hosts:[ ("127.0.0.1", NetServer.port srv) ])
+                   ~host:"127.0.0.1" ~port:(NetServer.port srv))
             in
             results.(c) <-
               List.init per_client (fun i ->
@@ -428,7 +427,7 @@ let test_graceful_drain () =
   let srv = NetServer.start NetServer.default_config ~runtime in
   let client =
     NetClient.create
-      (NetClient.default_config ~hosts:[ ("127.0.0.1", NetServer.port srv) ])
+      (NetClient.default_config ~host:"127.0.0.1" ~port:(NetServer.port srv))
   in
   let n = 300 in
   let ok = Atomic.make 0 and answered = Atomic.make 0 in
@@ -461,33 +460,6 @@ let test_graceful_drain () =
   Alcotest.(check int) "every accepted request answered" n (Atomic.get answered);
   Alcotest.(check int) "every answer is OK (no drops during drain)" n
     (Atomic.get ok)
-
-let test_loadgen_smoke () =
-  with_net (fun _ srv client ->
-      let workload =
-        {
-          C4_workload.Generator.default with
-          C4_workload.Generator.theta = 0.99;
-          write_fraction = 0.4;
-          rate = 20_000.0 *. 1e-9;
-        }
-      in
-      let cfg =
-        {
-          (Loadgen.default_config ~workload ~seed:7) with
-          Loadgen.n_ops = 2_000;
-          warmup = 100;
-          delete_fraction = 0.05;
-        }
-      in
-      let r = Loadgen.run client cfg in
-      Alcotest.(check int) "all completed" 2_000 r.Loadgen.completed;
-      Alcotest.(check int) "no errors" 0 r.Loadgen.errors;
-      Alcotest.(check bool) "nonzero throughput" true (r.Loadgen.throughput > 0.0);
-      Alcotest.(check int) "no protocol errors" 0
-        (NetServer.stats srv).NetServer.protocol_errors;
-      Alcotest.(check bool) "latency recorded" true
-        (C4_stats.Histogram.count r.Loadgen.all_ns > 0))
 
 (* Regression: with retries configured, a SET must carry its idempotency
    token (the first attempt's request id) from the very first attempt —
@@ -556,7 +528,7 @@ let test_set_token_from_first_attempt () =
   let client =
     NetClient.create
       {
-        (NetClient.default_config ~hosts:[ ("127.0.0.1", port) ]) with
+        (NetClient.default_config ~host:"127.0.0.1" ~port) with
         NetClient.retry =
           Some
             {
@@ -655,7 +627,7 @@ let test_stitched_span_chain () =
   let client =
     NetClient.create
       {
-        (NetClient.default_config ~hosts:[ ("127.0.0.1", NetServer.port srv) ])
+        (NetClient.default_config ~host:"127.0.0.1" ~port:(NetServer.port srv))
         with
         NetClient.spans = Some client_buf;
       }
@@ -903,14 +875,6 @@ let test_sampled_inflight_gauge () =
       C4_runtime.Promise.await pinned;
       await_true ~what:"writes acked" (fun () -> Atomic.get acked = k);
       check_both "drained" 0)
-
-let test_client_routing_matches_cluster () =
-  for key = 0 to 999 do
-    Alcotest.(check int)
-      (Printf.sprintf "key %d routes identically" key)
-      (C4_cluster.Cluster.node_of_key ~n_nodes:5 key)
-      (C4_kvs.Hash.node_of_key ~n_nodes:5 key)
-  done
 
 (* ---------------- event-loop edge cases ---------------- *)
 
@@ -1510,6 +1474,79 @@ let test_connection_accounting () =
   Alcotest.(check (option int)) "/metrics after stop" (Some 0) (gauge ());
   Alcotest.(check int) "accepted total kept" 3 (stats ()).NetServer.conns_accepted
 
+(* A burst of connects must fit the listen queue. A handshake dropped
+   by a full queue waits out a 1 s SYN-ACK retransmit, so 300
+   nonblocking connects, each sending one GET, are all answered within
+   1 s only when the backlog holds the burst. *)
+let test_connect_burst_fits_backlog () =
+  let n = 300 in
+  let runtime = Runtime.start { Runtime.default_config with Runtime.n_workers = 2 } in
+  Fun.protect ~finally:(fun () -> Runtime.stop runtime) @@ fun () ->
+  let srv = NetServer.start NetServer.default_config ~runtime in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, NetServer.port srv) in
+  let fds = Array.make n Unix.stdin and opened = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      NetServer.stop srv;
+      for i = 0 to !opened - 1 do
+        try Unix.close fds.(i) with Unix.Unix_error _ -> ()
+      done)
+  @@ fun () ->
+  let frame =
+    Wire.encode_request wire
+      { Wire.id = 0; op = Wire.Get; key = 1; token = None; trace = None; value = Bytes.empty }
+  in
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to n - 1 do
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    fds.(i) <- fd;
+    incr opened;
+    Unix.set_nonblock fd;
+    try Unix.connect fd addr with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ()
+  done;
+  let sent = Array.make n false and answered = Array.make n false in
+  let decs = Array.init n (fun _ -> Wire.Decoder.create wire) in
+  let events = Array.make n 0 and revents = Array.make n 0 in
+  let chunk = Bytes.create 4096 in
+  let n_answered = ref 0 in
+  while !n_answered < n && Unix.gettimeofday () -. t0 < 1.0 do
+    Array.iteri
+      (fun i _ ->
+        events.(i) <-
+          (if answered.(i) then 0
+           else if sent.(i) then C4_net.Poll.pollin
+           else C4_net.Poll.pollout))
+      fds;
+    ignore (C4_net.Poll.poll ~fds ~events ~revents ~n ~timeout_ms:10);
+    Array.iteri
+      (fun i fd ->
+        let re = revents.(i) in
+        if events.(i) = C4_net.Poll.pollout && C4_net.Poll.writable re then begin
+          Alcotest.(check bool) "connected" true (Unix.getsockopt_error fd = None);
+          Alcotest.(check int) "GET sent whole" (Bytes.length frame)
+            (Unix.write fd frame 0 (Bytes.length frame));
+          sent.(i) <- true
+        end
+        else if events.(i) = C4_net.Poll.pollin && C4_net.Poll.readable re then begin
+          let got = Unix.read fd chunk 0 (Bytes.length chunk) in
+          Alcotest.(check bool) "connection open" true (got > 0);
+          Wire.Decoder.feed decs.(i) chunk ~off:0 ~len:got;
+          match Wire.Decoder.next_frame decs.(i) with
+          | `Frame body ->
+            (match Wire.decode_response wire body with
+            | Ok r ->
+              Alcotest.(check int) "answers the GET" 0 r.Wire.resp_id;
+              Alcotest.(check bool) "not found" true (r.Wire.status = Wire.Not_found)
+            | Error e -> Alcotest.failf "bad response: %s" e);
+            answered.(i) <- true;
+            incr n_answered
+          | `Awaiting -> ()
+          | `Corrupt e -> Alcotest.failf "corrupt stream: %s" e
+        end)
+      fds
+  done;
+  Alcotest.(check int) "every connection answered within 1 s" n !n_answered
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
@@ -1530,11 +1567,8 @@ let tests =
     Alcotest.test_case "crash recovery over the network" `Quick
       test_crash_recovery_over_network;
     Alcotest.test_case "graceful drain answers everything" `Quick test_graceful_drain;
-    Alcotest.test_case "loadgen loopback smoke" `Quick test_loadgen_smoke;
     Alcotest.test_case "SET idempotency token from first attempt" `Quick
       test_set_token_from_first_attempt;
-    Alcotest.test_case "client sharding matches cluster routing" `Quick
-      test_client_routing_matches_cluster;
     Alcotest.test_case "ctx-free frames stay version 1" `Quick
       test_ctx_free_frames_stay_v1;
     Alcotest.test_case "one request, one stitched span chain" `Quick
@@ -1561,4 +1595,6 @@ let tests =
       test_raising_completion_kills_only_its_conn;
     Alcotest.test_case "connection accounting from accept to close" `Quick
       test_connection_accounting;
+    Alcotest.test_case "connect burst fits the listen backlog" `Quick
+      test_connect_burst_fits_backlog;
   ]
