@@ -583,11 +583,12 @@ let measure ?stabilize tests =
       | Some (Some [ est ]) -> Some est
       | _ -> None)
   in
+  let width = List.fold_left (fun acc (name, _) -> max acc (String.length name)) 50 words in
   List.concat_map
     (fun (name, w) ->
       let cell = function Some e -> Printf.sprintf "%10.1f" e | None -> "         -" in
       let ns = estimate name in
-      Printf.printf "  %-50s %s ns/op %s words/op\n" name (cell ns) (cell w);
+      Printf.printf "  %-*s %s ns/op %s words/op\n" width name (cell ns) (cell w);
       Option.to_list (Option.map (fun e -> (name, e)) ns)
       @ Option.to_list (Option.map (fun e -> (name ^ " [minor words]", e)) w))
     (List.sort compare words)
@@ -630,6 +631,25 @@ let store_at_scale ~value =
      Test.make ~name:"store.read_into a buffer (400k uniform keys)"
        (Staged.stage (fun () ->
             ignore (C4_kvs.Store.read_into store ~key:(next_key ()) ~retries copy_into dst))));
+    (* The same reads a batch at a time, as a server serves a round:
+       hint every slot of the batch, then every value, then read. *)
+    (let dst = Bytes.create 1024 and retries = ref 0 in
+     let batch = Array.make 32 0 and pos = ref 32 in
+     Test.make ~name:"store.read_into a buffer (400k uniform keys, batch of 32 prefetched)"
+       (Staged.stage (fun () ->
+            if !pos = Array.length batch then begin
+              for j = 0 to Array.length batch - 1 do
+                batch.(j) <- next_key ();
+                C4_kvs.Store.prefetch_slot store ~key:batch.(j)
+              done;
+              for j = 0 to Array.length batch - 1 do
+                C4_kvs.Store.prefetch_value store ~key:batch.(j)
+              done;
+              pos := 0
+            end;
+            let key = batch.(!pos) in
+            incr pos;
+            ignore (C4_kvs.Store.read_into store ~key ~retries copy_into dst))));
     Test.make ~name:"store.set (400k uniform keys)"
       (Staged.stage (fun () -> C4_kvs.Store.set store ~key:(next_key ()) ~value));
     Test.make ~name:"store.set (insert a fresh key)"

@@ -211,6 +211,26 @@ let get t ~key =
   let found = read_into t ~key ~retries copy_out out in
   ((if found < 0 then None else !out), !retries)
 
+(* Prefetch hints, outside any seqlock section. They read the table
+   record the partition holds now, racing its writer: a grow may
+   replace it and a shift may move or free the slot under them. Either
+   way they load only a matched pair of arrays, an index below their
+   length and a bytes block, and nothing they read reaches an answer. *)
+external prefetch_slot_lines : int array -> bytes array -> (int[@untagged]) -> unit
+  = "c4_prefetch_slot_byte" "c4_prefetch_slot"
+[@@noalloc]
+
+external prefetch_block : bytes -> unit = "c4_prefetch_block" [@@noalloc]
+
+let prefetch_slot t ~key =
+  let tbl = (partition t key).table in
+  prefetch_slot_lines tbl.keys tbl.vals (slot_hash t key land (Array.length tbl.keys - 1))
+
+let prefetch_value t ~key =
+  let tbl = (partition t key).table in
+  let i = find tbl ~key ~hash:(slot_hash t key) in
+  if i >= 0 then prefetch_block tbl.vals.(i)
+
 let mem t ~key =
   let p = partition t key in
   let hash = slot_hash t key in

@@ -84,6 +84,27 @@ val read_into : t -> key:int -> retries:int ref -> (bytes -> 'a -> int) -> 'a ->
     and the number of failed attempts. *)
 val get : t -> key:int -> (bytes option * int)
 
+(** {2 Prefetch hints}
+
+    A caller about to look up a batch of keys runs [prefetch_slot] over
+    all of them, then [prefetch_value], then the lookups, so the cache
+    misses of the batch overlap instead of queueing one behind the
+    other. Each hint only issues prefetch instructions: it never
+    changes the store, never takes the seqlock, and never raises. It
+    may run on any domain, racing the partition's writer (a grow, a
+    backward shift): what it reads is the partition's current table,
+    memory-safe whatever it sees, and it feeds no answer. Neither
+    allocates. *)
+
+(** Prefetch the lines holding [key]'s home slot: its key and value
+    pointer. *)
+val prefetch_slot : t -> key:int -> unit
+
+(** Probe for [key] and, if present, prefetch every line of its value
+    block. Run after {!prefetch_slot} on the same key, the probe finds
+    its slot in cache; an absent key costs the probe alone. *)
+val prefetch_value : t -> key:int -> unit
+
 val mem : t -> key:int -> bool
 
 (** Remove a key; true if it was present. *)

@@ -127,6 +127,13 @@ type loop = {
   scratch : Bytes.t;  (* per-worker read buffer, shared by its conns *)
   view : Wire.view;  (* the request being served, decoded in place *)
   get : get;
+  (* The batch [process_frames] is serving: the frames delimited in a
+     connection's decoder buffer, at most [batch_bound], and the keys
+     of those the store is hinted at. *)
+  b_off : int array;
+  b_len : int array;
+  b_keys : int array;
+  mutable b_last : Wire.Decoder.frame;  (* why delimiting stopped; [Frame]: the batch is full *)
   mutable pfds : Unix.file_descr array;
   mutable pevents : int array;
   mutable prevents : int array;
@@ -743,34 +750,86 @@ let handle t l c (v : Wire.view) =
         abort t s;
         raise e))
 
-(* Decode and serve every complete frame buffered so far, each decoded
-   in place into the worker's view. A corrupt or undecodable frame is
-   connection-fatal, but responses already owed still flush. *)
-let process_frames t l c =
-  let d = c.decoder and v = l.view in
-  let continue = ref true in
-  while !continue && not c.eof do
-    match Wire.Decoder.next d with
-    | Wire.Decoder.Awaiting -> continue := false
-    | Wire.Decoder.Corrupt ->
+(* Frames delimited, prefetched and served together: a loaded servbench
+   connection keeps 32 requests outstanding. *)
+let batch_bound = 32
+
+(* Delimit up to [batch_bound] complete frames in [d]'s buffer. Only
+   [feed] moves those bytes, so each body stays where it was delimited
+   until the batch is served. *)
+let delimit l d =
+  let n = ref 0 and last = ref Wire.Decoder.Frame in
+  while !n < batch_bound && !last == Wire.Decoder.Frame do
+    last := Wire.Decoder.next d;
+    if !last == Wire.Decoder.Frame then begin
+      l.b_off.(!n) <- Wire.Decoder.body_off d;
+      l.b_len.(!n) <- Wire.Decoder.body_len d;
+      incr n
+    end
+  done;
+  l.b_last <- !last;
+  !n
+
+(* Hint the store at the keys of frames [1, n), the first being served
+   at once: every slot first, then every value block, so the second
+   pass probes slots the first has loaded and the misses of the batch
+   overlap. *)
+let prefetch t l buf n =
+  let m = ref 0 in
+  for i = 1 to n - 1 do
+    let off = l.b_off.(i) in
+    if Wire.store_op t.wire buf ~off ~len:l.b_len.(i) then begin
+      let key = Wire.body_key t.wire buf ~off in
+      Runtime.prefetch_slot t.runtime ~key;
+      l.b_keys.(!m) <- key;
+      incr m
+    end
+  done;
+  for j = 0 to !m - 1 do
+    Runtime.prefetch_value t.runtime ~key:l.b_keys.(j)
+  done
+
+(* Decode and serve frames [0, n) in order, each in place into the
+   worker's view. An undecodable frame is connection-fatal: nothing
+   after it is served, but responses already owed still flush. *)
+let serve_batch t l c buf n =
+  let i = ref 0 in
+  while !i < n && not c.eof do
+    (match Wire.decode_into t.wire l.view buf ~off:l.b_off.(!i) ~len:l.b_len.(!i) with
+    | Error _ ->
       Registry.incr t.m.protocol_errors_c;
       c.eof <- true
-    | Wire.Decoder.Frame -> (
-      match
-        Wire.decode_into t.wire v (Wire.Decoder.buffer d) ~off:(Wire.Decoder.body_off d)
-          ~len:(Wire.Decoder.body_len d)
-      with
-      | Error _ ->
+    | Ok () -> ( try handle t l c l.view with _ -> c.eof <- true));
+    incr i
+  done
+
+(* Serve every complete frame buffered so far, a batch at a time:
+   delimit, prefetch, serve. A corrupt stream is connection-fatal once
+   the frames ahead of the corruption are served. *)
+let process_frames t l c =
+  let d = c.decoder in
+  let continue = ref true in
+  while !continue && not c.eof do
+    let n = delimit l d in
+    let buf = Wire.Decoder.buffer d in
+    if n > 1 then prefetch t l buf n;
+    serve_batch t l c buf n;
+    match l.b_last with
+    | Wire.Decoder.Frame -> ()
+    | Wire.Decoder.Awaiting -> continue := false
+    | Wire.Decoder.Corrupt ->
+      if not c.eof then begin
         Registry.incr t.m.protocol_errors_c;
         c.eof <- true
-      | Ok () -> ( try handle t l c v with _ -> c.eof <- true))
+      end
   done
 
 let read_conn t l c =
-  (* Batched reads: drain the socket up to a per-wakeup budget (poll is
-     level-triggered, so leftover bytes re-report as readable — the
-     budget is fairness across the worker's conns, not a correctness
-     bound). *)
+  (* Batched reads: drain the socket up to a per-wakeup budget, and
+     stop at the first short read, which emptied it. Poll is
+     level-triggered, so bytes left or arriving later re-report as
+     readable: the budget is fairness across the worker's conns, not a
+     correctness bound. *)
   let budget = ref 8 in
   let continue = ref true in
   while !continue && !budget > 0 && not c.eof do
@@ -782,7 +841,8 @@ let read_conn t l c =
     | n ->
       Registry.incr ~by:n t.m.bytes_in_c;
       Wire.Decoder.feed c.decoder l.scratch ~off:0 ~len:n;
-      process_frames t l c
+      process_frames t l c;
+      if n < Bytes.length l.scratch then continue := false
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -970,6 +1030,10 @@ let start ?registry cfg ~runtime =
       scratch = Bytes.create 65536;
       view = Wire.view ();
       get = new_get wire ~max_pending:cfg.max_pending;
+      b_off = Array.make batch_bound 0;
+      b_len = Array.make batch_bound 0;
+      b_keys = Array.make batch_bound 0;
+      b_last = Wire.Decoder.Awaiting;
       pfds = Array.make 16 Unix.stdin;
       pevents = Array.make 16 0;
       prevents = Array.make 16 0;

@@ -10,9 +10,13 @@
     A request runs to completion on the worker that decoded it: decode
     → admit → apply → park → flush. The worker reads its connections
     with nonblocking batched reads into a per-worker scratch buffer and
-    feeds each connection's incremental {!Wire.Decoder}, then decodes
-    each frame in place ({!Wire.decode_into}): a SET's value stays a
-    slice of the decoder's buffer. A GET reads the store inline; a
+    feeds each connection's incremental {!Wire.Decoder}. It then takes
+    the buffered frames up to {!batch_bound} at a time in three passes:
+    it delimits them, prefetches the store slots and value blocks of
+    every frame after the first ({!C4_runtime.Server.prefetch_slot}),
+    and serves them in order, decoding each in place
+    ({!Wire.decode_into}): a SET's value stays a slice of the decoder's
+    buffer. A GET reads the store inline; a
     SET/DELETE is applied inline when its partition is free or pinned
     to this worker (with nothing queued there), its value blitted from
     the slice straight into the store slot, and forwarded to the pin
@@ -128,6 +132,11 @@ type config = {
 (** Loopback, ephemeral port, 1 MiB frames, no span buffer, no
     cluster hooks, a 1024-response slow-client bound. *)
 val default_config : config
+
+(** The most frames one pass delimits, prefetches and serves. A
+    constant, not a setting: a read that delivers more is served in
+    several batches, in order. *)
+val batch_bound : int
 
 type t
 

@@ -225,6 +225,15 @@ let decode_into t v buf ~off ~len =
       end
     end
 
+(* A look at a delimited body before it is decoded, for a prefetch
+   hint: no field is validated beyond the opcode. *)
+let store_op t buf ~off ~len =
+  len >= t.header_size + 8 + 1
+  && Char.code (Bytes.get buf (off + t.layout.Header.opcode_offset)) <= 2
+
+let body_key t buf ~off =
+  get_le buf ~off:(off + t.layout.Header.key_offset) ~len:t.layout.Header.key_length
+
 let request_of_view v =
   {
     id = v.v_id;

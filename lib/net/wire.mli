@@ -161,6 +161,16 @@ val has_trace : view -> bool
     a range outside [buf]. *)
 val decode_into : t -> view -> bytes -> off:int -> len:int -> (unit, string) result
 
+(** [store_op t buf ~off ~len]: the body at [buf.[off .. off + len)]
+    is long enough for a request's fixed fields and its opcode is GET,
+    SET or DELETE. With {!body_key}, a look at the key a frame will
+    touch before it is decoded, for a prefetch hint: nothing else is
+    validated, so a body that passes may still fail {!decode_into}. *)
+val store_op : t -> bytes -> off:int -> len:int -> bool
+
+(** The key of a body {!store_op} accepted. *)
+val body_key : t -> bytes -> off:int -> int
+
 (** Decode a frame {e body} (as yielded by {!Decoder.next_frame}):
     {!decode_into} on a fresh view, then the view as a self-contained
     request, its value copied. *)

@@ -3,8 +3,8 @@
     [Unix.select] cannot serve here: [fd_set] is indexed by fd {e value}
     and capped at [FD_SETSIZE] (1024), so any connection whose fd number
     exceeds 1023 — routine at the 10k+ connections a server
-    targets — is unrepresentable. poll(2) has no such cap; this is the
-    only C stub in the repo and binds nothing else.
+    targets — is unrepresentable. poll(2) has no such cap; the stub
+    binds nothing else.
 
     The interest set is expressed as three parallel arrays (caller
     allocated, reused across calls; only the first [n] entries are

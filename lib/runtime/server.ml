@@ -669,6 +669,9 @@ let read_into ?(admitted = ignore) t ~key f x =
   count w ~ops:1 ~writes:0;
   Store.read_into t.store ~key ~retries:w.retries f x
 
+let prefetch_slot t ~key = Store.prefetch_slot t.store ~key
+let prefetch_value t ~key = Store.prefetch_value t.store ~key
+
 (* CREW admission for a worker admitting its own request: no lock, one
    CAS pins a free partition here or rides the holder's pin. [true] if
    the write may run inline: pinned here with nothing queued ahead of it

@@ -139,6 +139,15 @@ val submit_delete : ?admitted:(unit -> unit) -> t -> key:int -> (bool -> unit) -
 val read_into :
   ?admitted:(unit -> unit) -> t -> key:int -> (bytes -> 'a -> int) -> 'a -> int
 
+(** The store's prefetch hints ({!C4_kvs.Store.prefetch_slot},
+    {!C4_kvs.Store.prefetch_value}), for a front-end about to serve a
+    batch of requests: run [prefetch_slot] over the batch's keys, then
+    [prefetch_value], then serve it. Any thread; no admission, no
+    effect on the store or on any answer. *)
+val prefetch_slot : t -> key:int -> unit
+
+val prefetch_value : t -> key:int -> unit
+
 (** {2 Blocking and promise wrappers}
 
     For callers that may block (tests, a replica's apply loop,

@@ -1,6 +1,7 @@
 (* Allocation budget of the inline request path: minor words per call
    of each step a GET takes (decode in place, encode into a buffer, read
-   the store into a buffer, bump a counter), and per GET end to end
+   the store into a buffer, hint the store at a batch's keys, bump a
+   counter), and per GET end to end
    through a loopback server, read from the worker's own gc.minor_words
    gauge. A step that starts allocating again fails here the way a lint
    rule fails, before any benchmark notices. *)
@@ -109,6 +110,28 @@ let test_store_read_into_buffer () =
   in
   Alcotest.(check int) "no retries without writers" 0 !retries;
   check_budget "store read into a buffer" ~budget:0.0 words
+
+(* The prefetch pass of a batch, per frame: look at the body's key, hint
+   the store at its slot and at its value. *)
+let test_prefetch_hints () =
+  let store = Store.create ~n_buckets:4096 ~n_partitions:64 () in
+  for key = 0 to 9_999 do
+    Store.set store ~key ~value
+  done;
+  let body = Bytes.sub get_frame 5 (Bytes.length get_frame - 5) in
+  let len = Bytes.length body and i = ref 0 in
+  let words =
+    words_per_call (fun () ->
+        incr i;
+        if Wire.store_op wire body ~off:0 ~len then begin
+          let key = Wire.body_key wire body ~off:0 + !i in
+          Store.prefetch_slot store ~key;
+          Store.prefetch_value store ~key
+        end
+        else failwith "not a store op")
+  in
+  Alcotest.(check int) "the body's key" 1234 (Wire.body_key wire body ~off:0);
+  check_budget "prefetch hints" ~budget:0.0 words
 
 let test_registry_incr () =
   let reg = Registry.create ~thread_safe:true () in
@@ -220,4 +243,5 @@ let tests =
     Alcotest.test_case "Registry.incr allocates nothing" `Quick test_registry_incr;
     Alcotest.test_case "loopback GET: under 40 minor words on the worker" `Quick
       test_loopback_get_budget;
+    Alcotest.test_case "prefetch hints allocate nothing" `Quick test_prefetch_hints;
   ]

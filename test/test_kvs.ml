@@ -577,6 +577,73 @@ let test_store_grow_concurrent_reader () =
   Alcotest.(check int) "no wrong or torn value" 0 (Atomic.get wrong);
   Alcotest.(check int) "no reader exception" 0 (Atomic.get raised)
 
+(* The prefetch hints race the partition's writer by design: one domain
+   hints at present and absent keys while another grows a partition's
+   table from 8 to 2048 slots, again on fresh stores, deleting about
+   half of what it inserts (backward shifts: about 1200 keys stay
+   live, past the 1024-slot table's bound of 768) and swapping values
+   of new sizes in. No hint may raise, and each store must end holding
+   exactly what its writer wrote. *)
+let test_store_hints_vs_grow () =
+  let current = Atomic.make None and finished = Atomic.make false in
+  let hints = Atomic.make 0 and raised = Atomic.make 0 in
+  let n = 2400 in
+  let hinter () =
+    let i = ref 0 in
+    while not (Atomic.get finished) do
+      match Atomic.get current with
+      | None -> Domain.cpu_relax ()
+      | Some (s, base) ->
+        (* Every fourth key is one the writer never inserts. *)
+        let key = if !i land 3 = 0 then -base - !i else base + (!i mod n) in
+        (try
+           Store.prefetch_slot s ~key;
+           Store.prefetch_value s ~key
+         with _ -> Atomic.incr raised);
+        Atomic.incr hints;
+        incr i
+    done
+  in
+  let writer () =
+    let mismatches = ref 0 in
+    for round = 1 to 40 do
+      let s = Store.create ~n_partitions:1 () and model = Hashtbl.create n in
+      let base = round * 100_000 in
+      Atomic.set current (Some (s, base));
+      for i = 0 to n - 1 do
+        let key = base + i and value = Bytes.make (8 + (i mod 3 * 56)) (Char.chr (i land 0xff)) in
+        Store.set s ~key ~value;
+        Hashtbl.replace model key value;
+        if i land 1 = 1 then begin
+          ignore (Store.remove s ~key:(base + i - 3));
+          Hashtbl.remove model (base + i - 3)
+        end;
+        (* Rewrite an older key with a value of another size. *)
+        if i mod 7 = 0 && i >= 14 && Hashtbl.mem model (base + i - 14) then begin
+          let value = Bytes.make 200 'r' in
+          Store.set s ~key:(base + i - 14) ~value;
+          Hashtbl.replace model (base + i - 14) value
+        end
+      done;
+      if Store.size s <> Hashtbl.length model then incr mismatches;
+      Hashtbl.iter
+        (fun key value ->
+          match fst (Store.get s ~key) with
+          | Some v when Bytes.equal v value -> ()
+          | Some _ | None -> incr mismatches)
+        model
+    done;
+    Atomic.set finished true;
+    !mismatches
+  in
+  let hd = Domain.spawn hinter in
+  let wd = Domain.spawn writer in
+  let mismatches = Domain.join wd in
+  Domain.join hd;
+  Alcotest.(check bool) "hints ran" true (Atomic.get hints > 0);
+  Alcotest.(check int) "no hint raised" 0 (Atomic.get raised);
+  Alcotest.(check int) "every store holds what its writer wrote" 0 mismatches
+
 (* ---------------- Compaction log ---------------- *)
 
 let pending id = { Log.request_id = id; sender = 0; value = Bytes.empty; buffered_at = 0.0 }
@@ -694,6 +761,7 @@ let tests =
     Alcotest.test_case "store grow/shift vs concurrent reader" `Slow
       test_store_grow_concurrent_reader;
     QCheck_alcotest.to_alcotest prop_store_models_map;
+    Alcotest.test_case "store prefetch hints vs grow/shift" `Quick test_store_hints_vs_grow;
     Alcotest.test_case "compaction log lifecycle" `Quick test_log_lifecycle;
     Alcotest.test_case "compaction log: single window" `Quick test_log_double_open_rejected;
     Alcotest.test_case "compaction log absorb guards" `Quick test_log_absorb_guards;

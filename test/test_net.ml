@@ -1150,6 +1150,110 @@ let test_inline_on_own_worker () =
           let wa = run a and wb = run b in
           Alcotest.(check bool) "connections served by different workers" true (wa <> wb)))
 
+(* ---------------- batches: delimit, prefetch, serve ---------------- *)
+
+(* Responses off [fd] until the server closes the connection. *)
+let responses_until_close fd =
+  let dec = Wire.Decoder.create wire and buf = Bytes.create 65536 in
+  let got = ref [] and closed = ref false in
+  while not !closed do
+    (match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> closed := true
+    | n -> Wire.Decoder.feed dec buf ~off:0 ~len:n
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> closed := true);
+    let rec drain () =
+      match Wire.Decoder.next_frame dec with
+      | `Frame body -> (
+        match Wire.decode_response wire body with
+        | Ok r ->
+          got := r :: !got;
+          drain ()
+        | Error e -> Alcotest.failf "bad response: %s" e)
+      | `Awaiting -> ()
+      | `Corrupt e -> Alcotest.failf "corrupt response stream: %s" e
+    in
+    drain ()
+  done;
+  List.rev !got
+
+(* One write(2) carries several batches' worth of pipelined frames:
+   each group SETs a key, GETs it back and DELETEs it, over keys that
+   repeat across batches. Every response comes back in order with the
+   answer serving the frames one by one would give. *)
+let test_batches_answered_in_order () =
+  with_net (fun _ srv _ ->
+      let fd = raw_connect srv in
+      Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let groups = (2 * NetServer.batch_bound) + 5 in
+          let value g = Bytes.of_string (Printf.sprintf "value-%d" g) in
+          let key g = 3000 + (g mod 11) in
+          let out =
+            Bytes.concat Bytes.empty
+              (List.concat
+                 (List.init groups (fun g ->
+                      [
+                        frame (3 * g) Wire.Set (key g) (value g);
+                        frame ((3 * g) + 1) Wire.Get (key g) Bytes.empty;
+                        frame ((3 * g) + 2) Wire.Delete (key g) Bytes.empty;
+                      ])))
+          in
+          Alcotest.(check int) "one write(2) carries every frame" (Bytes.length out)
+            (Unix.write fd out 0 (Bytes.length out));
+          let dec = Wire.Decoder.create wire in
+          for g = 0 to groups - 1 do
+            let set = read_response fd dec in
+            let get = read_response fd dec in
+            let del = read_response fd dec in
+            Alcotest.(check (list int)) "arrival order"
+              [ 3 * g; (3 * g) + 1; (3 * g) + 2 ]
+              [ set.Wire.resp_id; get.Wire.resp_id; del.Wire.resp_id ];
+            Alcotest.(check bool) "SET acked" true (set.Wire.status = Wire.Ok);
+            Alcotest.(check bytes) "GET sees its SET" (value g) get.Wire.resp_value;
+            Alcotest.(check bool) "DELETE found the key" true (del.Wire.status = Wire.Ok)
+          done))
+
+(* A batch whose K-th frame is corrupt is answered up to frame K-1 and
+   no further, whether the decoder cannot delimit the frame (a length
+   prefix past max_frame) or the request inside it does not decode (an
+   unknown opcode); the connection then closes. *)
+let test_corrupt_frame_ends_batch () =
+  let k = 5 in
+  let bad_length = Bytes.of_string "\xff\xff\xff\x7f\x02" in
+  let bad_opcode =
+    let f = frame (k - 1) Wire.Get 1 Bytes.empty in
+    Bytes.set f (5 + Header.default_layout.Header.opcode_offset) '\x09';
+    f
+  in
+  with_net (fun _ srv _ ->
+      List.iter
+        (fun (what, corrupt) ->
+          let fd = raw_connect srv in
+          Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              let before = (NetServer.stats srv).NetServer.protocol_errors in
+              let frames =
+                List.init (k - 1) (fun i ->
+                    if i mod 2 = 0 then frame i Wire.Set (40 + i) (Bytes.of_string "v")
+                    else frame i Wire.Get (40 + i - 1) Bytes.empty)
+                @ [ corrupt ]
+                @ List.init 6 (fun i -> frame (k + i) Wire.Get (40 + i) Bytes.empty)
+              in
+              write_all fd (Bytes.concat Bytes.empty frames);
+              let got = responses_until_close fd in
+              Alcotest.(check (list int))
+                (what ^ ": frames before the corrupt one answered, none after")
+                (List.init (k - 1) Fun.id)
+                (List.map (fun r -> r.Wire.resp_id) got);
+              List.iter
+                (fun r ->
+                  if r.Wire.status <> Wire.Ok then
+                    Alcotest.failf "%s: response %d not Ok" what r.Wire.resp_id)
+                got;
+              Alcotest.(check int) (what ^ ": one protocol error") (before + 1)
+                (NetServer.stats srv).NetServer.protocol_errors))
+        [ ("length prefix", bad_length); ("opcode", bad_opcode) ])
+
 let decision_recorder () =
   let lock = Mutex.create () and log = ref [] in
   ( (fun d -> C4_runtime.Sync.with_lock lock (fun () -> log := d :: !log)),
@@ -1582,6 +1686,9 @@ let tests =
       test_slow_client_dropped;
     Alcotest.test_case "reorder slots hold arrival order" `Quick
       test_reorder_slots_hold_arrival_order;
+    Alcotest.test_case "a write of several batches is answered in order" `Quick
+      test_batches_answered_in_order;
+    Alcotest.test_case "a corrupt frame ends its batch" `Quick test_corrupt_frame_ends_batch;
     Alcotest.test_case "requests run on their own worker" `Quick
       test_inline_on_own_worker;
     Alcotest.test_case "hot key written from both workers" `Quick test_hot_key_two_workers;
