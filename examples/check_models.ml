@@ -1,6 +1,6 @@
 (* Exhaustively explore every protocol model (seqlock, store-table
-   grow, EWT, flow control, channel, promise, crew core, pin words,
-   compaction window) plus
+   grow, EWT, flow control, channel, the home hop's coalesced wake,
+   promise, crew core, pin words, compaction window) plus
    their seeded-bug variants, and replay one counterexample end-to-end
    through the linearizability checker. This is the quick "is the correctness
    tooling alive" demo; the full assertions live in test/test_check.ml. *)
@@ -36,6 +36,7 @@ let () =
       Models.ewt ();
       Models.flow_control ();
       Models.channel ();
+      Models.home_wake ();
       Models.promise ();
       Models.crew_core ();
       Models.pin_words ();
@@ -51,6 +52,7 @@ let () =
       Models.ewt ~broken:Models.Raising_response ();
       Models.flow_control ~broken:Models.Unmatched_release ();
       Models.channel ~broken:Models.Pop_ignores_close ();
+      Models.home_wake ~broken:Models.Clear_after_drain ();
       Models.promise ~broken:Models.Two_resolvers ();
       Models.crew_core ~broken:Models.Strict_release ();
       Models.pin_words ~broken:Models.Unstamped_release ();

@@ -655,6 +655,100 @@ let channel ?broken () =
           else Ok ());
     }
 
+(* ---------------- Coalesced wake with the home hop ---------------- *)
+
+(* [C4_runtime.Server]'s wakeup, as every foreign completion now takes
+   it: a pin holder and the WAL syncer each push a completion onto the
+   origin worker's inbox ([send_home]), then wake it — only the caller
+   that flips [wake_pending] false -> true writes the self-pipe. The
+   worker clears the flag, drains its inbox (running what it finds),
+   and blocks in poll(2) until the pipe is readable; it stops once every
+   completion has run. A lost wakeup leaves it in poll with a
+   completion queued: a deadlock. *)
+
+type wake_broken = Clear_after_drain
+
+type wake_state = {
+  home_inbox : int Channel.t;
+  mutable wake_pending : bool;
+  mutable pipe : int;  (* bytes in the self-pipe *)
+  mutable ran : (int * string) list;  (* completion, thread that ran it *)
+}
+
+let wake_total = 2
+
+(* [send_home] from a thread other than the origin, then [wake_worker]:
+   push, test-and-set the flag, and only then write the pipe. *)
+let wake_sender name id =
+  Sched.step ~touches:[ "inbox" ] (Printf.sprintf "%s:push %d" name id) (fun st ->
+      if not (Channel.try_push st.home_inbox id) then failwith "inbox closed";
+      Sched.Continue
+        (Sched.step ~touches:[ "flag" ] (name ^ ":test-and-set") (fun st ->
+             if st.wake_pending then Sched.stop
+             else begin
+               st.wake_pending <- true;
+               Sched.Continue
+                 (Sched.step ~touches:[ "pipe" ] (name ^ ":write pipe") (fun st ->
+                      st.pipe <- st.pipe + 1;
+                      Sched.stop))
+             end)))
+
+let wake_origin ~clear_first =
+  let rec clear next =
+    Sched.step ~touches:[ "flag" ] "clear flag" (fun st ->
+        st.wake_pending <- false;
+        Sched.Continue (next ()))
+  and drain next =
+    Sched.step ~touches:[ "inbox" ] "drain inbox" (fun st ->
+        let rec go () =
+          match Channel.try_pop st.home_inbox with
+          | Some id ->
+            st.ran <- (id, "origin") :: st.ran;
+            go ()
+          | None -> ()
+        in
+        go ();
+        if List.length st.ran >= wake_total then Sched.stop else Sched.Continue (next ()))
+  and poll () =
+    Sched.step ~touches:[ "pipe" ] "poll"
+      ~enabled:(fun st -> st.pipe > 0)
+      (fun st ->
+        st.pipe <- 0;
+        Sched.Continue (iteration ()))
+  and iteration () =
+    if clear_first then clear (fun () -> drain poll)
+    else drain (fun () -> clear poll)
+  in
+  iteration ()
+
+let home_wake ?broken () =
+  let clear_first = broken <> Some Clear_after_drain in
+  Pack
+    {
+      Sched.model_name = (if clear_first then "home-wake" else "home-wake/clear-after-drain");
+      init =
+        (fun () -> { home_inbox = Channel.create (); wake_pending = false; pipe = 0; ran = [] });
+      threads =
+        [
+          { Sched.name = "origin"; entry = wake_origin ~clear_first };
+          { Sched.name = "pin-holder"; entry = wake_sender "holder" 1 };
+          { Sched.name = "wal-syncer"; entry = wake_sender "syncer" 2 };
+        ];
+      invariant =
+        (fun st ->
+          let ids = List.map fst st.ran in
+          if List.length (List.sort_uniq Int.compare ids) <> List.length ids then
+            Error "a completion ran twice"
+          else if List.exists (fun (_, who) -> who <> "origin") st.ran then
+            Error "a completion ran off its home worker"
+          else Ok ());
+      final =
+        (fun st ->
+          if List.length st.ran <> wake_total then
+            Error (Printf.sprintf "lost completion: %d of %d ran" (List.length st.ran) wake_total)
+          else Ok ());
+    }
+
 (* ---------------- Promise resolve/await ---------------- *)
 
 type promise_broken = Two_resolvers

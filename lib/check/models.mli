@@ -15,6 +15,13 @@
       above the cap, against the real [C4_nic.Flow_control].
     - {!channel}: FIFO delivery, nothing lost across [close], no lost
       wakeup, against the real [C4_runtime.Channel].
+    - {!home_wake}: the coalesced self-pipe wake every foreign
+      completion takes home to its worker — a pin holder and the WAL
+      syncer each push a completion while the origin worker clears
+      [wake_pending] and drains its inbox — with no completion lost
+      (no worker left in poll with one queued), each run exactly once
+      and on its home worker, against the real
+      [C4_runtime.Channel].
     - {!promise}: resolve-exactly-once, awaiter always wakes, against
       the real [C4_runtime.Promise].
     - {!crew_core}: the engine-agnostic d-CREW policy core
@@ -75,6 +82,14 @@ type channel_broken =
   | Pop_ignores_close  (** consumer never observes close: lost wakeup *)
 
 val channel : ?broken:channel_broken -> unit -> packed
+
+type wake_broken =
+  | Clear_after_drain
+      (** the worker clears [wake_pending] after draining its inbox: a
+          push that lands after the drain sees the flag still set,
+          writes no byte, and the worker sleeps with it queued *)
+
+val home_wake : ?broken:wake_broken -> unit -> packed
 
 type promise_broken = Two_resolvers
 

@@ -33,7 +33,7 @@ let read_begin t ~retries =
   end
 
 let read_valid t v0 ~retries =
-  if Atomic.get t = v0 then true
+  if Int.equal (Atomic.get t) v0 then true
   else begin
     incr retries;
     false

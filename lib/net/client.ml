@@ -26,19 +26,6 @@ let default_config ~host ~port =
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
-let op_name = function
-  | Wire.Get -> "GET"
-  | Wire.Set -> "SET"
-  | Wire.Delete -> "DELETE"
-  | Wire.Cluster_info -> "CLUSTER_INFO"
-
-let status_name = function
-  | Wire.Ok -> "ok"
-  | Wire.Not_found -> "not_found"
-  | Wire.Err -> "err"
-  | Wire.Wrong_shard -> "wrong_shard"
-  | Wire.Cluster_ok -> "cluster_ok"
-
 type conn = {
   c_fd : Unix.file_descr;
   c_pending : (int, Wire.response -> unit) Hashtbl.t;
@@ -234,7 +221,7 @@ let dispatch_with t ~id ~op ~key ~value ~token ~parent ~on_response =
     | None -> None
     | Some buf ->
       let s = Span.start ?parent buf ~name:"client.dispatch" ~ts:(now_ns ()) in
-      Span.annotate buf s ~key:"op" ~value:(op_name op);
+      Span.annotate buf s ~key:"op" ~value:(Wire.op_name op);
       Span.annotate buf s ~key:"key" ~value:(string_of_int key);
       Span.annotate buf s ~key:"req_id" ~value:(string_of_int id);
       Some (buf, s)
@@ -250,7 +237,7 @@ let dispatch_with t ~id ~op ~key ~value ~token ~parent ~on_response =
     (match sp with
     | None -> ()
     | Some (buf, s) ->
-      Span.annotate buf s ~key:"status" ~value:(status_name resp.Wire.status);
+      Span.annotate buf s ~key:"status" ~value:(Wire.status_name resp.Wire.status);
       Span.finish buf s ~ts:(now_ns ()));
     on_response resp
   in
@@ -397,7 +384,7 @@ let cluster_info t ?(payload = Bytes.empty) () =
   | Wire.Cluster_ok -> Ok resp.Wire.resp_value
   | Wire.Err -> Error (error_of resp)
   | Wire.Ok | Wire.Not_found | Wire.Wrong_shard ->
-    Error ("unexpected status " ^ status_name resp.Wire.status)
+    Error ("unexpected status " ^ Wire.status_name resp.Wire.status)
 
 let close t =
   if not (Atomic.exchange t.closed true) then

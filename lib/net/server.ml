@@ -34,15 +34,12 @@ let default_config =
 
 type metrics = {
   conns_accepted_c : Registry.counter;
-  bytes_in_c : Registry.counter;
-  bytes_out_c : Registry.counter;
   protocol_errors_c : Registry.counter;
-  requests_c : Registry.counter;
   wrong_shard_c : Registry.counter;
   get_h : Registry.histogram;
   set_h : Registry.histogram;
   delete_h : Registry.histogram;
-  routed_c : Registry.counter array;  (* per-worker mutation attribution *)
+  counted : Registry.counter array;  (* what a worker counts per round; see [requests] *)
   accept_errors_c : Registry.counter;  (* EMFILE/ENFILE backoffs survived *)
   slow_client_drops_c : Registry.counter;
 }
@@ -51,9 +48,9 @@ type metrics = {
    turns. Arrivals in [flush_seq, head_seq) are staged: encoded into the
    output buffer, [e_end] the queued total at their last byte, waiting
    for the flush to pass it. Arrivals in [head_seq, next_seq) wait for
-   their response, parked here ([e_ready]) by whichever thread completes
-   it. Each ring position is allocated once, so parking and staging a
-   response allocate nothing. *)
+   their response, parked here ([e_ready]) when it completes behind one
+   still owed. Each ring position is allocated once, so parking and
+   staging a response allocate nothing. *)
 type entry = {
   mutable e_ready : bool;
   mutable e_status : Wire.status;
@@ -64,69 +61,49 @@ type entry = {
   mutable e_hook : unit -> unit;  (* on_written *)
 }
 
-(* A connection belongs to one worker: membership, the decoder, the
-   output buffer's contents and indices, and the [eof]/[drained] flags
-   are touched only by it, so they need no lock. The ring, the arrival
-   cursors, the byte totals, [pending] and [dead] are shared with
-   completing threads and guarded by the per-connection mutex. A
-   completion only parks its response; the owning worker encodes the
-   contiguous ready prefix straight into [obuf] — and an inline GET at
-   the head of the order its own response, the value copied from the
-   store slot — and flushes with one coalesced write per round, firing
-   each response's [on_written] hook as the flush crosses its end. *)
+(* A connection belongs to one worker, and so does every completion of
+   its requests (one finished elsewhere comes home through the worker's
+   inbox), so nothing here needs a lock. A response completing at the
+   head of the order is encoded straight into [obuf], with the ready
+   ones parked behind it, so the head entry is never ready between two
+   requests. Each round ends with one coalesced write, which fires each
+   response's [on_written] hook as it crosses its end. *)
 type conn = {
   id : int;
   fd : Unix.file_descr;
-  worker : int;  (* the owning worker, woken by completions *)
+  worker : int;  (* the owning worker *)
   decoder : Wire.Decoder.decoder;
-  lock : Mutex.t;
   mutable ring : entry array;  (* arrival [seq] at [seq land (length - 1)] *)
   mutable next_seq : int;  (* arrival number of the next request *)
   mutable head_seq : int;  (* oldest arrival not yet staged *)
   mutable flush_seq : int;  (* oldest staged arrival not yet flushed *)
-  mutable obuf : Bytes.t;  (* worker-only: encoded responses, [o_start, o_end) valid *)
+  mutable obuf : Bytes.t;  (* encoded responses, [o_start, o_end) valid *)
   mutable o_start : int;
   mutable o_end : int;
   mutable queued_total : int;
   mutable flushed_total : int;
   mutable pending : int;  (* accepted, response not yet retired *)
-  mutable eof : bool;  (* worker-only: no further frames will be decoded *)
+  mutable eof : bool;  (* no further frames will be decoded *)
   mutable dead : bool;  (* peer unwritable (gone, dropped as slow, or aborted) *)
-  mutable drained : bool;  (* worker-only: receive side already shut down *)
+  mutable drained : bool;  (* receive side already shut down *)
 }
 
-(* One accepted request's place in its connection's response order, for
-   a response another thread or a later moment produces. *)
-type slot = { s_conn : conn; s_seq : int; mutable s_done : bool (* under lock *) }
+(* One accepted request's place in its connection's response order. *)
+type slot = { s_conn : conn; s_seq : int; mutable s_done : bool }
 
-(* The GET being served inline, one record per worker, refilled for
-   each GET: [read_value]'s argument, and what [commit_get] stages. Its
-   two lock sections are closures over this record, built once with it,
-   so serving a GET allocates none. *)
-type get = {
-  g_wire : Wire.t;
-  g_max_pending : int;
-  mutable g_conn : conn;
-  mutable g_direct : bool;  (* the value was copied to [obuf] past [o_end] *)
-  mutable g_copy : bytes;  (* otherwise, the value's private copy *)
-  mutable g_id : int;
-  mutable g_status : Wire.status;
-  mutable g_timing : int;
-  mutable g_len : int;
-  mutable g_hook : unit -> unit;  (* on_written *)
-  mutable g_stage : unit -> unit;  (* [stage] on [g_conn], under its lock *)
-  mutable g_commit : unit -> int;  (* [commit_get], under [g_conn]'s lock *)
-  mutable g_reserve : unit -> int;  (* [reserve_locked] on [g_conn], under its lock *)
-}
-
-(* One worker's connection set. *)
+(* One worker's connection set, and the metrics it has not published
+   yet: counts parallel to [metrics.counted], and service times. *)
 type loop = {
   l_lock : Mutex.t;  (* guards [incoming] *)
   incoming : conn Queue.t;  (* accepted, not yet taken by the worker *)
-  conns : (int, conn) Hashtbl.t;  (* owning worker only *)
+  conns : (int, conn) Hashtbl.t;
   scratch : Bytes.t;  (* per-worker read buffer, shared by its conns *)
   view : Wire.view;  (* the request being served, decoded in place *)
-  get : get;
+  hl : int;  (* a response header's length *)
+  (* The GET being served inline: [read_value]'s view of it. *)
+  mutable g_conn : conn;
+  mutable g_direct : bool;  (* the value was copied to [obuf] past [o_end] *)
+  mutable g_copy : bytes;  (* otherwise, the value's private copy; else empty *)
   (* The batch [process_frames] is serving: the frames delimited in a
      connection's decoder buffer, at most [batch_bound], and the keys
      of those the store is hinted at. *)
@@ -138,6 +115,13 @@ type loop = {
   mutable pevents : int array;
   mutable prevents : int array;
   mutable porder : conn option array;
+  mutable on : C4_runtime.Server.worker option;  (* this loop's worker, from its round *)
+  mutable clock : int;  (* [Poll.now_ns] at the last request's end: the next one's start *)
+  mutable inflight : int;  (* submitted, not yet answered; sampled racily *)
+  counts : int array;
+  get_s : Registry.buffer;
+  set_s : Registry.buffer;
+  delete_s : Registry.buffer;
 }
 
 type t = {
@@ -151,44 +135,57 @@ type t = {
   loops : loop array;  (* one per runtime worker *)
   mutable acceptor : Thread.t option;
   active : int Atomic.t;  (* open connections *)
-  inflight : int Atomic.t;
   stopping : bool Atomic.t;
   q_lock : Mutex.t;  (* with q_cond: [active] reaching zero, [stopped] *)
   q_cond : Condition.t;
   mutable stopped : bool;  (* under q_lock: the drain has finished *)
 }
 
+(* Span timestamps; service times read [Poll.now_ns]. *)
 let now_ns () = Unix.gettimeofday () *. 1e9
 
-(* [net.conns_active] and [net.inflight] are sampled from the server's
-   own atomics at scrape time: no request writes a gauge. *)
-let metrics_of reg ~n_workers ~active ~inflight =
-  let sampled name a = Registry.sampled_gauge reg name (fun () -> float_of_int (Atomic.get a)) in
-  let conns_accepted_c = Registry.counter reg "net.conns_accepted" in
-  sampled "net.conns_active" active;
-  let bytes_in_c = Registry.counter reg "net.bytes_in" in
-  let bytes_out_c = Registry.counter reg "net.bytes_out" in
-  sampled "net.inflight" inflight;
+let metrics_of reg ~n_workers =
+  let counter = Registry.counter reg in
   {
-    conns_accepted_c;
-    bytes_in_c;
-    bytes_out_c;
-    protocol_errors_c = Registry.counter reg "net.protocol_errors";
-    requests_c = Registry.counter reg "net.requests";
-    wrong_shard_c = Registry.counter reg "net.wrong_shard";
+    conns_accepted_c = counter "net.conns_accepted";
+    protocol_errors_c = counter "net.protocol_errors";
+    wrong_shard_c = counter "net.wrong_shard";
     get_h = Registry.histogram reg "net.get_ns";
     set_h = Registry.histogram reg "net.set_ns";
     delete_h = Registry.histogram reg "net.delete_ns";
-    (* Eagerly registered for every worker the runtime was started
-       with: a telemetry scrape sees all owners at zero from the first
-       request, and a routed count can only ever land on a real worker
-       id — never a dangling one minted from a stale ownership view. *)
-    routed_c =
-      Array.init n_workers (fun w ->
-          Registry.counter reg (Printf.sprintf "net.routed_w%d" w));
-    accept_errors_c = Registry.counter reg "net.accept_errors";
-    slow_client_drops_c = Registry.counter reg "net.slow_client_drops";
+    (* [net.routed_w<i>] is registered eagerly for every worker the
+       runtime was started with: a telemetry scrape sees all owners at
+       zero from the first request, and a routed count can only ever
+       land on a real worker id. *)
+    counted =
+      Array.append
+        (Array.map counter [| "net.requests"; "net.bytes_in"; "net.bytes_out" |])
+        (Array.init n_workers (fun w -> counter (Printf.sprintf "net.routed_w%d" w)));
+    accept_errors_c = counter "net.accept_errors";
+    slow_client_drops_c = counter "net.slow_client_drops";
   }
+
+(* ---------------- per-round metrics ---------------- *)
+
+(* Indices into [loop.counts] and [metrics.counted]; [routed + w] counts
+   the writes routed to worker [w]. *)
+let requests = 0
+let bytes_in = 1
+let bytes_out = 2
+let routed = 3
+let add l i n = l.counts.(i) <- l.counts.(i) + n
+
+(* What the worker counted since its last flush, before the next one:
+   a request's counts are in the registry by the time its response can
+   be read. *)
+let publish t l =
+  for i = 0 to Array.length l.counts - 1 do
+    if l.counts.(i) > 0 then Registry.incr ~by:l.counts.(i) t.m.counted.(i);
+    l.counts.(i) <- 0
+  done;
+  Registry.flush l.get_s;
+  Registry.flush l.set_s;
+  Registry.flush l.delete_s
 
 (* ---------------- reorder ring and output buffer ---------------- *)
 
@@ -211,7 +208,6 @@ let new_conn wire ~id fd ~worker =
     fd;
     worker;
     decoder = Wire.Decoder.create wire;
-    lock = Mutex.create ();
     ring = Array.init 16 new_entry;
     next_seq = 0;
     head_seq = 0;
@@ -227,8 +223,8 @@ let new_conn wire ~id fd ~worker =
     drained = false;
   }
 
-(* Under c.lock: double the ring, keeping every arrival not yet flushed
-   at its index under the new mask. *)
+(* Double the ring, keeping every arrival not yet flushed at its index
+   under the new mask. *)
 let grow c =
   let cap = Array.length c.ring in
   let ring = Array.init (2 * cap) new_entry in
@@ -239,14 +235,14 @@ let grow c =
 
 let entry c seq = c.ring.(seq land (Array.length c.ring - 1))
 
-(* Worker only: room for [n] more bytes at [o_end]. *)
+(* Room for [n] more bytes at [o_end]. *)
 let ensure_out c n =
   let len = c.o_end - c.o_start in
   let cap = Bytes.length c.obuf in
   if c.o_end + n > cap then begin
     if len + n <= cap then Bytes.blit c.obuf c.o_start c.obuf 0 len
     else begin
-      let nb = Bytes.create (max (cap * 2) (len + n)) in
+      let nb = Bytes.create (Int.max (cap * 2) (len + n)) in
       Bytes.blit c.obuf c.o_start nb 0 len;
       c.obuf <- nb
     end;
@@ -254,52 +250,49 @@ let ensure_out c n =
     c.o_end <- len
   end
 
-(* Under c.lock, worker only: the [n] bytes at [o_end] are arrival
-   [head_seq]'s whole response; stage it. *)
+(* The [n] bytes at [o_end] are arrival [head_seq]'s whole response;
+   stage it. Most responses have no hook: storing the one already there
+   would only cost a write barrier. *)
 let staged c n ~on_written =
   c.o_end <- c.o_end + n;
   c.queued_total <- c.queued_total + n;
   let e = entry c c.head_seq in
   e.e_end <- c.queued_total;
-  e.e_hook <- on_written;
+  if e.e_hook != on_written then e.e_hook <- on_written;
   c.head_seq <- c.head_seq + 1
 
-(* Under c.lock, worker only: encode the contiguous ready prefix of
-   parked responses straight into the output buffer; [true] if it
-   staged anything. *)
+(* Encode arrival [head_seq]'s response into the output buffer. *)
+let encode wire c ~id ~status ~timing_ns value ~on_written =
+  let hl = Wire.response_header_len wire and n = Bytes.length value in
+  ensure_out c (hl + n);
+  Wire.write_response_header wire c.obuf ~off:c.o_end ~id ~status ~timing_ns ~value_len:n;
+  Bytes.blit value 0 c.obuf (c.o_end + hl) n;
+  staged c (hl + n) ~on_written
+
+(* Encode the contiguous ready prefix of parked responses. *)
 let stage wire c =
-  let first = c.head_seq in
-  let hl = Wire.response_header_len wire in
-  let continue = ref (not c.dead) in
-  while !continue && c.head_seq < c.next_seq do
+  while (not c.dead) && c.head_seq < c.next_seq && (entry c c.head_seq).e_ready do
     let e = entry c c.head_seq in
-    if not e.e_ready then continue := false
-    else begin
-      let value = e.e_value in
-      let n = Bytes.length value in
-      ensure_out c (hl + n);
-      Wire.write_response_header wire c.obuf ~off:c.o_end ~id:e.e_id ~status:e.e_status
-        ~timing_ns:e.e_timing ~value_len:n;
-      Bytes.blit value 0 c.obuf (c.o_end + hl) n;
-      e.e_ready <- false;
-      e.e_value <- Bytes.empty;
-      staged c (hl + n) ~on_written:e.e_hook
-    end
-  done;
-  c.head_seq > first
+    let value = e.e_value in
+    e.e_ready <- false;
+    e.e_value <- Bytes.empty;
+    encode wire c ~id:e.e_id ~status:e.e_status ~timing_ns:e.e_timing value ~on_written:e.e_hook
+  done
 
 (* Retire arrival [seq]'s entry: its lifecycle is over, bytes sent or
-   not. *)
+   not. Only a parked entry still holds a value. *)
 let retire c e =
   let on_written = e.e_hook in
-  e.e_ready <- false;
-  e.e_value <- Bytes.empty;
-  e.e_hook <- no_hook;
+  if e.e_ready then begin
+    e.e_ready <- false;
+    e.e_value <- Bytes.empty
+  end;
+  if on_written != no_hook then e.e_hook <- no_hook;
   c.pending <- c.pending - 1;
   on_written ()
 
-(* Under c.lock: fire on_written for every staged response the flush
-   cursor has passed, in wire order. *)
+(* Fire on_written for every staged response the flush cursor has
+   passed, in wire order. *)
 let retire_flushed c =
   while c.flush_seq < c.head_seq && (entry c c.flush_seq).e_end <= c.flushed_total do
     let e = entry c c.flush_seq in
@@ -307,13 +300,11 @@ let retire_flushed c =
     retire c e
   done
 
-(* Under c.lock, any thread. Peer unwritable: abandon buffered output,
-   but retire every owed response that is already here — staged or
-   parked — through its hook: a response's lifecycle ends (and its
-   respond span closes) whether or not the ack could be delivered.
-   Responses still being computed retire when they arrive (see
-   [respond]). The output buffer's indices are the worker's: nothing
-   reads them once [dead] is set. *)
+(* Peer unwritable: abandon buffered output, but retire every owed
+   response that is already here — staged or parked — through its hook:
+   a response's lifecycle ends (and its respond span closes) whether or
+   not the ack could be delivered. Responses still being computed
+   retire when they arrive (see [respond]). *)
 let mark_dead c =
   if not c.dead then begin
     c.dead <- true;
@@ -326,93 +317,74 @@ let mark_dead c =
   end
 
 (* One coalesced write: everything buffered goes out in a single
-   write(2); a partial write leaves the tail for the next POLLOUT.
-   Nonblocking, so holding c.lock across it cannot stall a completing
-   thread for long. Owning worker only. *)
-let rec write_out t c =
+   write(2); a partial write leaves the tail for the next POLLOUT. *)
+let rec write_out l c =
   if (not c.dead) && c.o_start < c.o_end then
     match Unix.write c.fd c.obuf c.o_start (c.o_end - c.o_start) with
     | n ->
       c.o_start <- c.o_start + n;
       c.flushed_total <- c.flushed_total + n;
-      Registry.incr ~by:n t.m.bytes_out_c;
+      add l bytes_out n;
       retire_flushed c;
       if c.o_start = c.o_end then begin
         c.o_start <- 0;
         c.o_end <- 0
       end
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_out t c
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_out l c
     | exception Unix.Unix_error (_, _, _) ->
       mark_dead c;
       c.eof <- true
 
-(* ---------------- completion side (any thread) ---------------- *)
+(* ---------------- completion side (the owning worker) ---------------- *)
 
-(* Park the response to [s]; never blocks, never encodes. [on_written]
-   runs exactly once: after the response's last byte reaches the
-   socket, or at once if the connection is already dead or the slot
-   was aborted. *)
+(* Stage the response to [s]: encoded at once if it heads the order,
+   with the ready responses parked behind it, else parked. [on_written]
+   runs exactly once: after the response's last byte reaches the socket,
+   or at once if the connection is already dead or the slot was
+   aborted. *)
 let respond t s ~on_written ~id ~status ~timing_ns value =
   let c = s.s_conn in
-  let parked =
-    Sync.with_lock c.lock (fun () ->
-        if s.s_done then false
-        else begin
-          s.s_done <- true;
-          if c.dead then begin
-            c.pending <- c.pending - 1;
-            false
-          end
-          else begin
-            let e = entry c s.s_seq in
-            e.e_status <- status;
-            e.e_id <- id;
-            e.e_timing <- timing_ns;
-            e.e_value <- value;
-            e.e_hook <- on_written;
-            e.e_ready <- true;
-            true
-          end
-        end)
-  in
-  (* Outside the lock; the worker's self-pipe outlives every
-     connection, so a wake after the worker has closed this one is
-     harmless. *)
-  if parked then Runtime.wake t.runtime ~worker:c.worker else on_written ()
+  if s.s_done then on_written ()
+  else begin
+    s.s_done <- true;
+    if c.dead then begin
+      c.pending <- c.pending - 1;
+      on_written ()
+    end
+    else if c.head_seq = s.s_seq then begin
+      encode t.wire c ~id ~status ~timing_ns value ~on_written;
+      stage t.wire c
+    end
+    else begin
+      let e = entry c s.s_seq in
+      e.e_status <- status;
+      e.e_id <- id;
+      e.e_timing <- timing_ns;
+      e.e_value <- value;
+      e.e_hook <- on_written;
+      e.e_ready <- true
+    end
+  end
+
+(* Kill [c]: abandon its output, count a protocol error, and shut the
+   socket down, which the worker's poll then sees hang up. *)
+let kill t c =
+  mark_dead c;
+  Registry.incr t.m.protocol_errors_c;
+  try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
 (* The response to [s] cannot be produced (its completion raised):
-   retire the slot and kill the connection — buffered output is
-   abandoned, the socket shut down. A later [respond] on the slot only
-   runs its hook. *)
+   retire the slot and kill the connection. A later [respond] on the
+   slot only runs its hook. *)
 let abort t s =
-  let c = s.s_conn in
-  Sync.with_lock c.lock (fun () ->
-      if not s.s_done then begin
-        s.s_done <- true;
-        c.pending <- c.pending - 1;
-        mark_dead c;
-        Registry.incr t.m.protocol_errors_c;
-        (* The worker's poll sees the socket hang up and closes the
-           connection. Under the lock: once [pending] is released the
-           worker may close the fd, and the number could be reused. *)
-        try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-      end)
+  if not s.s_done then begin
+    s.s_done <- true;
+    s.s_conn.pending <- s.s_conn.pending - 1;
+    kill t s.s_conn
+  end
 
 (* ---------------- serving one request ---------------- *)
-
-let op_name = function
-  | Wire.Get -> "GET"
-  | Wire.Set -> "SET"
-  | Wire.Delete -> "DELETE"
-  | Wire.Cluster_info -> "CLUSTER_INFO"
-
-let status_name = function
-  | Wire.Ok -> "ok"
-  | Wire.Not_found -> "not_found"
-  | Wire.Err -> "err"
-  | Wire.Wrong_shard -> "wrong_shard"
-  | Wire.Cluster_ok -> "cluster_ok"
 
 (* Per-request server spans, built only when the server has a span
    buffer AND the request carried a trace context to adopt:
@@ -423,26 +395,26 @@ let status_name = function
                     via [Span.with_current]
      server.apply   admitted to completed (queueing + store apply,
                     compaction windows, WAL and cluster fences included)
-     server.respond response parked, encoded and written, closed by the
+     server.respond response staged and written, closed by the
                     connection's [on_written] hook
 
    Each parents on the previous, so the client's dispatch span and
    these three form one chain walkable from either end. The runtime
-   calls [admitted] before the op can run anywhere, so a completion on
-   any thread finds the apply span open; a request answered without the
-   runtime opens it at its reply. *)
+   calls [admitted] before the op can run anywhere, so a completion
+   finds the apply span open; a request answered without the runtime
+   opens it at its reply. *)
 type req_trace = {
   tr_buf : Span.t;
   tr_recv : Span.span;
   mutable tr_apply : Span.span option;  (* set before any completion can run *)
 }
 
-let start_trace t (v : Wire.view) ~ts =
+let start_trace t (v : Wire.view) =
   match t.cfg.spans with
   | Some buf when Wire.has_trace v ->
     let parent = { Span.trace_id = v.Wire.v_trace_id; span_id = v.Wire.v_parent_span } in
-    let recv = Span.start ~parent buf ~name:"server.recv" ~ts in
-    Span.annotate buf recv ~key:"op" ~value:(op_name v.Wire.v_op);
+    let recv = Span.start ~parent buf ~name:"server.recv" ~ts:(now_ns ()) in
+    Span.annotate buf recv ~key:"op" ~value:(Wire.op_name v.Wire.v_op);
     Span.annotate buf recv ~key:"key" ~value:(string_of_int v.Wire.v_key);
     Span.annotate buf recv ~key:"req_id" ~value:(string_of_int v.Wire.v_id);
     Some { tr_buf = buf; tr_recv = recv; tr_apply = None }
@@ -475,39 +447,41 @@ let on_written_of tr status =
     let now = now_ns () in
     Span.finish buf apply ~ts:now;
     let sp = Span.start ~parent:(Span.context apply) buf ~name:"server.respond" ~ts:now in
-    Span.annotate buf sp ~key:"status" ~value:(status_name status);
+    Span.annotate buf sp ~key:"status" ~value:(Wire.status_name status);
     fun () -> Span.finish buf sp ~ts:(now_ns ())
 
 let shutting_down = Bytes.of_string "server shutting down"
 
-(* The response to [s], from whichever thread completes the request:
-   record its service time, and park it. Completions must not block or
-   raise: one that raises kills its connection ([abort]) instead of
-   escaping into the completing thread. *)
+(* The request's service time ends now, and the worker's next request
+   starts: one clock read serves both. *)
+let lap l ~start =
+  let now = Poll.now_ns () in
+  l.clock <- now;
+  now - start
+
+(* The response to [s], on the connection's worker: record its service
+   time, and stage it. One that raises kills its connection ([abort]). *)
 let reply t s ~id ~hist ~start ~tr status value =
   try
-    let dt = now_ns () -. start in
-    Registry.observe hist dt;
-    Atomic.decr t.inflight;
-    respond t s ~on_written:(on_written_of tr status) ~id ~status
-      ~timing_ns:(int_of_float dt) value
+    let l = t.loops.(s.s_conn.worker) in
+    let dt = lap l ~start in
+    Registry.buffered hist dt;
+    l.inflight <- l.inflight - 1;
+    respond t s ~on_written:(on_written_of tr status) ~id ~status ~timing_ns:dt value
   with _ -> abort t s
 
-(* ---------------- read path (owning worker) ---------------- *)
+(* ---------------- read path ---------------- *)
 
 let slow_drop t c =
   Registry.incr t.m.slow_client_drops_c;
   (match t.cfg.spans with
   | Some buf -> Span.event buf ~name:"net.slow_client_drop" ~ts:(now_ns ())
   | None -> ());
-  Registry.incr t.m.protocol_errors_c;
-  Sync.with_lock c.lock (fun () -> mark_dead c);
   c.eof <- true;
-  try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+  kill t c
 
-(* Under c.lock: number the next arrival and count it pending; -1 at
-   the bound. *)
-let reserve_locked ~max_pending c =
+(* Number the next arrival and count it pending; -1 at the bound. *)
+let next_arrival ~max_pending c =
   if c.pending >= max_pending then -1
   else begin
     let seq = c.next_seq in
@@ -522,11 +496,9 @@ let reserve_locked ~max_pending c =
     seq
   end
 
-(* A slot for the next arrival, or [None] once the connection is
-   dropped as a slow client. *)
-let reserve t l c =
-  l.get.g_conn <- c;
-  let seq = Sync.with_lock c.lock l.get.g_reserve in
+(* A slot for the next arrival; [None] drops a slow client. *)
+let reserve t c =
+  let seq = next_arrival ~max_pending:t.cfg.max_pending c in
   if seq < 0 then begin
     slow_drop t c;
     None
@@ -534,114 +506,73 @@ let reserve t l c =
   else Some { s_conn = c; s_seq = seq; s_done = false }
 
 (* [Store.read_into]'s copy step for a GET, run on each read attempt
-   with the slot's live buffer. When the GET heads its connection's
-   order (staging the parked responses ahead of it first, if that is
-   all that stands before it) the value goes straight into the output
-   buffer, after room for its header, which [serve_get] writes once
-   the read has validated. Otherwise it gets a private copy to park.
-   Only this worker moves [head_seq] forward or touches [obuf], so what
-   this decides holds until [serve_get] commits it, unless another
-   thread marks the connection dead in between. *)
-let read_value v g =
-  let c = g.g_conn in
+   with the slot's live buffer: at the head of its connection's order,
+   into the output buffer after room for the header [serve_get] writes
+   once the read has validated; else into a private copy to park. *)
+let read_value v l =
+  let c = l.g_conn in
   let n = Bytes.length v in
-  if c.head_seq < c.next_seq && not c.dead then Sync.with_lock c.lock g.g_stage;
   if (not c.dead) && c.head_seq = c.next_seq then begin
-    let hl = Wire.response_header_len g.g_wire in
-    ensure_out c (hl + n);
-    Bytes.blit v 0 c.obuf (c.o_end + hl) n;
-    g.g_direct <- true
+    ensure_out c (l.hl + n);
+    Bytes.blit v 0 c.obuf (c.o_end + l.hl) n;
+    l.g_direct <- true
   end
   else begin
-    g.g_copy <- Bytes.copy v;
-    g.g_direct <- false
+    l.g_copy <- Bytes.copy v;
+    l.g_direct <- false
   end;
   n
 
-(* Under c.lock: a GET that went straight into the output buffer, or
-   found nothing while heading the order, takes the next arrival number
-   and is staged on the spot, its header written in front of the value
-   (first, so a header that cannot be encoded reserves nothing). Else
-   the arrival number to park its response at; [-1] at the pending
-   bound, [-2] once staged. *)
-let commit_get g =
-  let c = g.g_conn and wire = g.g_wire and value_len = g.g_len in
-  let at_head = (not c.dead) && c.head_seq = c.next_seq && (g.g_direct || value_len = 0) in
+(* A GET that went straight into the output buffer, or found nothing
+   while heading the order, takes the next arrival number and is staged
+   on the spot, its header written in front of the value (first, so a
+   header that cannot be encoded reserves nothing). Else the arrival
+   number to park its response at; [-1] at the pending bound, [-2] once
+   staged. *)
+let commit_get t l ~id ~status ~timing_ns ~value_len ~on_written =
+  let c = l.g_conn in
+  let at_head = (not c.dead) && c.head_seq = c.next_seq && (l.g_direct || value_len = 0) in
   if at_head then begin
-    if not g.g_direct then ensure_out c (Wire.response_header_len wire);
-    Wire.write_response_header wire c.obuf ~off:c.o_end ~id:g.g_id ~status:g.g_status
-      ~timing_ns:g.g_timing ~value_len
+    if not l.g_direct then ensure_out c l.hl;
+    Wire.write_response_header t.wire c.obuf ~off:c.o_end ~id ~status ~timing_ns ~value_len
   end;
-  let seq = reserve_locked ~max_pending:g.g_max_pending c in
+  let seq = next_arrival ~max_pending:t.cfg.max_pending c in
   if seq >= 0 && at_head then begin
-    staged c (Wire.response_header_len wire + value_len) ~on_written:g.g_hook;
+    staged c (l.hl + value_len) ~on_written;
     -2
   end
   else seq
-
-let new_get wire ~max_pending =
-  let g =
-    {
-      g_wire = wire;
-      g_max_pending = max_pending;
-      g_conn = new_conn wire ~id:(-1) Unix.stdin ~worker:(-1);
-      g_direct = false;
-      g_copy = Bytes.empty;
-      g_id = 0;
-      g_status = Wire.Ok;
-      g_timing = 0;
-      g_len = 0;
-      g_hook = no_hook;
-      g_stage = no_hook;
-      g_commit = (fun () -> -1);
-      g_reserve = (fun () -> -1);
-    }
-  in
-  g.g_reserve <- (fun () -> reserve_locked ~max_pending g.g_conn);
-  g.g_stage <- (fun () -> ignore (stage wire g.g_conn));
-  g.g_commit <- (fun () -> commit_get g);
-  g
 
 (* A GET without a read fence (not a cluster member's) runs inline on
    this worker. Its value is copied once, from the store slot into the
    connection's output buffer inside the seqlock read (a failed attempt
    redoes the copy at the same offset), when it heads the connection's
-   order; behind a response still being computed it parks a private
-   copy. *)
+   order; behind a response still owed it parks a private copy. *)
 let serve_get t l c (v : Wire.view) ~start ~tr =
-  let g = l.get in
-  g.g_conn <- c;
-  g.g_direct <- false;
-  g.g_copy <- Bytes.empty;
+  if l.g_conn != c then l.g_conn <- c;
+  l.g_direct <- false;
   let key = v.Wire.v_key and id = v.Wire.v_id in
-  Atomic.incr t.inflight;
   match
     match tr with
-    | None -> Runtime.read_into t.runtime ~key read_value g
+    | None -> Runtime.read_into t.runtime (Option.get l.on) ~key read_value l
     | Some _ ->
       traced_submit tr (fun () ->
-          Runtime.read_into ?admitted:(admitted tr) t.runtime ~key read_value g)
+          Runtime.read_into ?admitted:(admitted tr) t.runtime (Option.get l.on) ~key read_value l)
   with
   | exception Runtime.Stopped -> (
-    match reserve t l c with
-    | Some s -> reply t s ~id ~hist:t.m.get_h ~start ~tr Wire.Err shutting_down
-    | None -> Atomic.decr t.inflight)
+    match reserve t c with
+    | Some s ->
+      l.inflight <- l.inflight + 1;
+      reply t s ~id ~hist:l.get_s ~start ~tr Wire.Err shutting_down
+    | None -> ())
   | n ->
     let status = if n < 0 then Wire.Not_found else Wire.Ok in
-    let copy = g.g_copy and direct = g.g_direct in
-    g.g_copy <- Bytes.empty;
-    let dt = now_ns () -. start in
-    let timing_ns = int_of_float dt and value_len = max n 0 in
-    Registry.observe t.m.get_h dt;
-    Atomic.decr t.inflight;
+    let copy = l.g_copy and direct = l.g_direct in
+    if copy != Bytes.empty then l.g_copy <- Bytes.empty;
+    let timing_ns = lap l ~start in
+    Registry.buffered l.get_s timing_ns;
     let on_written = on_written_of tr status in
-    g.g_id <- id;
-    g.g_status <- status;
-    g.g_timing <- timing_ns;
-    g.g_len <- value_len;
-    g.g_hook <- on_written;
-    let r = Sync.with_lock c.lock g.g_commit in
-    g.g_hook <- no_hook;
+    let r = commit_get t l ~id ~status ~timing_ns ~value_len:(Int.max n 0) ~on_written in
     if r = -1 then begin
       on_written ();
       slow_drop t c
@@ -649,22 +580,22 @@ let serve_get t l c (v : Wire.view) ~start ~tr =
     else if r >= 0 then begin
       let s = { s_conn = c; s_seq = r; s_done = false } in
       (* A direct copy is always committed unless the connection died
-         since [read_value] (only this worker moves the order forward),
-         and a dead connection's response is only retired. *)
+         since [read_value], and a dead connection's response is only
+         retired. *)
       if direct && not c.dead then abort t s
       else respond t s ~on_written ~id ~status ~timing_ns copy
     end
 
-(* Submit a request other than an unfenced GET; its completion parks
-   the response in [s]. *)
-let submit t s (v : Wire.view) ~misrouted ~start ~tr =
+(* Submit a request other than an unfenced GET; its completion stages
+   the response to [s]. *)
+let submit t l s (v : Wire.view) ~misrouted ~start ~tr =
   let admitted = admitted tr and key = v.Wire.v_key and id = v.Wire.v_id in
   match (misrouted, v.Wire.v_op) with
   | Some map, _ ->
     Registry.incr t.m.wrong_shard_c;
-    reply t s ~id ~hist:t.m.get_h ~start ~tr Wire.Wrong_shard map
+    reply t s ~id ~hist:l.get_s ~start ~tr Wire.Wrong_shard map
   | None, Wire.Cluster_info -> (
-    let reply = reply t s ~id ~hist:t.m.get_h ~start ~tr in
+    let reply = reply t s ~id ~hist:l.get_s ~start ~tr in
     match t.cfg.cluster with
     | None -> reply Wire.Err (Bytes.of_string "not a cluster member")
     | Some cl -> (
@@ -676,79 +607,81 @@ let submit t s (v : Wire.view) ~misrouted ~start ~tr =
        may include writes applied locally but not yet replicated; in
        quorum-ack cluster mode the response waits (without blocking
        anyone) until the key's partition has no unreplicated suffix, so
-       an observed value can never vanish in a failover. *)
+       an observed value can never vanish in a failover. A fence
+       released on another thread sends the answer home. *)
     match
-      Runtime.submit_get ?admitted t.runtime ~key (fun value ->
+      Runtime.submit_get ?admitted ?on:l.on t.runtime ~key (fun value ->
           let status, value =
             match value with Some v -> (Wire.Ok, v) | None -> (Wire.Not_found, Bytes.empty)
           in
-          let answer () = reply t s ~id ~hist:t.m.get_h ~start ~tr status value in
+          let answer () = reply t s ~id ~hist:l.get_s ~start ~tr status value in
           match t.cfg.cluster with
           | None -> answer ()
-          | Some cl -> ( try cl.cl_read_fence ~key answer with _ -> abort t s))
+          | Some cl -> (
+            try cl.cl_read_fence ~key (fun () -> Runtime.run_on t.runtime ~worker:s.s_conn.worker answer)
+            with _ -> abort t s))
     with
     | () -> ()
-    | exception Runtime.Stopped -> reply t s ~id ~hist:t.m.get_h ~start ~tr Wire.Err shutting_down)
+    | exception Runtime.Stopped -> reply t s ~id ~hist:l.get_s ~start ~tr Wire.Err shutting_down)
   | None, Wire.Set -> (
     let token = if Wire.has_token v then Some v.Wire.v_token else None in
     match
-      Runtime.submit_set ?admitted ?token t.runtime ~key ~value:v.Wire.v_buf ~off:v.Wire.v_off
-        ~len:v.Wire.v_len (fun () ->
-          reply t s ~id ~hist:t.m.set_h ~start ~tr Wire.Ok Bytes.empty)
+      Runtime.submit_set ?admitted ?token ?on:l.on t.runtime ~key ~value:v.Wire.v_buf
+        ~off:v.Wire.v_off ~len:v.Wire.v_len (fun () ->
+          reply t s ~id ~hist:l.set_s ~start ~tr Wire.Ok Bytes.empty)
     with
-    | worker -> Registry.incr t.m.routed_c.(worker)
-    | exception Runtime.Stopped -> reply t s ~id ~hist:t.m.set_h ~start ~tr Wire.Err shutting_down)
+    | worker -> add l (routed + worker) 1
+    | exception Runtime.Stopped -> reply t s ~id ~hist:l.set_s ~start ~tr Wire.Err shutting_down)
   | None, Wire.Delete -> (
     match
-      Runtime.submit_delete ?admitted t.runtime ~key (fun present ->
-          reply t s ~id ~hist:t.m.delete_h ~start ~tr
+      Runtime.submit_delete ?admitted ?on:l.on t.runtime ~key (fun present ->
+          reply t s ~id ~hist:l.delete_s ~start ~tr
             (if present then Wire.Ok else Wire.Not_found)
             Bytes.empty)
     with
-    | worker -> Registry.incr t.m.routed_c.(worker)
+    | worker -> add l (routed + worker) 1
     | exception Runtime.Stopped ->
-      reply t s ~id ~hist:t.m.delete_h ~start ~tr Wire.Err shutting_down)
+      reply t s ~id ~hist:l.delete_s ~start ~tr Wire.Err shutting_down)
 
 (* Serve one decoded request on the worker that decoded it. Submission
-   never blocks; the response is handed to its slot by whichever thread
-   completes the request — usually this worker, inline, before the
-   submission returns; otherwise the partition's pin holder, the WAL
-   sync domain, or a replication-ack reader releasing a read fence.
-   Inflight counts submitted-but-unanswered requests. Each mutation
-   bumps [net.routed_w<i>] for the worker its admission chose to
-   execute it. A SET's value is the view's slice of the decoder buffer:
-   the runtime copies it only if the write leaves this worker. An
-   exception escaping here is connection-fatal. *)
+   never blocks; the request's completion stages the response — inline,
+   or once it comes home from the pin holder, the WAL sync domain or a
+   replication-ack reader. Each mutation counts toward
+   [net.routed_w<i>] for the worker its admission chose to execute it.
+   A SET's value is the view's slice of the decoder buffer: the runtime
+   copies it only if the write leaves this worker. An exception escaping
+   here is connection-fatal. *)
 let handle t l c (v : Wire.view) =
-  Registry.incr t.m.requests_c;
-  let start = now_ns () in
-  match t.cfg.cluster with
-  | None when v.Wire.v_op = Wire.Get -> serve_get t l c v ~start ~tr:(start_trace t v ~ts:start)
-  | cluster -> (
-    (* Cluster routing happens before any runtime submission: a request
-       for a shard this node does not lead is answered WRONG_SHARD with
-       the node's current map, and CLUSTER_INFO never touches the
-       store. *)
+  add l requests 1;
+  let start = l.clock in
+  match (t.cfg.cluster, v.Wire.v_op) with
+  | None, Wire.Get -> serve_get t l c v ~start ~tr:(start_trace t v)
+  | cluster, op -> (
+    (* Cluster routing precedes any submission: a request for a shard
+       this node does not lead is answered WRONG_SHARD with the node's
+       current map; CLUSTER_INFO never touches the store. *)
     let misrouted =
-      match (cluster, v.Wire.v_op) with
+      match (cluster, op) with
       | Some cl, (Wire.Get | Wire.Set | Wire.Delete) -> (
-        match cl.cl_check ~key:v.Wire.v_key ~write:(v.Wire.v_op <> Wire.Get) with
+        match cl.cl_check ~key:v.Wire.v_key ~write:(op <> Wire.Get) with
         | Ok () -> None
         | Error map -> Some map)
       | _ -> None
     in
-    match reserve t l c with
+    match reserve t c with
     | None -> ()
-    | Some s -> (
-      let tr = start_trace t v ~ts:start in
-      Atomic.incr t.inflight;
-      try
-        match tr with
-        | None -> submit t s v ~misrouted ~start ~tr
-        | Some _ -> traced_submit tr (fun () -> submit t s v ~misrouted ~start ~tr)
-      with e ->
-        abort t s;
-        raise e))
+    | Some s ->
+      let tr = start_trace t v in
+      l.inflight <- l.inflight + 1;
+      (try
+         match tr with
+         | None -> submit t l s v ~misrouted ~start ~tr
+         | Some _ -> traced_submit tr (fun () -> submit t l s v ~misrouted ~start ~tr)
+       with e ->
+         abort t s;
+         raise e);
+      (* Completing elsewhere: the next request starts now. *)
+      if not s.s_done then l.clock <- Poll.now_ns ())
 
 (* Frames delimited, prefetched and served together: a loaded servbench
    connection keeps 32 requests outstanding. *)
@@ -803,9 +736,11 @@ let serve_batch t l c buf n =
     incr i
   done
 
+
 (* Serve every complete frame buffered so far, a batch at a time:
-   delimit, prefetch, serve. A corrupt stream is connection-fatal once
-   the frames ahead of the corruption are served. *)
+   delimit, prefetch, serve. A batch's first request starts once its
+   prefetch is issued. A corrupt stream is connection-fatal once the
+   frames ahead of the corruption are served. *)
 let process_frames t l c =
   let d = c.decoder in
   let continue = ref true in
@@ -813,6 +748,7 @@ let process_frames t l c =
     let n = delimit l d in
     let buf = Wire.Decoder.buffer d in
     if n > 1 then prefetch t l buf n;
+    l.clock <- Poll.now_ns ();
     serve_batch t l c buf n;
     match l.b_last with
     | Wire.Decoder.Frame -> ()
@@ -839,7 +775,7 @@ let read_conn t l c =
       c.eof <- true;
       continue := false
     | n ->
-      Registry.incr ~by:n t.m.bytes_in_c;
+      add l bytes_in n;
       Wire.Decoder.feed c.decoder l.scratch ~off:0 ~len:n;
       process_frames t l c;
       if n < Bytes.length l.scratch then continue := false
@@ -848,7 +784,7 @@ let read_conn t l c =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (_, _, _) ->
       c.eof <- true;
-      Sync.with_lock c.lock (fun () -> mark_dead c);
+      mark_dead c;
       continue := false
   done
 
@@ -862,7 +798,7 @@ let close_conn t l c =
 
 let ensure_capacity l n =
   if Array.length l.pfds < n then begin
-    let cap = max n (2 * Array.length l.pfds) in
+    let cap = Int.max n (2 * Array.length l.pfds) in
     l.pfds <- Array.make cap l.pfds.(0);
     l.pevents <- Array.make cap 0;
     l.prevents <- Array.make cap 0;
@@ -870,18 +806,20 @@ let ensure_capacity l n =
   end
 
 let take_incoming l =
-  Sync.with_lock l.l_lock (fun () ->
-      let xs = List.rev (Queue.fold (fun acc c -> c :: acc) [] l.incoming) in
-      Queue.clear l.incoming;
-      xs)
+  let q = Queue.create () in
+  Sync.with_lock l.l_lock (fun () -> Queue.transfer l.incoming q);
+  q
 
-(* Worker [worker]'s I/O round, its [C4_runtime.Server.io] hook: flush
-   what completed, poll(2) on [wake] plus the worker's connections,
-   read and serve what arrived, flush again, close finished
-   connections. Returns whether [wake] was readable. *)
-let step t ~worker ~wake =
-  let l = t.loops.(worker) in
-  List.iter (fun c -> Hashtbl.replace l.conns c.id c) (take_incoming l);
+(* A worker's I/O round, its [C4_runtime.Server.io] hook: flush what
+   completed, poll(2) on [wake] plus the worker's connections, read and
+   serve what arrived, flush again, close finished connections. Each
+   flush first publishes what the worker counted, so a request is in
+   the metrics before its response can be read. Returns whether [wake]
+   was readable. *)
+let step t w ~wake =
+  let l = t.loops.(Runtime.worker_id w) in
+  (match l.on with Some w' when w' == w -> () | Some _ | None -> l.on <- Some w);
+  Queue.iter (fun c -> Hashtbl.replace l.conns c.id c) (take_incoming l);
   (* Graceful drain: half-close every receive side once; buffered bytes
      still read out (and decode, and get answered) before EOF shows. *)
   if Atomic.get t.stopping then
@@ -896,6 +834,7 @@ let step t ~worker ~wake =
   (* Send what completed since the last round, then build the interest
      set: self-pipe + every conn (read unless EOF, write while output is
      still buffered). *)
+  publish t l;
   let n = 1 + Hashtbl.length l.conns in
   ensure_capacity l n;
   l.pfds.(0) <- wake;
@@ -904,14 +843,11 @@ let step t ~worker ~wake =
   let i = ref 1 in
   Hashtbl.iter
     (fun _ c ->
-      let out =
-        Sync.with_lock c.lock (fun () ->
-            if stage t.wire c then write_out t c;
-            (not c.dead) && c.o_start < c.o_end)
-      in
+      write_out l c;
       let ev = if c.eof then 0 else Poll.pollin in
       l.pfds.(!i) <- c.fd;
-      l.pevents.(!i) <- (if out then ev lor Poll.pollout else ev);
+      l.pevents.(!i) <-
+        (if (not c.dead) && c.o_start < c.o_end then ev lor Poll.pollout else ev);
       l.porder.(!i) <- Some c;
       incr i)
     l.conns;
@@ -926,19 +862,14 @@ let step t ~worker ~wake =
       if (Poll.readable re || Poll.errored re) && not c.eof then read_conn t l c;
       l.porder.(j) <- None
   done;
-  (* Flush everything that completed during the poll or was answered
-     inline by the reads above — this also serves POLLOUT — and retire
-     the connections that are done. *)
+  (* Flush what the reads above answered — this also serves POLLOUT —
+     and retire the connections that are done. *)
+  publish t l;
   let finished =
     Hashtbl.fold
       (fun _ c acc ->
-        let done_ =
-          Sync.with_lock c.lock (fun () ->
-              ignore (stage t.wire c);
-              write_out t c;
-              c.eof && c.pending = 0)
-        in
-        if done_ then c :: acc else acc)
+        write_out l c;
+        if c.eof && c.pending = 0 then c :: acc else acc)
       l.conns []
   in
   List.iter (fun c -> close_conn t l c) finished;
@@ -993,6 +924,9 @@ let acceptor_loop t =
 
 (* ---------------- lifecycle ---------------- *)
 
+(* Each worker's count, read racily. *)
+let inflight loops = Array.fold_left (fun n l -> n + l.inflight) 0 loops
+
 (* Linux clamps this to net.core.somaxconn. A shallow queue overflows
    under a burst of connects, and each dropped handshake then waits out
    a 1 s SYN-ACK retransmit. *)
@@ -1020,8 +954,9 @@ let start ?registry cfg ~runtime =
     | Unix.ADDR_UNIX _ -> cfg.port
   in
   let n_workers = Runtime.n_workers runtime in
-  let active = Atomic.make 0 and inflight = Atomic.make 0 in
+  let active = Atomic.make 0 in
   let wire = Wire.create ~max_frame:cfg.max_frame () in
+  let m = metrics_of reg ~n_workers in
   let mk_loop _ =
     {
       l_lock = Mutex.create ();
@@ -1029,7 +964,10 @@ let start ?registry cfg ~runtime =
       conns = Hashtbl.create 64;
       scratch = Bytes.create 65536;
       view = Wire.view ();
-      get = new_get wire ~max_pending:cfg.max_pending;
+      hl = Wire.response_header_len wire;
+      g_conn = new_conn wire ~id:(-1) Unix.stdin ~worker:(-1);
+      g_direct = false;
+      g_copy = Bytes.empty;
       b_off = Array.make batch_bound 0;
       b_len = Array.make batch_bound 0;
       b_keys = Array.make batch_bound 0;
@@ -1038,8 +976,19 @@ let start ?registry cfg ~runtime =
       pevents = Array.make 16 0;
       prevents = Array.make 16 0;
       porder = Array.make 16 None;
+      on = None;
+      clock = 0;
+      inflight = 0;
+      counts = Array.make (routed + n_workers) 0;
+      get_s = Registry.buffer m.get_h;
+      set_s = Registry.buffer m.set_h;
+      delete_s = Registry.buffer m.delete_h;
     }
   in
+  let loops = Array.init n_workers mk_loop in
+  (* Sampled at scrape time: no request writes a gauge. *)
+  Registry.sampled_gauge reg "net.conns_active" (fun () -> float_of_int (Atomic.get active));
+  Registry.sampled_gauge reg "net.inflight" (fun () -> float_of_int (inflight loops));
   let t =
     {
       cfg;
@@ -1048,11 +997,10 @@ let start ?registry cfg ~runtime =
       listen_fd;
       bound_port;
       reg;
-      m = metrics_of reg ~n_workers ~active ~inflight;
-      loops = Array.init n_workers mk_loop;
+      m;
+      loops;
       acceptor = None;
       active;
-      inflight;
       stopping = Atomic.make false;
       q_lock = Mutex.create ();
       q_cond = Condition.create ();
@@ -1119,10 +1067,10 @@ let stats t =
   {
     conns_accepted = Registry.counter_value t.m.conns_accepted_c;
     conns_active = Atomic.get t.active;
-    requests = Registry.counter_value t.m.requests_c;
-    inflight = Atomic.get t.inflight;
-    bytes_in = Registry.counter_value t.m.bytes_in_c;
-    bytes_out = Registry.counter_value t.m.bytes_out_c;
+    requests = Registry.counter_value t.m.counted.(requests);
+    inflight = inflight t.loops;
+    bytes_in = Registry.counter_value t.m.counted.(bytes_in);
+    bytes_out = Registry.counter_value t.m.counted.(bytes_out);
     protocol_errors = Registry.counter_value t.m.protocol_errors_c;
     accept_errors = Registry.counter_value t.m.accept_errors_c;
     slow_client_drops = Registry.counter_value t.m.slow_client_drops_c;

@@ -8,7 +8,7 @@
     workers ({!C4_runtime.Server.attach}), {!stop} detaches it.
 
     A request runs to completion on the worker that decoded it: decode
-    → admit → apply → park → flush. The worker reads its connections
+    → admit → apply → stage → flush. The worker reads its connections
     with nonblocking batched reads into a per-worker scratch buffer and
     feeds each connection's incremental {!Wire.Decoder}. It then takes
     the buffered frames up to {!batch_bound} at a time in three passes:
@@ -16,28 +16,27 @@
     every frame after the first ({!C4_runtime.Server.prefetch_slot}),
     and serves them in order, decoding each in place
     ({!Wire.decode_into}): a SET's value stays a slice of the decoder's
-    buffer. A GET reads the store inline; a
-    SET/DELETE is applied inline when its partition is free or pinned
-    to this worker (with nothing queued there), its value blitted from
-    the slice straight into the store slot, and forwarded to the pin
-    holder's inbox (with a copy of the value) otherwise. SET acks follow
-    the store apply, so an acknowledged write survives worker crashes.
+    buffer. A GET reads the store inline; a SET/DELETE is applied inline
+    when its partition is free or pinned to this worker (with nothing
+    queued there), its value blitted from the slice straight into the
+    store slot, and forwarded to the pin holder's inbox (with a copy of
+    the value) otherwise. SET acks follow the store apply, so an
+    acknowledged write survives worker crashes.
 
     Reorder slots: each accepted request gets a slot, its place in the
     connection's response order, in a ring allocated with the
-    connection. Whichever thread completes a request — usually this
-    worker; else the pin holder, the WAL sync domain or a
-    replication-ack reader — parks its response in the slot and wakes
-    the owning worker unless it is that worker. At the end of its round
-    the worker encodes the contiguous prefix of parked responses
-    straight into the connection's output buffer and flushes it with
+    connection. Completions come home: a request finished by another
+    thread — the pin holder, the WAL sync domain, a replication-ack
+    reader releasing a read fence — has its completion sent to the
+    connection's worker ({!C4_runtime.Server.run_on}), so a connection
+    has one thread and takes no lock. A response that heads its
+    connection's order is encoded straight into the output buffer (a
+    GET's value copied there from the store slot inside the seqlock
+    read, the one copy it costs), with the responses parked behind it;
+    one behind a response still owed is parked. Each round ends with
     one coalesced write, so responses leave in request arrival order
-    however their completions interleave, while connections and keys
-    proceed in parallel. A GET that heads its connection's order skips
-    the slot: its header goes into the output buffer and its value is
-    copied there from the store slot inside the seqlock read, the one
-    copy it costs. Untraced, a GET allocates no closure and takes no
-    lock but its connection's (and the histogram's shard lock).
+    however their completions interleave. Untraced, a GET allocates no
+    closure and a request takes no lock.
 
     Protocol errors (a corrupt or undecodable frame, a completion that
     raised) are connection-fatal, but responses already owed still
@@ -65,19 +64,18 @@
     Metrics (all in [registry], which must be thread-safe):
     [net.conns_accepted], [net.conns_active], [net.bytes_in],
     [net.bytes_out], [net.inflight] (the two gauges sampled at scrape
-    time from the counters {!stats} reads), [net.protocol_errors],
-    [net.requests], [net.accept_errors] (accepts shed to
-    [EMFILE]/[ENFILE] fd exhaustion — the acceptor backs off and
-    survives instead of dying), [net.slow_client_drops] (connections
-    dropped for exceeding {!config.max_pending}), and per-op
-    service-time histograms [net.get_ns],
-    [net.set_ns], [net.delete_ns]. Each mutation additionally bumps a
-    [net.routed_w<i>] counter for the worker its admission chose to
-    execute it (the decoding worker, or the partition's pin holder).
-    One counter per worker is registered eagerly at start, so a
-    telemetry scrape sees every worker from the first request and a
-    count can never land on a dangling worker id — a worker that dies
-    stops counting until its restarted domain serves again.
+    time: open connections, and the workers' own in-flight counts),
+    [net.protocol_errors], [net.requests], [net.accept_errors] (accepts
+    shed to [EMFILE]/[ENFILE] fd exhaustion — the acceptor backs off
+    and survives instead of dying), [net.slow_client_drops]
+    (connections dropped for exceeding {!config.max_pending}), and
+    per-op service-time histograms [net.get_ns], [net.set_ns],
+    [net.delete_ns]. Each mutation additionally counts toward
+    [net.routed_w<i>] for the worker its admission chose to execute it
+    (the decoding worker, or the partition's pin holder), registered
+    eagerly for every worker. A worker keeps the per-request counts
+    and service times itself and publishes them once per round, before
+    its flush.
 
     Tracing: with {!config.spans} set, a request that arrives carrying
     a {!Wire.trace_context} grows a three-span chain in the buffer —

@@ -186,6 +186,19 @@ let view () =
 let has_token v = v.v_flags land 1 = 1
 let has_trace v = v.v_flags land 2 = 2
 
+let op_name = function
+  | Get -> "GET"
+  | Set -> "SET"
+  | Delete -> "DELETE"
+  | Cluster_info -> "CLUSTER_INFO"
+
+let status_name = function
+  | Ok -> "ok"
+  | Not_found -> "not_found"
+  | Err -> "err"
+  | Wrong_shard -> "wrong_shard"
+  | Cluster_ok -> "cluster_ok"
+
 let op_of_code = function 0 -> Get | 1 -> Set | 2 -> Delete | _ -> Cluster_info
 
 (* Every check runs before the first field is written, so a view that
@@ -386,7 +399,7 @@ module Decoder = struct
   (* The body stays in [buf]: consuming a frame only moves [start], and
      only [feed] ever moves or overwrites bytes. *)
   let next d =
-    if d.corrupt <> None then Corrupt
+    if Option.is_some d.corrupt then Corrupt
     else if d.len < 4 then Awaiting
     else begin
       let frame_len = get_le d.buf ~off:d.start ~len:4 in

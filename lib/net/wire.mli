@@ -94,6 +94,11 @@ type response = {
 (** The newest protocol version this codec speaks (2: trace context). *)
 val version : int
 
+(** Names for traces and errors: ["GET"], ["ok"], ... *)
+val op_name : op -> string
+
+val status_name : status -> string
+
 type t
 
 (** [create ()] builds a codec. [max_frame] (default 1 MiB) bounds the

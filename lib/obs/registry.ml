@@ -171,6 +171,42 @@ let observe h v =
       Mutex.unlock locks.(s);
       raise e)
 
+(* One thread's samples, published a batch at a time: one shard lock
+   per batch instead of one per sample. *)
+type buffer = { b_hist : histogram; b_vals : float array; mutable b_n : int }
+
+let buffer h = { b_hist = h; b_vals = Array.make 256 0.0; b_n = 0 }
+
+let flush b =
+  if b.b_n > 0 then begin
+    let n = b.b_n in
+    b.b_n <- 0;
+    match b.b_hist.h_locks with
+    | [||] ->
+      let x = shard_hist b.b_hist 0 in
+      for i = 0 to n - 1 do
+        H.add x b.b_vals.(i)
+      done
+    | locks -> (
+      let s = Domain.DLS.get shard_key in
+      Mutex.lock locks.(s);
+      let x = shard_hist b.b_hist s in
+      match
+        for i = 0 to n - 1 do
+          H.add x b.b_vals.(i)
+        done
+      with
+      | () -> Mutex.unlock locks.(s)
+      | exception e ->
+        Mutex.unlock locks.(s);
+        raise e)
+  end
+
+let buffered b v =
+  if b.b_n = Array.length b.b_vals then flush b;
+  b.b_vals.(b.b_n) <- float_of_int v;
+  b.b_n <- b.b_n + 1
+
 (* Counters need no lock to read: each cell is read atomically. The
    histogram merges below are taken with every shard lock held (or the
    registry is plain). *)

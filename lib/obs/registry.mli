@@ -64,6 +64,21 @@ val counter_value : counter -> int
 val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
+(** A histogram's samples buffered by one thread, which publishes them
+    in batches: {!flush} takes the shard lock once for the whole batch
+    instead of once per sample, as {!observe} does. *)
+type buffer
+
+(** A buffer of 256 samples for [h]. *)
+val buffer : histogram -> buffer
+
+(** Buffer one integer sample (a duration in ns, say), flushing first if
+    the buffer is full. Allocates nothing. *)
+val buffered : buffer -> int -> unit
+
+(** Publish the buffered samples (readers see none of them before). *)
+val flush : buffer -> unit
+
 (** A plain registry's live histogram (safe to read only quiescently);
     a thread-safe registry's shards merged into a fresh copy. *)
 val histogram_values : histogram -> C4_stats.Histogram.t

@@ -2,6 +2,8 @@ external poll_raw :
   Unix.file_descr array -> int array -> int array -> int -> int -> int
   = "c4_poll_stub"
 
+external now_ns : unit -> (int[@untagged]) = "c4_now_ns_byte" "c4_now_ns" [@@noalloc]
+
 let pollin = 1
 let pollout = 2
 let pollerr = 4

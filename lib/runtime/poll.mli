@@ -38,3 +38,6 @@ val poll :
   n:int ->
   timeout_ms:int ->
   int
+
+(** [CLOCK_MONOTONIC] in ns, read without allocating: durations only. *)
+external now_ns : unit -> (int[@untagged]) = "c4_now_ns_byte" "c4_now_ns" [@@noalloc]

@@ -16,18 +16,20 @@ exception Crash_injected
    write carries its admission stamp (its pin holder and that worker's
    incarnation): a recovery retires the incarnation and frees its pins,
    so a release with the old stamp frees nothing, and a popped write
-   with the old stamp is admitted again. *)
+   with the old stamp is admitted again. A worker's own submission that
+   completes elsewhere sends its completion home as a [Home] op. *)
 type op =
   | Get of int * (bytes option -> unit)
   | Set of int * bytes * int option * Core.stamp * (unit -> unit)
       (** key, value, idempotency token, admission stamp, ack *)
   | Delete of int * Core.stamp * (bool -> unit)
+  | Home of (unit -> unit)  (** a completion, back on its submitter's worker *)
   | Gate of unit Promise.t * unit Promise.t
       (** park the worker: fulfil [entered], block on [release] —
           deterministic-replay support (see [pause_worker]) *)
   | Crash
 
-type worker_state = {
+type worker = {
   id : int;
   inbox : op Channel.t;
   alive : bool Atomic.t;
@@ -84,7 +86,9 @@ let default_config =
     wal = None;
   }
 
-type io = worker:int -> wake:Unix.file_descr -> bool
+type io = worker -> wake:Unix.file_descr -> bool
+
+let worker_id w = w.id
 
 (* The runtime's half of the {!C4_crew.Core.ENGINE} contract. Admission
    and release are one CAS each on the partition's pin word, taken by
@@ -92,7 +96,7 @@ type io = worker:int -> wake:Unix.file_descr -> bool
 type t = {
   cfg : config;
   store : Store.t;
-  workers : worker_state array;
+  workers : worker array;
   core : Core.t;
   (* Orders recovery remaps, the durable-owner reads and pushes of
      threads outside the workers, and the reader cursor against each
@@ -146,7 +150,7 @@ let nobody = new_worker (-1) ~wake_r:Unix.stdin ~wake_w:Unix.stdin
 (* The worker this domain runs, whatever runtime it belongs to. Other
    threads started on a worker's domain (a replication sender, say) are
    not that worker: the loop's thread id tells them apart. *)
-let self_key : worker_state Domain.DLS.key = Domain.DLS.new_key (fun () -> nobody)
+let self_key : worker Domain.DLS.key = Domain.DLS.new_key (fun () -> nobody)
 
 let self_worker () =
   let w = Domain.DLS.get self_key in
@@ -155,6 +159,9 @@ let self_worker () =
 let on_worker t =
   let w = self_worker () in
   if w != nobody && w.id < Array.length t.workers && t.workers.(w.id) == w then w else nobody
+
+(* The submitting worker: the front-end's handle, else this thread's. *)
+let caller t = function Some w -> w | None -> on_worker t
 
 (* ---------------- wakeups ---------------- *)
 
@@ -171,6 +178,16 @@ let wake_worker w =
 
 let wake t ~worker = wake_worker t.workers.(worker)
 
+(* Run [k] on [w]'s own loop: here if this is it, else from its inbox,
+   behind a wake (a dead worker's keeps it for its restart), or here
+   once [stop] has closed the inbox. *)
+let send_home w k =
+  if self_worker () == w then k ()
+  else if Channel.try_push w.inbox (Home k) then wake_worker w
+  else k ()
+
+let run_on t ~worker k = send_home t.workers.(worker) k
+
 (* Wakes are coalesced, so one read empties the pipe; a byte it misses
    only costs one spurious round. *)
 let drain_wake w =
@@ -178,7 +195,7 @@ let drain_wake w =
 
 (* The I/O round of a worker with no front-end attached: sleep in
    poll(2) on the self-pipe alone. *)
-let idle_io ~worker:_ ~wake =
+let idle_io _ ~wake =
   let events = [| Poll.pollin |] and revents = [| 0 |] in
   Poll.poll ~fds:[| wake |] ~events ~revents ~n:1 ~timeout_ms:(-1) > 0
 
@@ -217,7 +234,7 @@ let release_write t key stamp =
    check-and-record, which a combined batched update would bypass. *)
 let is_plain_set_to key = function
   | Set (k, _, None, _, _) -> k = key
-  | Set _ | Get _ | Delete _ | Gate _ | Crash -> false
+  | Set _ | Get _ | Delete _ | Home _ | Gate _ | Crash -> false
 
 (* ---------------- execution (on a worker) ---------------- *)
 
@@ -362,7 +379,7 @@ let forward t ~stamp op =
 let restamp stamp = function
   | Set (key, value, token, _, k) -> Set (key, value, token, stamp, k)
   | Delete (key, _, k) -> Delete (key, stamp, k)
-  | (Get _ | Gate _ | Crash) as op -> op
+  | (Get _ | Home _ | Gate _ | Crash) as op -> op
 
 (* One inbox op. A popped write whose stamp a recovery retired (a push
    that raced the recovery) lost its pin: admit it again — it heads this
@@ -377,6 +394,7 @@ let rec exec t w op =
     Promise.fulfil entered ();
     Promise.await release
   | Get (key, k) -> k (read t w ~key)
+  | Home k -> k ()
   | (Set (key, _, _, stamp, _) | Delete (key, stamp, _))
     when not (Core.stamp_live t.core stamp) ->
     let stamp = admit t ~key ~pick:w.local in
@@ -409,7 +427,7 @@ let rec run_queued t w ~f n =
       run_queued t w ~f (n - 1)
     | None -> ()
 
-let is_request = function Get _ | Set _ | Delete _ -> true | Gate _ | Crash -> false
+let is_request = function Get _ | Set _ | Delete _ | Home _ -> true | Gate _ | Crash -> false
 
 (* Run what was queued here ahead of a request this worker admits
    itself: a write forwarded to this pin holder waits for one apply, not
@@ -417,9 +435,10 @@ let is_request = function Get _ | Set _ | Delete _ -> true | Gate _ | Crash -> f
    the next iteration; an exception kills the worker at the end of its
    round. *)
 let catch_up t w =
-  if w.doomed = None && not (Channel.is_empty w.inbox) then
-    try run_queued t w ~f:is_request (Channel.length w.inbox)
-    with e -> w.doomed <- Some e
+  match w.doomed with
+  | None when not (Channel.is_empty w.inbox) -> (
+    try run_queued t w ~f:is_request (Channel.length w.inbox) with e -> w.doomed <- Some e)
+  | Some _ | None -> ()
 
 (* Drain the inbox, then one I/O round (poll(2) on the self-pipe plus the
    front-end's connections); exit once [stop] has closed the inbox. *)
@@ -433,7 +452,7 @@ let worker_loop t w =
        wait for the next one, so connections are never starved. *)
     run_queued t w ~f:(fun _ -> true) (Channel.length w.inbox);
     if not (Channel.is_closed w.inbox) then begin
-      if (Atomic.get t.io) ~worker:w.id ~wake:w.wake_r then drain_wake w;
+      if (Atomic.get t.io) w ~wake:w.wake_r then drain_wake w;
       Option.iter raise w.doomed;
       go ()
     end
@@ -494,6 +513,7 @@ let recover_locked t w =
           (* A queued crash targeted the worker that already died; do not
              let it chase the backlog onto the survivor. *)
           None
+        | Home _ -> requeue op w.id
         | Get _ | Gate _ -> requeue op survivor
         | Set (key, _, _, _, _) | Delete (key, _, _) ->
           let stamp = admit t ~key ~pick:`Static in
@@ -641,8 +661,8 @@ let pick_reader t =
 
 (* A read on a worker runs right here, lock-free: the store's seqlock
    makes it safe against the partition's writer on another worker. *)
-let submit_get ?(admitted = ignore) t ~key k =
-  let w = on_worker t in
+let submit_get ?(admitted = ignore) ?on t ~key k =
+  let w = caller t on in
   if w != nobody then begin
     if Atomic.get t.stopped then raise Stopped;
     catch_up t w;
@@ -660,9 +680,7 @@ let submit_get ?(admitted = ignore) t ~key k =
     in
     wake t ~worker:dst
 
-let read_into ?(admitted = ignore) t ~key f x =
-  let w = on_worker t in
-  if w == nobody then invalid_arg "Server.read_into: not on a worker";
+let read_into ?(admitted = ignore) t w ~key f x =
   if Atomic.get t.stopped then raise Stopped;
   catch_up t w;
   admitted ();
@@ -685,8 +703,9 @@ let admit_local t w ~admitted ~key =
 
 let inline_ok w stamp = Core.stamp_worker stamp = w.id && Channel.is_empty w.inbox
 
-(* The write goes onto the pin holder's inbox; a push that [stop]
-   refuses hands the pin back and raises [Stopped]. *)
+(* The write goes onto the pin holder's inbox, its completion bound for
+   home; a push that [stop] refuses hands the pin back and raises
+   [Stopped]. *)
 let forward_or_stop t ~key ~stamp op =
   if not (forward t ~stamp op) then begin
     release_write t key stamp;
@@ -708,15 +727,20 @@ let submit_queued t ~admitted ~key op =
   wake t ~worker:dst;
   dst
 
+(* A completion bound for [w], wherever the write finishes. *)
+let homeward w k x = send_home w (fun () -> k x)
+
+let logged_home t w k = match t.wal with None -> k | Some _ -> homeward w k
+
 (* CREW: a partition is written only by its pin holder. A worker
    applies its own write inline when [inline_ok]; otherwise it goes to
    the holder's inbox. An exception from the inline store apply releases
    the pin and reaches the caller; one from [k] does too, the pin being
    released before [k] runs. Returns the executing worker. *)
-let submit_set ?(admitted = ignore) ?token t ~key ~value ~off ~len k =
+let submit_set ?(admitted = ignore) ?token ?on t ~key ~value ~off ~len k =
   if off < 0 || len < 0 || off + len > Bytes.length value then
     invalid_arg "Server.submit_set: slice";
-  let w = on_worker t in
+  let w = caller t on in
   if w != nobody then begin
     let stamp = admit_local t w ~admitted ~key in
     if inline_ok w stamp then begin
@@ -727,10 +751,10 @@ let submit_set ?(admitted = ignore) ?token t ~key ~value ~off ~len k =
           release_write t key stamp;
           raise e
       in
-      ack_set t w ~key ~value ~off ~len ~token ~stamp ~applied k
+      ack_set t w ~key ~value ~off ~len ~token ~stamp ~applied (logged_home t w k)
     end
     else
-      forward_or_stop t ~key ~stamp (Set (key, owned value ~off ~len, token, stamp, k));
+      forward_or_stop t ~key ~stamp (Set (key, owned value ~off ~len, token, stamp, homeward w k));
     Core.stamp_worker stamp
   end
   else
@@ -738,8 +762,8 @@ let submit_set ?(admitted = ignore) ?token t ~key ~value ~off ~len k =
     submit_queued t ~admitted ~key (fun stamp -> Set (key, value, token, stamp, k))
 
 (* Deletes mutate the partition, so CREW routes them like writes. *)
-let submit_delete ?(admitted = ignore) t ~key k =
-  let w = on_worker t in
+let submit_delete ?(admitted = ignore) ?on t ~key k =
+  let w = caller t on in
   if w != nobody then begin
     let stamp = admit_local t w ~admitted ~key in
     if inline_ok w stamp then begin
@@ -750,9 +774,9 @@ let submit_delete ?(admitted = ignore) t ~key k =
           release_write t key stamp;
           raise e
       in
-      ack_delete t w ~key ~stamp ~present k
+      ack_delete t w ~key ~stamp ~present (logged_home t w k)
     end
-    else forward_or_stop t ~key ~stamp (Delete (key, stamp, k));
+    else forward_or_stop t ~key ~stamp (Delete (key, stamp, homeward w k));
     Core.stamp_worker stamp
   end
   else submit_queued t ~admitted ~key (fun stamp -> Delete (key, stamp, k))

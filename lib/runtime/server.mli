@@ -18,10 +18,11 @@
       here, with the inbox empty) is pinned here and written inline, a
       partition pinned elsewhere gets the write forwarded to the
       holder's inbox — so only the pin holder ever writes a partition
-      (CREW). The holder runs forwarded work before each request it
-      admits itself. Threads outside the workers (tests, a replica's
-      apply loop) pin at the durable owner under the routing lock and
-      go through its inbox;
+      (CREW) — and its completion back to this worker's. A worker runs
+      queued work and completions before each request it admits
+      itself. Threads outside the workers (tests, a replica's apply
+      loop) pin at the durable owner under the routing lock and go
+      through its inbox;
     - with compaction on ({!config.crew}), a worker that pops a write
       harvests the queued writes to the same key (up to the batch cap),
       applies ONE batched update and only then answers them all — C-4's
@@ -88,14 +89,18 @@ val start : config -> t
 (** {2 Submission}
 
     The [submit_*] calls return at once and may be called from any
-    thread. The completion [k] runs exactly once, on the thread that
-    completes the op: the calling worker for an op it runs inline,
-    another worker, the WAL sync domain, a replication-ack reader
-    behind a quorum gate, or the caller of {!stop}. [k] must not block
-    and should not raise: an exception on a worker's inbox path kills
-    the worker (the monitor recovers it); on the inline path it reaches
-    the caller, as does one from the inline apply itself, after the
-    write's pin is released. A SET's [k] runs only after the store
+    thread ([on]: the calling worker's handle from its {!io} round, else
+    looked up). The completion [k] runs exactly once. Completions come
+    home: a worker's own submission completes on that worker — inline,
+    or from its inbox, one hop, when the pin holder, the WAL sync domain
+    or a replication-ack reader finishes it (the pin is released where
+    the write finished). One queued on a worker that dies waits for its
+    restart. Other threads' submissions, and any once {!stop} has
+    begun, complete where they finish. [k] must not block and should
+    not raise: an exception on a worker's inbox path kills the worker
+    (the monitor recovers it); on the inline path it reaches the
+    caller, as does one from the inline apply itself, after the write's
+    pin is released. A SET's [k] runs only after the store
     apply (and the WAL append and its durability policy). Two sets
     carrying the same [token] apply at most once. Submissions raise
     {!Stopped} once {!stop} has begun; [k] then never runs.
@@ -111,12 +116,18 @@ val start : config -> t
     write's check — takes a private copy. A slice that is the whole
     buffer is kept as is instead: do not mutate it until [k] runs. *)
 
+(** A worker, as its own {!io} round sees it. *)
+type worker
+
+val worker_id : worker -> int
+
 val submit_get :
-  ?admitted:(unit -> unit) -> t -> key:int -> (bytes option -> unit) -> unit
+  ?admitted:(unit -> unit) -> ?on:worker -> t -> key:int -> (bytes option -> unit) -> unit
 
 val submit_set :
   ?admitted:(unit -> unit) ->
   ?token:int ->
+  ?on:worker ->
   t ->
   key:int ->
   value:bytes ->
@@ -126,18 +137,24 @@ val submit_set :
   int
 
 (** Admitted like a write; [k] gets [true] if the key was present. *)
-val submit_delete : ?admitted:(unit -> unit) -> t -> key:int -> (bool -> unit) -> int
+val submit_delete :
+  ?admitted:(unit -> unit) -> ?on:worker -> t -> key:int -> (bool -> unit) -> int
 
-(** [read_into t ~key f x] is an inline GET into the caller's own
-    buffer, for a front-end's request path on a worker: like
-    [submit_get]'s inline case (raises {!Stopped}, runs the forwarded
-    work queued here, then [admitted]), but the value is not copied out:
-    it returns {!C4_kvs.Store.read_into}'s [f v x] on the slot's live
-    buffer, or [-1] if [key] is absent, and counts the read and its
-    failed attempts against this worker. With a closure-free [f] it
-    allocates nothing. Raises [Invalid_argument] off a worker. *)
+(** [read_into t w ~key f x] is an inline GET into the caller's own
+    buffer, for a front-end's request path on worker [w]: like
+    [submit_get]'s inline case (raises {!Stopped}, runs the work and
+    completions queued here, then [admitted]), but the value is not
+    copied out: it returns {!C4_kvs.Store.read_into}'s [f v x] on the
+    slot's live buffer, or [-1] if [key] is absent, and counts the read
+    and its failed attempts against [w]. With a closure-free [f] it
+    allocates nothing. *)
 val read_into :
-  ?admitted:(unit -> unit) -> t -> key:int -> (bytes -> 'a -> int) -> 'a -> int
+  ?admitted:(unit -> unit) -> t -> worker -> key:int -> (bytes -> 'a -> int) -> 'a -> int
+
+(** [run_on t ~worker k] runs [k] on [worker]'s loop, the hop every
+    foreign completion takes: at once when called there, else from its
+    inbox (for a front-end's completion another thread releases). *)
+val run_on : t -> worker:int -> (unit -> unit) -> unit
 
 (** The store's prefetch hints ({!C4_kvs.Store.prefetch_slot},
     {!C4_kvs.Store.prefetch_value}), for a front-end about to serve a
@@ -223,11 +240,12 @@ val ownership_counts : t -> int array
 
     How [C4_net.Server] turns the workers into its event loops. *)
 
-(** One I/O round of [worker], run after each inbox drain: block in
+(** One I/O round of a worker, run after each inbox drain: block in
     poll(2) on [wake] (the worker's self-pipe) plus the front-end's own
-    descriptors, serve what became ready — submissions made here run
-    inline — and return [true] when [wake] was readable. *)
-type io = worker:int -> wake:Unix.file_descr -> bool
+    descriptors, serve what became ready — submissions made here with
+    [~on] set to the worker run inline — and return [true] when [wake]
+    was readable. *)
+type io = worker -> wake:Unix.file_descr -> bool
 
 (** Install [io] on every worker. Raises [Invalid_argument] if a
     front-end is already attached. *)

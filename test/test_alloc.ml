@@ -1,9 +1,8 @@
 (* Allocation budget of the inline request path: minor words per call
    of each step a GET takes (decode in place, encode into a buffer, read
    the store into a buffer, hint the store at a batch's keys, bump a
-   counter), and per GET end to end
-   through a loopback server, read from the worker's own gc.minor_words
-   gauge. A step that starts allocating again fails here the way a lint
+   counter), and per pipelined GET and SET end to end through a loopback
+   server, read from the worker's own gc.minor_words gauge. A step that starts allocating again fails here the way a lint
    rule fails, before any benchmark notices. *)
 
 module Wire = C4_net.Wire
@@ -145,8 +144,9 @@ let test_registry_incr () =
 let rec write_all fd b off =
   if off < Bytes.length b then write_all fd b (off + Unix.write fd b off (Bytes.length b - off))
 
-(* Read [n] responses off [fd]; each must be a 512 B hit. *)
-let read_responses fd d ~n =
+(* Read [n] responses off [fd]; each must be Ok with a value of
+   [value_len] bytes. *)
+let read_responses fd d ~n ~value_len =
   let chunk = Bytes.create 65536 in
   let got = ref 0 in
   while !got < n do
@@ -158,8 +158,8 @@ let read_responses fd d ~n =
       | `Frame body -> (
         match Wire.decode_response wire body with
         | Ok r ->
-          if r.Wire.status <> Wire.Ok || Bytes.length r.Wire.resp_value <> 512 then
-            Alcotest.fail "GET answered without its value";
+          if r.Wire.status <> Wire.Ok || Bytes.length r.Wire.resp_value <> value_len then
+            Alcotest.fail "answered without its value, or not Ok";
           incr got;
           drain ()
         | Error e -> Alcotest.fail e)
@@ -169,20 +169,22 @@ let read_responses fd d ~n =
     drain ()
   done
 
-let get_requests ~n ~from =
+let requests ~op ~n ~from =
   Bytes.concat Bytes.empty
     (List.init n (fun i ->
          Wire.encode_request wire
            {
              Wire.id = from + i;
-             op = Wire.Get;
+             op;
              key = (from + i) mod 1000;
              token = None;
              trace = None;
-             value = Bytes.empty;
+             value = (if op = Wire.Set then value else Bytes.empty);
            }))
 
-let test_loopback_get_budget () =
+(* Minor words per pipelined [op] on the worker of a 1-worker loopback
+   server, over 1000 preloaded keys. *)
+let loopback_words ~op =
   let registry = Registry.create ~thread_safe:true () in
   let runtime =
     Runtime.start
@@ -206,12 +208,12 @@ let test_loopback_get_budget () =
       done;
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, NetServer.port srv));
       let d = Wire.Decoder.create wire in
-      let batch = 250 in
+      let batch = 250 and value_len = if op = Wire.Set then 0 else 512 in
       let run ~n ~from =
         let i = ref 0 in
         while !i < n do
-          write_all fd (get_requests ~n:batch ~from:(from + !i)) 0;
-          read_responses fd d ~n:batch;
+          write_all fd (requests ~op ~n:batch ~from:(from + !i)) 0;
+          read_responses fd d ~n:batch ~value_len;
           i := !i + batch
         done
       in
@@ -225,10 +227,19 @@ let test_loopback_get_budget () =
       let before = minor_words () in
       let n = 10_000 in
       run ~n ~from:1_000_000;
-      let per_get = (minor_words () -. before) /. float_of_int (n + batch) in
-      Printf.printf "%.1f minor words per pipelined GET on the worker\n" per_get;
-      if per_get >= 40.0 then
-        Alcotest.failf "%.1f minor words per pipelined GET on the worker, budget 40" per_get)
+      (minor_words () -. before) /. float_of_int (n + batch))
+
+let check_loopback ~op ~name ~budget =
+  let words = loopback_words ~op in
+  Printf.printf "%.1f minor words per pipelined %s on the worker\n" words name;
+  if words >= budget then
+    Alcotest.failf "%.1f minor words per pipelined %s on the worker, budget %.0f" words name budget
+
+let test_loopback_get_budget () = check_loopback ~op:Wire.Get ~name:"GET" ~budget:40.0
+
+(* A SET applied inline stages its ack in the output buffer; what it
+   still allocates is its reorder slot and completion. *)
+let test_loopback_set_budget () = check_loopback ~op:Wire.Set ~name:"SET" ~budget:25.0
 
 let tests =
   [
@@ -244,4 +255,6 @@ let tests =
     Alcotest.test_case "loopback GET: under 40 minor words on the worker" `Quick
       test_loopback_get_budget;
     Alcotest.test_case "prefetch hints allocate nothing" `Quick test_prefetch_hints;
+    Alcotest.test_case "loopback SET: under 25 minor words on the worker" `Quick
+      test_loopback_set_budget;
   ]

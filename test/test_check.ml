@@ -378,6 +378,7 @@ let test_models_hold () =
   check_complete "ewt" (Models.ewt ());
   check_complete "flow" (Models.flow_control ());
   check_complete "channel" (Models.channel ());
+  check_complete "home-wake" (Models.home_wake ());
   check_complete "promise" (Models.promise ());
   check_complete "crew-core" (Models.crew_core ());
   check_complete "pin-words" (Models.pin_words ());
@@ -425,6 +426,13 @@ let test_channel_broken_variant () =
   ignore
     (expect_violation ~substring:"deadlock" "pop-ignores-close"
        (Models.channel ~broken:Models.Pop_ignores_close ()))
+
+(* Clearing the wake flag after the drain loses a completion pushed in
+   between: the worker sleeps in poll with it queued. *)
+let test_home_wake_broken_variant () =
+  ignore
+    (expect_violation ~substring:"deadlock" "clear-after-drain"
+       (Models.home_wake ~broken:Models.Clear_after_drain ()))
 
 let test_promise_broken_variant () =
   ignore
@@ -494,6 +502,7 @@ let tests =
     Alcotest.test_case "models: flow-control seeded bug" `Quick test_flow_broken_variant;
     Alcotest.test_case "models: channel seeded bug" `Quick test_channel_broken_variant;
     Alcotest.test_case "models: promise seeded bug" `Quick test_promise_broken_variant;
+    Alcotest.test_case "models: home-wake seeded bug" `Quick test_home_wake_broken_variant;
     Alcotest.test_case "models: crew core seeded bug" `Quick test_crew_core_broken_variant;
     Alcotest.test_case "models: pin-words seeded bugs" `Quick test_pin_words_broken_variants;
     Alcotest.test_case "models: compaction -> linearizability" `Quick

@@ -1651,6 +1651,165 @@ let test_connect_burst_fits_backlog () =
   done;
   Alcotest.(check int) "every connection answered within 1 s" n !n_answered
 
+(* ---------------- completions come home ---------------- *)
+
+(* The worker that owns [fd]'s connection: the one a GET on it runs on. *)
+let conn_worker runtime fd dec ~id =
+  let ops () = (Runtime.stats runtime).Runtime.per_worker_ops in
+  let before = ops () in
+  write_all fd (frame id Wire.Get 999_999 Bytes.empty);
+  ignore (read_response fd dec);
+  sole_executor ~what:"the connection's worker" before (ops ()) 1
+
+let inflight srv = (NetServer.stats srv).NetServer.inflight
+
+(* [ids] are submitted on [fd] and one of them (the only one in flight)
+   waits for a completion that [release] lets go from another thread.
+   With the connection's worker parked, nothing of the reply may happen
+   ([net.inflight] counts down only in it), however long the completion
+   has had; once the worker runs again every response arrives, in
+   order. *)
+let completes_at_home runtime srv fd dec ~home ~requests ~release ~ids =
+  await_true ~what:"requests submitted" (fun () ->
+      (NetServer.stats srv).NetServer.requests >= requests && inflight srv = 1);
+  let resume = Runtime.pause_worker runtime ~worker:home in
+  let parked = ref true in
+  Fun.protect
+    ~finally:(fun () -> if !parked then resume ())
+    (fun () ->
+      Thread.join (Thread.create release ());
+      Unix.sleepf 0.05;
+      Alcotest.(check int) "no reply while the connection's worker is parked" 1 (inflight srv);
+      parked := false;
+      resume ());
+  Alcotest.(check (list int)) "responses in arrival order" ids
+    (List.map (fun _ -> (read_response fd dec).Wire.resp_id) ids);
+  await_true ~what:"every request answered" (fun () -> inflight srv = 0)
+
+(* Three foreign completions — a write forwarded to the other worker's
+   pin, an ack from a fsync-always WAL, a read fence released from a
+   test thread — each run the reply on the connection's own worker. *)
+let test_completions_come_home () =
+  let runtime_cfg = { Runtime.default_config with Runtime.n_workers = 2; n_partitions = 16 } in
+  (* A write forwarded to the pin holder. *)
+  with_net ~runtime_cfg (fun runtime srv _ ->
+      let fd = raw_connect srv and dec = Wire.Decoder.create wire in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let home = conn_worker runtime fd dec ~id:0 in
+          let rec find ok k = if ok k then k else find ok (k + 1) in
+          let key = find (fun k -> Runtime.owner_of_key runtime k <> home) 1 in
+          let part k = Runtime.partition_of_key runtime k in
+          let free = find (fun k -> part k <> part key) (key + 1) in
+          let holder = Runtime.owner_of_key runtime key in
+          let release_holder = Runtime.pause_worker runtime ~worker:holder in
+          let pinned = Runtime.set_async runtime ~key ~value:(Bytes.of_string "pin") in
+          write_all fd
+            (Bytes.concat Bytes.empty
+               [
+                 frame 1 Wire.Set key (Bytes.of_string "forwarded");
+                 frame 2 Wire.Get free Bytes.empty;
+                 frame 3 Wire.Set free (Bytes.of_string "inline");
+               ]);
+          completes_at_home runtime srv fd dec ~home ~requests:4 ~ids:[ 1; 2; 3 ]
+            ~release:(fun () ->
+              release_holder ();
+              C4_runtime.Promise.await pinned)));
+  (* An ack from the WAL's sync domain, held by an ack gate. *)
+  with_wal_dir "home" (fun dir ->
+      let runtime_cfg =
+        {
+          runtime_cfg with
+          Runtime.wal =
+            Some
+              { (C4_wal.Wal.default_config ~dir ~n_partitions:16) with
+                C4_wal.Wal.fsync = C4_wal.Wal.Always };
+        }
+      in
+      with_net ~runtime_cfg (fun runtime srv _ ->
+          let held = ref [] and lock = Mutex.create () in
+          C4_wal.Wal.set_ack_gate
+            (Option.get (Runtime.wal_handle runtime))
+            (Some
+               (fun ~partition:_ ~seqno:_ cb ->
+                 C4_runtime.Sync.with_lock lock (fun () -> held := cb :: !held)));
+          let fd = raw_connect srv and dec = Wire.Decoder.create wire in
+          Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+              let home = conn_worker runtime fd dec ~id:0 in
+              write_all fd
+                (Bytes.concat Bytes.empty
+                   [ frame 1 Wire.Set 5 (Bytes.of_string "logged"); frame 2 Wire.Get 6 Bytes.empty ]);
+              await_true ~what:"the ack held at the gate" (fun () ->
+                  C4_runtime.Sync.with_lock lock (fun () -> !held <> []));
+              completes_at_home runtime srv fd dec ~home ~requests:3 ~ids:[ 1; 2 ]
+                ~release:(fun () ->
+                  List.iter (fun cb -> cb ()) (C4_runtime.Sync.with_lock lock (fun () -> !held))))));
+  (* A quorum read fence released from a test thread. *)
+  let held = ref None and lock = Mutex.create () in
+  let fence ~key k =
+    if key = 21 then C4_runtime.Sync.with_lock lock (fun () -> held := Some k) else k ()
+  in
+  let server_cfg =
+    { NetServer.default_config with NetServer.cluster = Some (fence_hooks fence) }
+  in
+  with_net ~runtime_cfg ~server_cfg (fun runtime srv _ ->
+      let fd = raw_connect srv and dec = Wire.Decoder.create wire in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let home = conn_worker runtime fd dec ~id:0 in
+          write_all fd
+            (Bytes.concat Bytes.empty
+               [ frame 1 Wire.Get 21 Bytes.empty; frame 2 Wire.Set 22 (Bytes.of_string "v") ]);
+          completes_at_home runtime srv fd dec ~home ~requests:3 ~ids:[ 1; 2 ]
+            ~release:(fun () ->
+              Option.iter (fun k -> k ()) (C4_runtime.Sync.with_lock lock (fun () -> !held)))))
+
+(* The per-request metrics are the worker's own, published once per
+   round: at quiescence after [n] pipelined requests they are exact. *)
+let test_round_published_metrics_exact () =
+  with_net (fun _ srv _ ->
+      let reg = NetServer.registry srv in
+      let count name = int_of_float (Option.value ~default:0.0 (C4_obs.Registry.read reg name)) in
+      let names =
+        [ "net.requests"; "net.routed_w0"; "net.routed_w1"; "net.bytes_in"; "net.bytes_out";
+          "net.get_ns"; "net.set_ns"; "net.delete_ns" ]
+      in
+      let snapshot () = List.map count names in
+      let before = snapshot () in
+      let fd = raw_connect srv and dec = Wire.Decoder.create wire in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let n = 90 in
+          let frames =
+            List.init n (fun i ->
+                let key = 3000 + (i / 3) in
+                match i mod 3 with
+                | 0 -> frame i Wire.Set key (Bytes.of_string (string_of_int i))
+                | 1 -> frame i Wire.Get key Bytes.empty
+                | _ -> frame i Wire.Delete key Bytes.empty)
+          in
+          let sent = List.fold_left (fun acc f -> acc + Bytes.length f) 0 frames in
+          write_all fd (Bytes.concat Bytes.empty frames);
+          let received = ref 0 in
+          for i = 0 to n - 1 do
+            let r = read_response fd dec in
+            Alcotest.(check int) "in order" i r.Wire.resp_id;
+            Alcotest.(check bool) "answered Ok" true (r.Wire.status = Wire.Ok);
+            received :=
+              !received + Bytes.length (Wire.encode_response wire { r with Wire.timing_ns = 0 })
+          done;
+          await_true ~what:"the last round published" (fun () ->
+              count "net.bytes_out" - List.nth before 4 >= !received);
+          let delta = List.map2 ( - ) (snapshot ()) before in
+          let expect =
+            [ ("net.requests", n); ("net.bytes_in", sent); ("net.bytes_out", !received);
+              ("net.get_ns", n / 3); ("net.set_ns", n / 3); ("net.delete_ns", n / 3) ]
+          in
+          List.iter
+            (fun (name, v) ->
+              Alcotest.(check int) name v (List.assoc name (List.combine names delta)))
+            expect;
+          Alcotest.(check int) "net.routed_w<i>: every mutation" (2 * n / 3)
+            (List.assoc "net.routed_w0" (List.combine names delta)
+            + List.assoc "net.routed_w1" (List.combine names delta))))
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
@@ -1686,6 +1845,10 @@ let tests =
       test_slow_client_dropped;
     Alcotest.test_case "reorder slots hold arrival order" `Quick
       test_reorder_slots_hold_arrival_order;
+    Alcotest.test_case "completions run on the connection's worker" `Quick
+      test_completions_come_home;
+    Alcotest.test_case "round-published metrics are exact at quiescence" `Quick
+      test_round_published_metrics_exact;
     Alcotest.test_case "a write of several batches is answered in order" `Quick
       test_batches_answered_in_order;
     Alcotest.test_case "a corrupt frame ends its batch" `Quick test_corrupt_frame_ends_batch;

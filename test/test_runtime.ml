@@ -598,6 +598,81 @@ let test_server_real_history_linearizable () =
         Alcotest.failf "real execution not linearizable:@.%a" History.pp
           (History.of_ops history))
 
+(* A worker's own writes that ride another worker's pin complete back
+   home. Crashed with those completions queued in its inbox, the worker
+   gets them back once it restarts — not the survivor — and every one
+   runs exactly once, on the restarted loop. *)
+let test_home_completions_follow_restart () =
+  let cfg = { Server.default_config with Server.n_workers = 2; n_partitions = 16 } in
+  with_server ~cfg (fun t ->
+      let rec owned_by w k = if Server.owner_of_key t k = w then k else owned_by w (k + 1) in
+      let key = owned_by 1 0 and n = 5 in
+      let lock = Mutex.create () in
+      let loop_tid = Array.make 2 (-1) and ran = ref [] in
+      let submitted = Atomic.make false and started = Atomic.make false in
+      let sync f = C4_runtime.Sync.with_lock lock f in
+      let release1 = Server.pause_worker t ~worker:1 in
+      let pinned = Server.set_async t ~key ~value:(Bytes.of_string "pin") in
+      (* Worker 0's first round submits [n] writes to [key] as itself:
+         each rides worker 1's pin, so it is forwarded there and its
+         completion is bound for worker 0. *)
+      let io w ~wake =
+        let id = Server.worker_id w in
+        sync (fun () -> loop_tid.(id) <- Thread.id (Thread.self ()));
+        if id = 0 && not (Atomic.exchange started true) then begin
+          for i = 1 to n do
+            let value = Bytes.of_string (string_of_int i) in
+            ignore
+              (Server.submit_set ~on:w t ~key ~value ~off:0 ~len:(Bytes.length value) (fun () ->
+                   sync (fun () -> ran := (i, Thread.id (Thread.self ())) :: !ran)))
+          done;
+          Atomic.set submitted true
+        end;
+        match Unix.select [ wake ] [] [] 0.05 with _ :: _, _, _ -> true | [], _, _ -> false
+      in
+      Server.attach t io;
+      Fun.protect ~finally:(fun () -> Server.detach t) (fun () ->
+          let await what cond =
+            let deadline = Unix.gettimeofday () +. 10.0 in
+            while (not (cond ())) && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.001
+            done;
+            if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
+          in
+          await "worker 0's submissions" (fun () -> Atomic.get submitted);
+          let first_tid = sync (fun () -> loop_tid.(0)) in
+          (* Park worker 0 with a crash queued behind the gate; then let
+             worker 1 apply the writes, so their completions queue in
+             worker 0's inbox behind the crash. *)
+          let release0 = Server.pause_worker t ~worker:0 in
+          let parked = ref true in
+          Fun.protect
+            ~finally:(fun () -> if !parked then release0 ())
+            (fun () ->
+              Server.inject_crash t ~worker:0;
+              release1 ();
+              Promise.await pinned;
+              Unix.sleepf 0.05;
+              Alcotest.(check int) "nothing ran while worker 0 was parked" 0
+                (sync (fun () -> List.length !ran));
+              parked := false;
+              release0 ());
+          await_recovery t ~expect:2;
+          await "every completion" (fun () -> sync (fun () -> List.length !ran) = n);
+          await "the restarted loop's round" (fun () ->
+              sync (fun () -> loop_tid.(0) <> first_tid));
+          let ran, tid0, tid1 = sync (fun () -> (!ran, loop_tid.(0), loop_tid.(1))) in
+          Alcotest.(check (list int)) "each completion ran once" (List.init n (fun i -> i + 1))
+            (List.sort compare (List.map fst ran));
+          List.iter
+            (fun (_, tid) ->
+              Alcotest.(check int) "ran on the restarted worker 0" tid0 tid;
+              Alcotest.(check bool) "not on the survivor" true (tid <> tid1))
+            ran;
+          Alcotest.(check int) "one recovery" 1 (Server.stats t).Server.recoveries;
+          Alcotest.(check bool) "the completions were requeued" true
+            ((Server.stats t).Server.requeued_ops >= n)))
+
 let tests =
   [
     Alcotest.test_case "promise fulfil/await" `Quick test_promise_basic;
@@ -624,6 +699,8 @@ let tests =
       test_server_worker_exception_recovered;
     Alcotest.test_case "stale-stamped forward is admitted again" `Quick
       test_server_stale_stamp_readmitted;
+    Alcotest.test_case "home-bound completions follow their worker's restart" `Quick
+      test_home_completions_follow_restart;
     Alcotest.test_case "pin counter never refuses a queued write" `Quick
       test_server_pin_counter_never_refuses;
     Alcotest.test_case "server idempotent retry applies once" `Quick
